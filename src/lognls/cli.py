@@ -25,7 +25,6 @@ import numpy as np
 from . import verify as verify_mod
 from .energy import (
     DELTA_DEFAULT,
-    DELTA_MAX,
     EnergyParams,
     energy,
     f2_growth_check,
@@ -107,26 +106,14 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         )
 
     h = float(_need(numerics, "h", "numerics"))
-    if h <= 0.0:
-        raise ConfigError(f"numerics.h: must be positive, got {h}")
     schedule = _need(numerics, "R_schedule", "numerics")
     if not isinstance(schedule, list) or not schedule:
         raise ConfigError("numerics.R_schedule: must be a nonempty list")
-    delta = float(numerics.get("delta", DELTA_DEFAULT))
-    if not (0.0 < delta <= DELTA_MAX):
+    precondition = solver.get("precondition", "h1")
+    if precondition != "h1":
         raise ConfigError(
-            f"numerics.delta: must lie in (0, e^(-3/2) ~ {DELTA_MAX:.5f}], got {delta}"
+            f"solver.precondition: only 'h1' is supported, got {precondition!r}"
         )
-    p = float(numerics.get("p", 3.0))
-    if p <= 2.0:
-        raise ConfigError(f"numerics.p: must exceed 2, got {p}")
-
-    step = StepRule(
-        initial=float(solver.get("step_init", 1.0)),
-        backtrack=float(solver.get("backtrack", 0.5)),
-    )
-    if not (0.0 < step.backtrack < 1.0):
-        raise ConfigError(f"solver.backtrack: must lie in (0,1), got {step.backtrack}")
     gamma = solver.get("gamma")
     localization = None
     if "rho0" in solver or "R0" in solver:
@@ -146,23 +133,19 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
             grad_tol=float(solver.get("grad_tol", 1e-8)),
             nehari_tol=float(solver.get("nehari_tol", 1e-10)),
             max_iters=int(solver.get("max_iters", 5000)),
-            step_rule=step,
+            step_rule=StepRule(
+                initial=float(solver.get("step_init", 1.0)),
+                backtrack=float(solver.get("backtrack", 0.5)),
+            ),
             gamma=None if gamma is None else float(gamma),
             localization=localization,
-            delta=delta,
-            p=p,
-            precondition=str(solver.get("precondition", "h1")),
+            delta=float(numerics.get("delta", DELTA_DEFAULT)),
+            p=float(numerics.get("p", 3.0)),
             probes=int(solver.get("probes", 50)),
             probe_seed=seed,
         )
     except LogNLSError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-    if solver_cfg.grad_tol <= 0 or solver_cfg.nehari_tol <= 0:
-        raise ConfigError("solver.grad_tol/nehari_tol: must be positive")
-    if solver_cfg.precondition not in ("h1", "none"):
-        raise ConfigError(
-            f"solver.precondition: must be 'h1' or 'none', got {solver_cfg.precondition!r}"
-        )
+        raise ConfigError(f"numerics/solver: {exc}") from exc
 
     out_dir = Path(out_override) if out_override else Path(outputs.get("out_dir", "out"))
     return RunConfig(
@@ -212,10 +195,10 @@ def _write_history(path, result):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         dim = result.grid.dim
-        w.writerow(["iter", "J", "nehari_res", "grad_norm",
+        w.writerow(["R", "iter", "J", "nehari_res", "grad_norm",
                     *[f"q{ax}" for ax in "xy"[:dim]], "step"])
         for row in result.history:
-            w.writerow([row.iteration, _fmt(row.level), _fmt(row.nehari_res),
+            w.writerow([_fmt(row.R), row.iteration, _fmt(row.level), _fmt(row.nehari_res),
                         _fmt(row.grad_norm), *[_fmt(c) for c in row.barycenter],
                         _fmt(row.step)])
 
@@ -236,9 +219,7 @@ def cmd_solve(args) -> int:
         print(f"warning: potential validation flags: {pot_report}")
 
     try:
-        outcome = solve_multiplicity(
-            cfg.eps, cfg.potential, cfg.solver, jobs=args.jobs
-        )
+        outcome = solve_multiplicity(cfg.eps, cfg.potential, cfg.solver)
     except LogNLSError as exc:
         print(f"solve failed outright: {exc}", file=sys.stderr)
         return 1
@@ -295,7 +276,7 @@ def cmd_verify(args) -> int:
                entry["pass"] == entry["total"], margin, verbose, lines)
 
     gf = build_grid(1, 10.0, 0.01)
-    params = EnergyParams(eps=1.0, potential=1.0, delta=delta, p=p)
+    params = EnergyParams(eps=1.0, potential=1.0)
     ug = gausson(gf, 1.0)
     grad_sup = float(np.abs(gradient(ug, params, gf)).max())
     _check("gausson: interior gradient sup <= 1e-3", grad_sup <= 1e-3,
@@ -311,7 +292,7 @@ def cmd_verify(args) -> int:
     wr = verify_mod.weak_residual(ug, 1.0, params, gf, probes=50, seed=args.seed)
     _check("gausson: weak residual <= 1e-3", wr <= 1e-3, f"res={wr:.3e}", verbose, lines)
 
-    cfg = SolverConfig(h=0.01, R_schedule=(10.0,), delta=delta, p=p)
+    cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
     c0 = ground_level(1.0, gf, cfg)
     c_inf = ground_level(2.0, gf, cfg)
     t1 = 0.5 * math.e**2 * math.sqrt(math.pi)
@@ -321,7 +302,7 @@ def cmd_verify(args) -> int:
            f"c_inf={c_inf!r}", verbose, lines)
     _check("levels: c0 < c_inf", c0 < c_inf, f"gap={c_inf - c0!r}", verbose, lines)
 
-    grow = f2_growth_check(params, np.geomspace(delta / 10, 1e3, 2001), p=2.0)
+    grow = f2_growth_check(delta, 2.0, np.geomspace(delta / 10, 1e3, 2001))
     _check("growth: p=2 flagged non-uniform", not grow.uniform,
            f"C={grow.c:.3e}", verbose, lines)
 
@@ -358,7 +339,7 @@ def cmd_sweep(args) -> int:
     onset = None
     for eps in eps_list:
         try:
-            outcome = solve_multiplicity(eps, cfg.potential, cfg.solver, jobs=args.jobs)
+            outcome = solve_multiplicity(eps, cfg.potential, cfg.solver)
         except LogNLSError as exc:
             print(f"eps={eps}: solve failed: {exc}", file=sys.stderr)
             worst = max(worst, 1)
@@ -399,7 +380,6 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="run the multiplicity pipeline")
     p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--jobs", type=int, default=1)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--verbose", action="store_true")
@@ -413,7 +393,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="solve across a list of eps values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--eps", type=float, nargs="*", default=[])
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--verbose", action="store_true")

@@ -74,15 +74,10 @@ class EnergyParams:
 
     eps: float
     potential: Union[PotentialSpec, float]
-    delta: float = DELTA_DEFAULT
-    p: float = 3.0
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise NonPositiveEpsilon(f"eps must be positive, got {self.eps}")
-        _check_delta(self.delta)
-        if self.p <= 2.0:
-            raise ValueError(f"growth exponent p must exceed 2, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -261,20 +256,16 @@ def log_sobolev_gap(u: np.ndarray, g: Grid, a: float | None = None) -> float:
     return rhs - E
 
 
-def f2_growth_check(
-    params: EnergyParams, s_samples: np.ndarray, p: float | None = None
-) -> GrowthFit:
+def f2_growth_check(delta: float, p: float, s_samples: np.ndarray) -> GrowthFit:
     """Smallest C with |F2'(s)| <= C |s|^(p-1) over the samples.
 
     The bound is uniform (supremum attained away from the largest samples)
-    exactly when p > 2; probing the boundary exponent p = 2 is allowed via
-    the explicit override and comes back flagged non-uniform.
+    exactly when p > 2; the boundary exponent p = 2 comes back flagged
+    non-uniform.
     """
-    if p is None:
-        p = params.p
     s = np.abs(np.asarray(s_samples, dtype=float))
     s = s[s > 0.0]
-    _, _, _, dF2 = f_split(s, params.delta)
+    _, _, _, dF2 = f_split(s, delta)
     ratio = np.abs(dF2) / s ** (p - 1.0)
     c = float(ratio.max(initial=0.0))
     edge = s >= s.max() / 10.0

@@ -10,6 +10,7 @@ which attains min V = 1 exactly at the well centers z_i, satisfies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,18 @@ __all__ = [
     "validate",
     "eval_scaled",
 ]
+
+
+def _closest_pair(wells: np.ndarray) -> tuple[float, int, int]:
+    """Smallest distance between two well centers and the first pair
+    (i < j) attaining it; (inf, -1, -1) for a single well."""
+    best = (math.inf, -1, -1)
+    for i in range(wells.shape[0]):
+        for j in range(i + 1, wells.shape[0]):
+            d = float(np.linalg.norm(wells[i] - wells[j]))
+            if d < best[0]:
+                best = (d, i, j)
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +87,11 @@ class WellGeometry:
     def check(self, wells: np.ndarray) -> list[str]:
         """Return a list of violated constraints (empty when valid)."""
         problems = []
-        l = wells.shape[0]
-        if l > 1:
-            dmin = min(
-                float(np.linalg.norm(wells[i] - wells[j]))
-                for i in range(l)
-                for j in range(i + 1, l)
+        dmin = _closest_pair(wells)[0]
+        if self.rho0 >= 0.5 * dmin:
+            problems.append(
+                f"balls overlap: rho0={self.rho0} >= half min well distance {0.5 * dmin}"
             )
-            if self.rho0 >= 0.5 * dmin:
-                problems.append(
-                    f"balls overlap: rho0={self.rho0} >= half min well distance {0.5 * dmin}"
-                )
         rmax = float(np.linalg.norm(wells, axis=1).max())
         if rmax + self.rho0 >= self.R0:
             problems.append(
@@ -138,10 +145,9 @@ def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
         raise FlatPotential(f"need v_inf > 1 for a strict limit, got {v_inf}")
     if width <= 0.0:
         raise FlatPotential(f"need width > 0, got {width}")
-    for i in range(W.shape[0]):
-        for j in range(i + 1, W.shape[0]):
-            if np.allclose(W[i], W[j], rtol=0.0, atol=0.0):
-                raise DuplicateWells(f"wells {i} and {j} coincide at {W[i]}")
+    dmin, i, j = _closest_pair(W)
+    if dmin == 0.0:
+        raise DuplicateWells(f"wells {i} and {j} coincide at {W[i]}")
     W.setflags(write=False)
     return PotentialSpec(wells=W, v_inf=float(v_inf), width=float(width))
 
@@ -150,15 +156,7 @@ def default_geometry(spec: PotentialSpec) -> WellGeometry:
     """rho0 = quarter of the smallest well separation (1 for a single well),
     R0 = twice max(1, farthest well distance)."""
     W = spec.wells
-    if spec.l == 1:
-        rho0 = 1.0
-    else:
-        dmin = min(
-            float(np.linalg.norm(W[i] - W[j]))
-            for i in range(spec.l)
-            for j in range(i + 1, spec.l)
-        )
-        rho0 = 0.25 * dmin
+    rho0 = 1.0 if spec.l == 1 else 0.25 * _closest_pair(W)[0]
     R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))
     return WellGeometry(rho0=rho0, R0=R0)
 

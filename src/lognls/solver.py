@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -28,9 +27,9 @@ from .barycenter import BarycenterParams, Region, q_eps, region_of
 from .energy import (
     DELTA_DEFAULT,
     EnergyParams,
+    _check_delta,
     energy,
     gradient,
-    log_sobolev_gap,
     nehari_residual,
     nehari_scale,
 )
@@ -69,9 +68,11 @@ class SolveStatus(str, enum.Enum):
     CONVERGED = "converged"
     BOUNDARY_HIT = "boundary_hit"
     ITERATION_CAP = "iteration_cap"
+    LINE_SEARCH_FAILED = "line_search_failed"
 
 
 class HistoryRow(NamedTuple):
+    R: float
     iteration: int
     level: float
     nehari_res: float
@@ -90,6 +91,10 @@ class StepRule:
     step_min: float = 1e-6
     step_max: float = 10.0
 
+    def __post_init__(self):
+        if not (0.0 < self.backtrack < 1.0):
+            raise ConfigError(f"backtrack must lie in (0,1), got {self.backtrack}")
+
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
@@ -101,9 +106,8 @@ class SolverConfig:
     step_rule: StepRule = field(default_factory=StepRule)
     gamma: float | None = None            # None: (c_inf - c0)/4 at runtime
     localization: WellGeometry | None = None  # None: default_geometry(spec)
-    delta: float = DELTA_DEFAULT
-    p: float = 3.0
-    precondition: str = "h1"              # "h1" or "none"
+    delta: float = DELTA_DEFAULT          # identity suite of the audit only
+    p: float = 3.0                        # identity suite of the audit only
     seed_floor: float = 1e-200
     probes: int = 50
     probe_seed: int = 0
@@ -115,6 +119,16 @@ class SolverConfig:
             raise ConfigError("R_schedule must be nonempty")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"R_schedule must be strictly increasing: {sched}")
+        if self.h <= 0.0:
+            raise ConfigError(f"h must be positive, got {self.h}")
+        if self.grad_tol <= 0.0 or self.nehari_tol <= 0.0:
+            raise ConfigError(
+                f"grad_tol/nehari_tol must be positive, got "
+                f"{self.grad_tol}/{self.nehari_tol}"
+            )
+        _check_delta(self.delta)
+        if self.p <= 2.0:
+            raise ConfigError(f"p must exceed 2, got {self.p}")
 
 
 @dataclass
@@ -132,7 +146,6 @@ class SolveResult:
     status: SolveStatus
     history: list[HistoryRow] = field(default_factory=list)
     level_history_R: list[tuple[float, float]] = field(default_factory=list)
-    min_log_sobolev_gap: float = math.inf
     r_stabilized: bool = True
     continuation_gap: float = 0.0
 
@@ -327,9 +340,9 @@ def minimize_localized(
 
     Each accepted step is u <- s* (u - tau d) with the closed-form Nehari
     rescale s*; the direction d is the Euler-Lagrange residual smoothed by
-    (-L + I)^{-1} (an H^1 gradient; set precondition="none" for the raw
-    weighted gradient). tau starts from a Barzilai-Borwein trial and is
-    halved until J does not increase and the barycenter stays interior.
+    (-L + I)^{-1} (an H^1 gradient). tau starts from a Barzilai-Borwein
+    trial and is halved until J does not increase and the barycenter stays
+    interior.
 
     The returned field is the nonnegative representative |u| (re-projected
     and re-measured): taking the absolute value never raises J (exact for
@@ -344,16 +357,6 @@ def minimize_localized(
         spec = params.potential
         geometry = _resolve_geometry(config, spec)
         bp = BarycenterParams(R0=geometry.R0)
-
-    if config.precondition == "h1":
-        def direction(grd: np.ndarray) -> np.ndarray:
-            r = np.where(g.interior_mask, grd / g.quad_weights, 0.0)
-            return _h1_direction(g, r)
-    elif config.precondition == "none":
-        def direction(grd: np.ndarray) -> np.ndarray:
-            return grd
-    else:
-        raise ConfigError(f"unknown preconditioner {config.precondition!r}")
 
     u = np.abs(g.check_field(seed))
     s0 = nehari_scale(u, params, g)
@@ -376,19 +379,19 @@ def minimize_localized(
 
     J = energy(u, params, g).total
     grad = gradient(u, params, g)
-    dirn = direction(grad)
+    # the residual grad / w at interior nodes; _h1_direction reads no other
+    dirn = _h1_direction(g, grad / g.quad_weights)
     tau = rule.initial
     prev_du = prev_dy = None
     history: list[HistoryRow] = []
-    min_gap = math.inf
     status = SolveStatus.ITERATION_CAP
     it = 0
 
     for it in range(config.max_iters + 1):
         gnorm = _projected_grad_norm(u, grad, g)
         nres = nehari_residual(u, params, g).value
-        min_gap = min(min_gap, log_sobolev_gap(u, g))
         history.append(HistoryRow(
+            R=g.R,
             iteration=it,
             level=J,
             nehari_res=nres,
@@ -438,12 +441,13 @@ def minimize_localized(
                 region_blocked = True
             tau *= rule.backtrack
         if not accepted:
-            status = SolveStatus.BOUNDARY_HIT if region_blocked else SolveStatus.ITERATION_CAP
+            status = (SolveStatus.BOUNDARY_HIT if region_blocked
+                      else SolveStatus.LINE_SEARCH_FAILED)
             break
 
         prev_du = trial - u
         new_grad = gradient(trial, params, g)
-        new_dirn = direction(new_grad)
+        new_dirn = _h1_direction(g, new_grad / g.quad_weights)
         prev_dy = new_dirn - dirn
         u, J, q, grad, dirn = trial, Jt, qt, new_grad, new_dirn
 
@@ -457,7 +461,6 @@ def minimize_localized(
     if constrained:
         q, _ = classify(u)
     final = energy(u, params, g)
-    min_gap = min(min_gap, log_sobolev_gap(u, g))
     nres = nehari_residual(u, params, g)
     # Converged promises both tolerances on the returned field
     if status == SolveStatus.CONVERGED and (
@@ -481,7 +484,6 @@ def minimize_localized(
         status=status,
         history=history,
         level_history_R=[(g.R, final.total)],
-        min_log_sobolev_gap=min_gap,
     )
 
 
@@ -496,8 +498,8 @@ def continue_in_R(
     re-minimizing, until the level and barycenter stop moving."""
     res = result
     level_hist = list(res.level_history_R)
+    history = list(res.history)
     iters = res.iterations
-    min_gap = res.min_log_sobolev_gap
     remaining = [R for R in config.R_schedule if R > res.R_final * (1.0 + 1e-12)]
     stabilized = not remaining
     gap = 0.0
@@ -511,7 +513,7 @@ def continue_in_R(
         if res.barycenter is not None and new_res.barycenter is not None:
             q_gap = float(np.linalg.norm(new_res.barycenter - res.barycenter))
         iters += new_res.iterations
-        min_gap = min(min_gap, new_res.min_log_sobolev_gap)
+        history += new_res.history
         level_hist.append((R_next, new_res.level))
         res = new_res
         if res.status != SolveStatus.CONVERGED:
@@ -520,8 +522,8 @@ def continue_in_R(
             stabilized = True
             break
     res.level_history_R = level_hist
+    res.history = history
     res.iterations = iters
-    res.min_log_sobolev_gap = min_gap
     res.r_stabilized = stabilized and res.status == SolveStatus.CONVERGED
     res.continuation_gap = gap
     return res
@@ -529,9 +531,7 @@ def continue_in_R(
 
 @lru_cache(maxsize=32)
 def _ground_level_cached(omega: float, g: Grid, config: SolverConfig) -> float:
-    params = EnergyParams(
-        eps=1.0, potential=float(omega), delta=config.delta, p=config.p
-    )
+    params = EnergyParams(eps=1.0, potential=float(omega))
     seed = gausson(g, omega)
     res = minimize_localized(seed, None, 1.0, params, config, g)
     if res.status != SolveStatus.CONVERGED:
@@ -558,7 +558,6 @@ def solve_multiplicity(
     eps: float,
     potential: PotentialSpec,
     config: SolverConfig,
-    jobs: int = 1,
 ) -> MultiplicityOutcome:
     """One localized solve per well, continued through the R schedule.
 
@@ -585,35 +584,20 @@ def solve_multiplicity(
             f"gamma = {gamma} must lie in (0, (c_inf - c0)/2) = (0, {0.5 * (c_inf - c0):.4f})"
         )
 
-    params = EnergyParams(
-        eps=eps, potential=potential, delta=config.delta, p=config.p
-    )
+    params = EnergyParams(eps=eps, potential=potential)
     g0 = build_grid(potential.dim, config.R_schedule[0], config.h)
-
-    def run_well(i: int):
-        seed = seed_well(i, eps, params, config, g0)
-        res = minimize_localized(seed, i, eps, params, config, g0)
-        if res.status == SolveStatus.CONVERGED:
-            res = continue_in_R(res, i, eps, params, config)
-        return res
 
     results: list[SolveResult] = []
     failures: list[WellFailure] = []
-    indices = range(potential.l)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(run_well, i) for i in indices}
-            for i in indices:
-                try:
-                    results.append(futures[i].result())
-                except LogNLSError as exc:
-                    failures.append(WellFailure(i, type(exc).__name__, str(exc)))
-    else:
-        for i in indices:
-            try:
-                results.append(run_well(i))
-            except LogNLSError as exc:
-                failures.append(WellFailure(i, type(exc).__name__, str(exc)))
+    for i in range(potential.l):
+        try:
+            seed = seed_well(i, eps, params, config, g0)
+            res = minimize_localized(seed, i, eps, params, config, g0)
+            if res.status == SolveStatus.CONVERGED:
+                res = continue_in_R(res, i, eps, params, config)
+            results.append(res)
+        except LogNLSError as exc:
+            failures.append(WellFailure(i, type(exc).__name__, str(exc)))
 
     return MultiplicityOutcome(
         results=results,

@@ -55,6 +55,13 @@ def test_load_config_delta_cap_message(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
+def test_load_config_rejects_other_preconditioner(tmp_path):
+    bad = json.loads(json.dumps(SINGLE_WELL))
+    bad["solver"]["precondition"] = "none"
+    with pytest.raises(ConfigError, match="solver.precondition"):
+        load_config(_write(tmp_path, bad))
+
+
 def test_load_config_rejects_mismatched_dim(tmp_path):
     bad = json.loads(json.dumps(SINGLE_WELL))
     bad["problem"]["wells"] = [[0.0, 0.0]]
@@ -124,7 +131,7 @@ def test_history_dump(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     rows = (out / "fields" / "history_well1.csv").read_text().splitlines()
-    assert rows[0] == "iter,J,nehari_res,grad_norm,qx,step"
+    assert rows[0] == "R,iter,J,nehari_res,grad_norm,qx,step"
     assert len(rows) > 2
 
 

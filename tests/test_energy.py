@@ -17,7 +17,7 @@ from lognls.energy import (
 )
 from lognls.errors import InvalidDelta, ZeroField
 from lognls.grid import build_grid
-from lognls.solver import gausson
+from lognls.solver import SolverConfig, gausson
 from lognls.verify import smooth_random_field
 
 DELTA = DELTA_DEFAULT
@@ -91,11 +91,11 @@ def test_invalid_delta_rejected():
     with pytest.raises(InvalidDelta):
         f_split(1.0, 0.0)
     with pytest.raises(InvalidDelta):
-        EnergyParams(eps=1.0, potential=1.0, delta=0.3)
+        SolverConfig(h=0.05, R_schedule=(10.0,), delta=0.3)
 
 
-def test_f2_growth_p3_uniform(const_params):
-    fit = f2_growth_check(const_params, np.geomspace(DELTA / 10.0, 1e3, 2001))
+def test_f2_growth_p3_uniform():
+    fit = f2_growth_check(DELTA, 3.0, np.geomspace(DELTA / 10.0, 1e3, 2001))
     assert math.isfinite(fit.c) and fit.c > 0.0
     assert fit.uniform
 
@@ -106,8 +106,8 @@ def test_f2_vanishes_inside_delta(const_params):
     assert np.all(F2 == 0.0) and np.all(d2 == 0.0)
 
 
-def test_f2_growth_p2_non_uniform(const_params):
-    fit = f2_growth_check(const_params, np.geomspace(DELTA / 10.0, 1e3, 2001), p=2.0)
+def test_f2_growth_p2_non_uniform():
+    fit = f2_growth_check(DELTA, 2.0, np.geomspace(DELTA / 10.0, 1e3, 2001))
     assert not fit.uniform
 
 

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lognls.barycenter import BarycenterParams, q_eps, region_of
-from lognls.energy import EnergyParams, energy
-from lognls.errors import DomainTooSmall, SeedOutsideRegion
+from lognls.energy import EnergyParams, energy, log_sobolev_gap
+from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
 from lognls.grid import build_grid, integrate
 from lognls.potential import default_geometry, make_multiwell
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
+    StepRule,
     continue_in_R,
     gausson,
     ground_level,
@@ -151,7 +153,45 @@ def test_minimize_monotone_levels_and_certificates():
     slack = 64.0 * np.finfo(float).eps * max(1.0, abs(levels[0]))
     assert all(b <= a + slack for a, b in zip(levels, levels[1:]))
     assert all(row.nehari_res <= cfg.nehari_tol for row in res.history)
-    assert res.min_log_sobolev_gap >= -1e-8
+    assert log_sobolev_gap(res.u, g) >= -1e-8
+
+
+_G_PROP = build_grid(1, 10.0, 0.02)
+_CFG_PROP = SolverConfig(h=0.02, R_schedule=(10.0,))
+_PARAMS_PROP = EnergyParams(eps=1.0, potential=1.0)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    amp=st.floats(-0.3, 0.3),
+    center=st.floats(-2.0, 2.0),
+    width=st.floats(0.3, 2.0),
+)
+def test_descent_invariants_on_perturbed_gausson(amp, center, width):
+    # J never increases along the history, every iterate sits on the Nehari
+    # set, and the descent is deterministic
+    g = _G_PROP
+    bump = np.exp(-((g.nodes[:, 0] - center) ** 2) / width)
+    bump[~g.interior_mask] = 0.0
+    seed = gausson(g, 1.0) * (1.0 + amp * bump)
+    res = minimize_localized(seed, None, 1.0, _PARAMS_PROP, _CFG_PROP, g)
+    levels = [row.level for row in res.history]
+    slack = 64.0 * np.finfo(float).eps * max(1.0, abs(levels[0]))
+    assert all(b <= a + slack for a, b in zip(levels, levels[1:]))
+    assert all(row.nehari_res <= _CFG_PROP.nehari_tol for row in res.history)
+    again = minimize_localized(seed, None, 1.0, _PARAMS_PROP, _CFG_PROP, g)
+    assert np.array_equal(res.u, again.u)
+
+
+def test_failed_line_search_has_own_status():
+    # grad_tol below rounding: the line search runs out of halvings long
+    # before the iteration cap
+    g = build_grid(1, 10.0, 0.01)
+    cfg = SolverConfig(h=0.01, R_schedule=(10.0,), grad_tol=1e-15)
+    params = EnergyParams(eps=1.0, potential=1.0)
+    res = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    assert res.status == SolveStatus.LINE_SEARCH_FAILED
+    assert res.iterations < cfg.max_iters
 
 
 def test_minimize_confined_iterates(dw_spec):
@@ -218,6 +258,19 @@ def test_continuation_constant_potential_level_stable():
     assert res.r_stabilized
 
 
+def test_continuation_keeps_every_stage_history():
+    cfg = SolverConfig(h=0.05, R_schedule=(10.0, 20.0))
+    params = EnergyParams(eps=1.0, potential=1.0)
+    g = build_grid(1, 10.0, 0.05)
+    first = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    res = continue_in_R(first, None, 1.0, params, cfg)
+    stages = len(res.level_history_R)
+    assert stages == 2
+    assert len(res.history) == res.iterations + stages
+    assert [row.R for row in res.history] == sorted(row.R for row in res.history)
+    assert {row.R for row in res.history} == {10.0, 20.0}
+
+
 def test_continuation_monotone_double_well(double_well_run):
     for res in double_well_run["outcome"].results:
         levels = [lvl for _, lvl in res.level_history_R]
@@ -265,6 +318,19 @@ def test_config_invariants_rejected(dw_spec):
             0.1, dw_spec, SolverConfig(h=0.05, R_schedule=(30.0,), gamma=100.0))
 
 
+def test_numeric_settings_validated_on_construction():
+    with pytest.raises(LogNLSError, match="grad_tol"):
+        SolverConfig(h=0.05, R_schedule=(10.0,), grad_tol=0.0)
+    with pytest.raises(LogNLSError, match="nehari_tol"):
+        SolverConfig(h=0.05, R_schedule=(10.0,), nehari_tol=-1.0)
+    with pytest.raises(LogNLSError, match="backtrack"):
+        StepRule(backtrack=1.5)
+    with pytest.raises(LogNLSError, match="p must exceed 2"):
+        SolverConfig(h=0.05, R_schedule=(10.0,), p=2.0)
+    with pytest.raises(LogNLSError, match="h must be positive"):
+        SolverConfig(h=0.0, R_schedule=(10.0,))
+
+
 def test_schedule_must_cover_wells(dw_spec):
     cfg = SolverConfig(h=0.05, R_schedule=(10.0,))
     with pytest.raises(DomainTooSmall):
@@ -290,15 +356,6 @@ def test_solve_multiplicity_2d_smoke():
         assert res.level < out.c0 + out.gamma
     from lognls.verify import audit
     assert audit(out.results, out).status == 0
-
-
-def test_parallel_wells_match_sequential(dw_spec):
-    cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
-    seq = solve_multiplicity(0.1, dw_spec, cfg)
-    par = solve_multiplicity(0.1, dw_spec, cfg, jobs=2)
-    assert [r.level for r in par.results] == [r.level for r in seq.results]
-    for a, b in zip(par.results, seq.results):
-        assert np.array_equal(a.u, b.u)
 
 
 def test_rescale_to_original(double_well_run):
