@@ -9,7 +9,9 @@ from .energy import (
     DELTA_MAX,
     EnergyBreakdown,
     EnergyParams,
+    Evaluation,
     energy,
+    evaluate,
     f2_growth_check,
     f_split,
     gradient,

@@ -69,7 +69,8 @@ def g_weight(points: np.ndarray, R0: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _tables(R0: float, eps: float, g: Grid):
     scaled = eps * g.nodes
-    chi = chi_map(scaled, R0)
+    # (dim, n): each coordinate contiguous, contracted by einsum in q_eps
+    chi = np.ascontiguousarray(chi_map(scaled, R0).T)
     weight = g_weight(scaled, R0)
     wq = g.quad_weights * weight
     wq.setflags(write=False)
@@ -87,7 +88,7 @@ def q_eps(u: np.ndarray, eps: float, params: BarycenterParams, g: Grid) -> np.nd
     denom = density.sum()
     if denom <= 0.0:
         raise ZeroField("barycenter undefined: g-weighted mass vanishes")
-    return (density[:, None] * chi).sum(axis=0) / denom
+    return np.einsum("dn,n->d", chi, density) / denom
 
 
 def region_of(q: np.ndarray, geometry: WellGeometry, wells: np.ndarray) -> Region:

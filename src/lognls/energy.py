@@ -16,6 +16,12 @@ field crosses it exactly once, at
 
     s* = exp( [int(|grad u|^2 + V u^2) - int(u^2 log u^2)] / (2 int(u^2)) ).
 
+Every quantity above is read from one evaluation record per field
+(`evaluate`): the stencil Lu, the log term u log u^2 and the integrals
+K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2), so that
+J = (K + M - E)/2 and J'(u)u = K - E. The record of s*u follows from the
+record of u without a new stencil or log (`Evaluation.scaled`).
+
 F1/F2 below split 1/2 s^2 log s^2 = F2(s) - F1(s) into a convex part F1 and
 a power-growth part F2; the split is kept as audited ground truth while the
 main evaluation path uses u^2 log u^2 directly.
@@ -43,13 +49,14 @@ __all__ = [
     "NehariResidual",
     "GrowthFit",
     "f_split",
+    "Evaluation",
+    "evaluate",
     "energy",
     "gradient",
     "nehari_scale",
     "nehari_residual",
     "log_sobolev_gap",
     "f2_growth_check",
-    "potential_on_grid",
 ]
 
 # F1'' = -log(s^2) - 3 on (0, delta): convexity of F1 requires delta <= e^{-3/2}
@@ -102,17 +109,13 @@ class GrowthFit(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _potential_table(params: EnergyParams, g: Grid) -> np.ndarray:
+    """Per-node potential values V(eps * x_j); cached per (params, grid)."""
     if isinstance(params.potential, PotentialSpec):
         vals = eval_scaled(params.potential, params.eps, g)
     else:
         vals = np.full(g.num_nodes, float(params.potential))
     vals.setflags(write=False)
     return vals
-
-
-def potential_on_grid(params: EnergyParams, g: Grid) -> np.ndarray:
-    """Per-node potential values V(eps * x_j); cached per (params, grid)."""
-    return _potential_table(params, g)
 
 
 def _u_log_u2(u: np.ndarray) -> np.ndarray:
@@ -164,22 +167,86 @@ def f_split(s, delta: float):
     return F1, F2, dF1, dF2
 
 
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One pass over a field: the arrays and integrals that J, its gradient,
+    the Nehari scale and the Nehari residual share.
+
+    K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2). v is the
+    potential table the record was taken with; the arrays are not copied.
+    """
+
+    u: np.ndarray
+    Lu: np.ndarray
+    u_log_u2: np.ndarray
+    K: float
+    E: float
+    M: float
+    v: np.ndarray
+    grid: Grid
+
+    @property
+    def level(self) -> float:
+        """J(u) = (K + M - E)/2."""
+        return 0.5 * (self.K + self.M - self.E)
+
+    def scaled(self, s: float) -> "Evaluation":
+        """The record of s*u (s > 0), from L(su) = s Lu and
+        (su) log (su)^2 = s (u log u^2 + u log s^2); K, E and M are
+        integrated again on the scaled arrays."""
+        u_log_u2 = s * (self.u_log_u2 + (2.0 * math.log(s)) * self.u)
+        return _record(s * self.u, s * self.Lu, u_log_u2, self.v, self.grid)
+
+    def residual(self) -> np.ndarray:
+        """Euler-Lagrange residual Lu + V u - u log u^2, zero on boundary rows."""
+        res = self.Lu + self.v * self.u - self.u_log_u2
+        res[~self.grid.interior_mask] = 0.0
+        return res
+
+    def gradient(self) -> np.ndarray:
+        """Weighted gradient of J; see `gradient`."""
+        return self.grid.quad_weights * self.residual()
+
+    def nehari_residual(self) -> NehariResidual:
+        """See `nehari_residual`; read from the record."""
+        return _nehari_residual(self.level, self.M, self.K + self.M)
+
+
+def _record(u, Lu, u_log_u2, v, g) -> Evaluation:
+    uu = u * u
+    return Evaluation(
+        u=u,
+        Lu=Lu,
+        u_log_u2=u_log_u2,
+        K=integrate(g, u * Lu) + integrate(g, v * uu),
+        E=integrate(g, u * u_log_u2),
+        M=integrate(g, uu),
+        v=v,
+        grid=g,
+    )
+
+
+def evaluate(u: np.ndarray, params: EnergyParams, g: Grid) -> Evaluation:
+    """One stencil, one log and the integrals K, E, M of a field."""
+    u = g.check_field(u)
+    return _record(
+        u, laplacian_apply(g, u), _u_log_u2(u), _potential_table(params, g), g
+    )
+
+
 def energy(u: np.ndarray, params: EnergyParams, g: Grid) -> EnergyBreakdown:
     """Evaluate J and its pieces on a Dirichlet-compliant field."""
-    u = g.check_field(u)
-    vv = _potential_table(params, g)
-    kinetic = 0.5 * integrate(g, u * laplacian_apply(g, u))
-    potential_term = 0.5 * integrate(g, (vv + 1.0) * u * u)
-    entropy = 0.5 * integrate(g, _u2_log_u2(u))
-    mass = integrate(g, u * u)
-    norm_eps = math.sqrt(max(0.0, 2.0 * (kinetic + potential_term)))
+    rec = evaluate(u, params, g)
+    kinetic = 0.5 * integrate(g, rec.u * rec.Lu)
+    potential_term = 0.5 * (rec.K + rec.M) - kinetic
+    entropy = 0.5 * rec.E
     return EnergyBreakdown(
         total=kinetic + potential_term - entropy,
         kinetic=kinetic,
         potential_term=potential_term,
         entropy=entropy,
-        mass=mass,
-        norm_eps=norm_eps,
+        mass=rec.M,
+        norm_eps=math.sqrt(max(0.0, rec.K + rec.M)),
     )
 
 
@@ -189,48 +256,44 @@ def gradient(u: np.ndarray, params: EnergyParams, g: Grid) -> np.ndarray:
     Boundary rows are zero. The plain dot product against a direction v is
     the directional derivative d/dt J(u + t v) at t = 0.
     """
-    u = g.check_field(u)
-    vv = _potential_table(params, g)
-    res = laplacian_apply(g, u) + vv * u - _u_log_u2(u)
-    out = g.quad_weights * res
-    out[~g.interior_mask] = 0.0
-    return out
+    return evaluate(u, params, g).gradient()
 
 
-def _nehari_parts(u, params, g):
-    vv = _potential_table(params, g)
-    K = integrate(g, u * laplacian_apply(g, u)) + integrate(g, vv * u * u)
-    E = integrate(g, _u2_log_u2(u))
-    M = integrate(g, u * u)
-    return K, E, M
-
-
-def nehari_scale(u: np.ndarray, params: EnergyParams, g: Grid) -> float:
+def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams, g: Grid) -> float:
     """The unique s > 0 placing s*u on the Nehari set.
 
     J'(su)(su) = s^2 [K - E - log(s^2) M] with K = int(|grad u|^2 + V u^2),
     E = int(u^2 log u^2), M = int(u^2); the root is s = exp((K - E)/(2M)).
-    Returns inf when the exponent overflows (degenerate trial fields).
+    u may be a field or its evaluation record, which is then read as is.
+    Returns inf when the exponent overflows (degenerate trial fields) and
+    raises ZeroField when u is zero or s underflows to 0 (s*u would be the
+    zero field, which is not on the Nehari set).
     """
-    u = g.check_field(u)
-    K, E, M = _nehari_parts(u, params, g)
-    if M <= 0.0:
+    rec = u if isinstance(u, Evaluation) else evaluate(u, params, g)
+    if rec.M <= 0.0:
         raise ZeroField("cannot project the zero field onto the Nehari set")
-    arg = (K - E) / (2.0 * M)
+    arg = (rec.K - rec.E) / (2.0 * rec.M)
     if arg > 709.0:
         return math.inf
-    return math.exp(arg)
+    s = math.exp(arg)
+    if s == 0.0:
+        raise ZeroField(f"Nehari scale exp({arg:.4g}) underflows to 0")
+    return s
+
+
+def _nehari_residual(level: float, mass: float, norm_sq: float) -> NehariResidual:
+    if mass <= 0.0:
+        raise ZeroField("Nehari residual undefined for the zero field")
+    # J'(u)u = 2 J(u) - int(u^2)
+    gap = abs(level - 0.5 * mass)
+    return NehariResidual(value=2.0 * gap / max(1.0, norm_sq), level_gap=gap)
 
 
 def nehari_residual(u: np.ndarray, params: EnergyParams, g: Grid) -> NehariResidual:
-    """Normalized |J'(u)u| plus the level characterization cross-check."""
-    u = g.check_field(u)
-    K, E, M = _nehari_parts(u, params, g)
-    if M <= 0.0:
-        raise ZeroField("Nehari residual undefined for the zero field")
+    """Normalized |J'(u)u| = |2 J(u) - int(u^2)| / max(1, ||u||_eps^2) and
+    the level gap |J(u) - 1/2 int(u^2)|, measured by `energy`."""
     eb = energy(u, params, g)
-    value = abs(K - E) / max(1.0, eb.norm_eps**2)
-    return NehariResidual(value=value, level_gap=abs(eb.total - 0.5 * M))
+    return _nehari_residual(eb.total, eb.mass, eb.norm_eps**2)
 
 
 def log_sobolev_gap(u: np.ndarray, g: Grid, a: float | None = None) -> float:

@@ -152,26 +152,37 @@ def laplacian_apply(g: Grid, u: np.ndarray) -> np.ndarray:
 
     Central five-point (three-point in 1d) stencil at interior nodes;
     boundary rows are returned as 0.
+
+    Each axis is taken as a difference of neighbour differences,
+    (u_i - u_{i-1}) - (u_{i+1} - u_i). For a smooth field the neighbour
+    differences are exact in floating point, so the rounding error of a
+    node is eps |u'| / h, not the eps |u| / h^2 of 2 u_i - u_{i-1} - u_{i+1};
+    that error would otherwise dominate int(u Lu) and hence J.
     """
     u = g.check_field(u)
     h2 = g.h * g.h
     if g.dim == 1:
+        d = np.diff(u)
         out = np.zeros_like(u)
-        out[1:-1] = (2.0 * u[1:-1] - u[:-2] - u[2:]) / h2
+        out[1:-1] = (d[:-1] - d[1:]) / h2
         return out
     n = g.n_axis
     U = u.reshape(n, n)
+    dx = np.diff(U[:, 1:-1], axis=0)
+    dy = np.diff(U[1:-1, :], axis=1)
     out = np.zeros_like(U)
-    core = 4.0 * U[1:-1, 1:-1]
-    core -= U[:-2, 1:-1] + U[2:, 1:-1] + U[1:-1, :-2] + U[1:-1, 2:]
-    out[1:-1, 1:-1] = core / h2
+    out[1:-1, 1:-1] = ((dx[:-1] - dx[1:]) + (dy[:, :-1] - dy[:, 1:])) / h2
     return out.ravel()
 
 
 def integrate(g: Grid, values: np.ndarray) -> float:
-    """Trapezoid quadrature of per-node values over the domain."""
+    """Trapezoid quadrature of per-node values over the domain.
+
+    einsum keeps the sum in numpy's own loop: np.dot hands long vectors to
+    a threaded BLAS, whose result then depends on the thread count.
+    """
     values = g.check_field(values)
-    return float(np.dot(g.quad_weights, values))
+    return float(np.einsum("i,i->", g.quad_weights, values))
 
 
 def _embed_offset(g_old: Grid, g_new: Grid) -> int:

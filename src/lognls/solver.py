@@ -1,10 +1,11 @@
 """Localized Nehari minimization: seeding, descent, continuation in R.
 
-One solution per potential well: seed a translated Gausson at z_i/eps, cut
-off to the truncated domain, project onto the Nehari set, then run monotone
-projected descent that rejects any step whose barycenter leaves the ball
-B_rho0(z_i). Converged solutions are continued through an increasing
-schedule of truncation radii until the level and barycenter stabilize.
+One solution per potential well: seed a translated Gausson at z_i/eps,
+ramped to zero at the boundary of the truncated domain only, project onto
+the Nehari set, then run monotone projected descent that rejects any step
+whose barycenter leaves the ball B_rho0(z_i). Converged solutions are
+continued through an increasing schedule of truncation radii until the
+level and barycenter stabilize.
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -29,8 +30,7 @@ from .energy import (
     EnergyParams,
     _check_delta,
     energy,
-    gradient,
-    nehari_residual,
+    evaluate,
     nehari_scale,
 )
 from .errors import (
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _J_SLACK = 32.0 * np.finfo(float).eps
+_STALL = 4.0 * np.finfo(float).eps
 
 
 class SolveStatus(str, enum.Enum):
@@ -140,10 +141,10 @@ class SolveResult:
     well_index: int | None
     nehari_res: float
     grad_norm: float
-    weak_res: float
     R_final: float
     iterations: int
     status: SolveStatus
+    weak_res: float = math.nan  # set by solve_multiplicity on each well's result
     history: list[HistoryRow] = field(default_factory=list)
     level_history_R: list[tuple[float, float]] = field(default_factory=list)
     r_stabilized: bool = True
@@ -198,22 +199,16 @@ def _smootherstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
-def _plateau(t: np.ndarray) -> np.ndarray:
-    """1 on t <= 1/2, 0 on t >= 1, quintic (C^2) transition."""
-    return 1.0 - _smootherstep(2.0 * t - 1.0)
+def _max_norm(g: Grid) -> np.ndarray:
+    return np.abs(g.nodes).max(axis=1)
 
 
-def radial_cutoff(g: Grid, R: float | None = None) -> np.ndarray:
-    """phi(|x|/R): 1 inside |x| <= R/2, 0 at |x| >= R."""
-    R = g.R if R is None else R
-    return _plateau(g.radii() / R)
-
-
-def _box_cutoff(g: Grid) -> np.ndarray:
-    """Same plateau profile in the max norm; strictly positive at every
-    interior node of the square (used for the positive seed floor)."""
-    t = np.abs(g.nodes).max(axis=1) / g.R
-    return _plateau(t)
+def _boundary_ramp(g: Grid) -> np.ndarray:
+    """0 on the boundary of the square, 1 from distance 2 inward; unlike a
+    cutoff centred on the origin it leaves a translated profile in place.
+    Strictly positive at every interior node (R - |x|_inf >= h), so it also
+    carries the positive seed floor."""
+    return _smootherstep(0.5 * (g.R - _max_norm(g)))
 
 
 def _gaussian_profile(g: Grid, amplitude: float, center: np.ndarray) -> np.ndarray:
@@ -250,8 +245,8 @@ def seed_well(
     config: SolverConfig,
     g: Grid,
 ) -> np.ndarray:
-    """Translated Gausson (omega = 1) at z_i/eps, cut off to the domain,
-    floored to stay strictly positive, and Nehari-projected."""
+    """Translated Gausson (omega = 1) at z_i/eps, ramped to zero at the
+    domain boundary, floored to stay strictly positive, and Nehari-projected."""
     spec = params.potential
     if not isinstance(spec, PotentialSpec):
         raise ConfigError("seed_well needs a multi-well PotentialSpec")
@@ -265,8 +260,9 @@ def seed_well(
             f"inside R = {g.R}"
         )
     amplitude = math.exp(0.5 * (g.dim + 1.0))
-    u0 = radial_cutoff(g) * _gaussian_profile(g, amplitude, center)
-    u0 += config.seed_floor * _box_cutoff(g)
+    u0 = _boundary_ramp(g) * (
+        _gaussian_profile(g, amplitude, center) + config.seed_floor
+    )
     u0[~g.interior_mask] = 0.0
     u = nehari_scale(u0, params, g) * u0
     q = q_eps(u, eps, BarycenterParams(R0=geometry.R0), g)
@@ -312,14 +308,11 @@ def _h1_direction(g: Grid, r: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _projected_grad_norm(
-    u: np.ndarray, grad: np.ndarray, g: Grid
-) -> float:
-    """L2 norm of the Euler-Lagrange residual with its component along the
-    Nehari-normal direction removed; vanishes exactly at constrained
-    stationary points (which are free critical points here)."""
-    w = g.quad_weights
-    r = np.where(g.interior_mask, grad / w, 0.0)
+def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid) -> float:
+    """L2 norm of the Euler-Lagrange residual r (zero on boundary rows) with
+    its component along the Nehari-normal direction removed; vanishes
+    exactly at constrained stationary points (which are free critical
+    points here)."""
     n = 2.0 * (r - u)
     nn = integrate(g, n * n)
     if nn > 0.0:
@@ -358,17 +351,18 @@ def minimize_localized(
         geometry = _resolve_geometry(config, spec)
         bp = BarycenterParams(R0=geometry.R0)
 
-    u = np.abs(g.check_field(seed))
-    s0 = nehari_scale(u, params, g)
+    # one evaluation record per field: the current iterate and the trial
+    rec = evaluate(np.abs(g.check_field(seed)), params, g)
+    s0 = nehari_scale(rec, params, g)
     if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
-        u = s0 * u
+        rec = rec.scaled(s0)
 
     def classify(v: np.ndarray) -> tuple[np.ndarray, Region]:
         q = q_eps(v, eps, bp, g)
         return q, region_of(q, geometry, spec.wells)
 
     if constrained:
-        q, reg = classify(u)
+        q, reg = classify(rec.u)
         if not reg.is_interior(i):
             raise SeedOutsideRegion(
                 f"minimizer seed has barycenter {q} ({reg.kind}), not within "
@@ -377,10 +371,8 @@ def minimize_localized(
     else:
         q = None
 
-    J = energy(u, params, g).total
-    grad = gradient(u, params, g)
-    # the residual grad / w at interior nodes; _h1_direction reads no other
-    dirn = _h1_direction(g, grad / g.quad_weights)
+    resid = rec.residual()
+    dirn = _h1_direction(g, resid)
     tau = rule.initial
     prev_du = prev_dy = None
     history: list[HistoryRow] = []
@@ -388,13 +380,13 @@ def minimize_localized(
     it = 0
 
     for it in range(config.max_iters + 1):
-        gnorm = _projected_grad_norm(u, grad, g)
-        nres = nehari_residual(u, params, g).value
+        J = rec.level
+        gnorm = _projected_grad_norm(rec.u, resid, g)
         history.append(HistoryRow(
             R=g.R,
             iteration=it,
             level=J,
-            nehari_res=nres,
+            nehari_res=rec.nehari_residual().value,
             grad_norm=gnorm,
             barycenter=tuple(q) if q is not None else (),
             step=tau,
@@ -408,8 +400,8 @@ def minimize_localized(
             break
 
         if prev_du is not None:
-            ss = float(np.dot(prev_du, prev_du))
-            sy = float(np.dot(prev_du, prev_dy))
+            ss = float(np.einsum("i,i->", prev_du, prev_du))
+            sy = float(np.einsum("i,i->", prev_du, prev_dy))
             if sy > 0.0:
                 tau = ss / sy
         tau = min(max(tau, rule.step_min), rule.step_max)
@@ -418,19 +410,19 @@ def minimize_localized(
         region_blocked = False
         j_slack = _J_SLACK * max(1.0, abs(J))
         for _ in range(rule.max_halvings + 1):
-            trial_raw = u - tau * dirn
+            trial = evaluate(rec.u - tau * dirn, params, g)
             try:
-                s = nehari_scale(trial_raw, params, g)
+                s = nehari_scale(trial, params, g)
             except ZeroField:
                 s = math.inf
             if not math.isfinite(s):
                 tau *= rule.backtrack
                 continue
-            trial = s * trial_raw
-            Jt = energy(trial, params, g).total
+            trial = trial.scaled(s)
+            Jt = trial.level
             ok_j = math.isfinite(Jt) and Jt <= J + j_slack
             if constrained:
-                qt, regt = classify(trial)
+                qt, regt = classify(trial.u)
                 ok_region = regt.is_interior(i)
             else:
                 qt, ok_region = None, True
@@ -445,45 +437,47 @@ def minimize_localized(
                       else SolveStatus.LINE_SEARCH_FAILED)
             break
 
-        prev_du = trial - u
-        new_grad = gradient(trial, params, g)
-        new_dirn = _h1_direction(g, new_grad / g.quad_weights)
+        prev_du = trial.u - rec.u
+        if np.abs(prev_du).max() <= _STALL * np.abs(rec.u).max():
+            # the step moved no node beyond the rounding of the field: the
+            # descent has stalled at the floating-point floor
+            status = SolveStatus.LINE_SEARCH_FAILED
+            break
+        resid = trial.residual()
+        new_dirn = _h1_direction(g, resid)
         prev_dy = new_dirn - dirn
-        u, J, q, grad, dirn = trial, Jt, qt, new_grad, new_dirn
+        rec, q, dirn = trial, qt, new_dirn
 
-    if bool(np.any(u < 0.0)):
-        u = np.abs(u)
-        s_fix = nehari_scale(u, params, g)
+    if bool(np.any(rec.u < 0.0)):
+        rec = evaluate(np.abs(rec.u), params, g)
+        s_fix = nehari_scale(rec, params, g)
         if math.isfinite(s_fix):
-            u = s_fix * u
-        grad = gradient(u, params, g)
-    gnorm_final = _projected_grad_norm(u, grad, g)
+            rec = rec.scaled(s_fix)
+        resid = rec.residual()
+    gnorm_final = _projected_grad_norm(rec.u, resid, g)
     if constrained:
-        q, _ = classify(u)
-    final = energy(u, params, g)
-    nres = nehari_residual(u, params, g)
+        q, _ = classify(rec.u)
+    nres = rec.nehari_residual()
+    # the reported level is measured by `energy` on the returned field
+    level = energy(rec.u, params, g).total
     # Converged promises both tolerances on the returned field
     if status == SolveStatus.CONVERGED and (
         gnorm_final > config.grad_tol or nres.value > config.nehari_tol
     ):
         status = SolveStatus.ITERATION_CAP
-    weak = weak_residual(
-        u, eps, params, g, probes=config.probes, seed=config.probe_seed
-    )
     return SolveResult(
-        u=u,
+        u=rec.u,
         grid=g,
-        level=final.total,
+        level=level,
         barycenter=q if constrained else None,
         well_index=i,
         nehari_res=nres.value,
         grad_norm=gnorm_final,
-        weak_res=weak,
         R_final=g.R,
         iterations=it,
         status=status,
         history=history,
-        level_history_R=[(g.R, final.total)],
+        level_history_R=[(g.R, level)],
     )
 
 
@@ -506,7 +500,7 @@ def continue_in_R(
     for R_next in remaining:
         g_new = build_grid(res.grid.dim, R_next, config.h)
         u_ext = zero_extend(res.u, res.grid, g_new)
-        u_ext += config.seed_floor * _box_cutoff(g_new)
+        u_ext += config.seed_floor * _boundary_ramp(g_new)
         new_res = minimize_localized(u_ext, i, eps, params, config, g_new)
         gap = abs(new_res.level - res.level)
         q_gap = 0.0
@@ -549,7 +543,10 @@ def ground_level(omega: float, g: Grid, config: SolverConfig) -> float:
     return _ground_level_cached(float(omega), g, config)
 
 
+@lru_cache(maxsize=8)
 def _reference_grid(dim: int, h: float) -> Grid:
+    # one Grid object per (dim, h), so that _ground_level_cached, keyed on
+    # the grid, hits on every later solve with the same config
     target = 10.0 if dim == 1 else 8.0
     return build_grid(dim, conforming_radius(target, h), h)
 
@@ -595,6 +592,10 @@ def solve_multiplicity(
             res = minimize_localized(seed, i, eps, params, config, g0)
             if res.status == SolveStatus.CONVERGED:
                 res = continue_in_R(res, i, eps, params, config)
+            res.weak_res = weak_residual(
+                res.u, eps, params, res.grid,
+                probes=config.probes, seed=config.probe_seed,
+            )
             results.append(res)
         except LogNLSError as exc:
             failures.append(WellFailure(i, type(exc).__name__, str(exc)))

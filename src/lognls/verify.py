@@ -19,14 +19,13 @@ from .barycenter import BarycenterParams, q_eps, region_of
 from .energy import (
     EnergyParams,
     _u2_log_u2,
-    _u_log_u2,
     energy,
+    evaluate,
     f2_growth_check,
     f_split,
     log_sobolev_gap,
     nehari_residual,
     nehari_scale,
-    potential_on_grid,
 )
 from .potential import PotentialSpec
 from .errors import ZeroField
@@ -87,12 +86,10 @@ def weak_residual(
     """
     if eps != params.eps:
         raise ValueError(f"eps mismatch: got {eps}, params carry {params.eps}")
-    u = g.check_field(u)
     eb = energy(u, params, g)
     if eb.mass <= 0.0:
         raise ZeroField("weak residual undefined for the zero field")
-    vv = potential_on_grid(params, g)
-    r = laplacian_apply(g, u) + vv * u - _u_log_u2(u)
+    r = evaluate(u, params, g).residual()
 
     rng = np.random.default_rng(seed)
     sigma_hi = g.R / 8.0
@@ -305,6 +302,8 @@ def audit(results, ctx) -> VerificationReport:
         "level_characterization": config.nehari_tol,
         "grad_tol": config.grad_tol,
         "log_sobolev_min_gap": -1e-8,
+        "r_stabilization": "continuation level gap <= grad_tol and "
+                           "barycenter shift <= 1e-4",
         "separation": "level < c0 + gamma",
         "distinct_rel_l2": 1e-2,
         "positivity": f"nonnegative and > 0 within {POSITIVE_RADIUS} of the peak",
@@ -320,6 +319,8 @@ def audit(results, ctx) -> VerificationReport:
             "level": res.level,
             "R_final": res.R_final,
             "iterations": res.iterations,
+            "r_stabilized": res.r_stabilized,
+            "continuation_gap": res.continuation_gap,
         }
         if res.status.value != "converged":
             entry["checked"] = False
@@ -348,7 +349,8 @@ def audit(results, ctx) -> VerificationReport:
             entry["region"] = reg.kind
             entry["core"] = reg.core
 
-        ok = pos["ok"] and nehari_ok and level_ok and sep_ok and ls_ok and region_ok
+        ok = (pos["ok"] and nehari_ok and level_ok and sep_ok and ls_ok
+              and region_ok and res.r_stabilized)
         all_ok = all_ok and ok
         entry.update({
             "checked": True,

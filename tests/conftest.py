@@ -6,6 +6,7 @@ from lognls.energy import EnergyParams
 from lognls.grid import build_grid
 from lognls.potential import make_multiwell
 from lognls.solver import SolverConfig, gausson, minimize_localized, solve_multiplicity
+from lognls.verify import weak_residual
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +19,9 @@ def gausson_run():
     t0 = time.perf_counter()
     result = minimize_localized(seed, None, 1.0, params, cfg, g)
     elapsed = time.perf_counter() - t0
-    return {"result": result, "elapsed": elapsed, "grid": g,
+    weak = weak_residual(result.u, 1.0, params, g,
+                         probes=cfg.probes, seed=cfg.probe_seed)
+    return {"result": result, "weak_res": weak, "elapsed": elapsed, "grid": g,
             "params": params, "config": cfg}
 
 

@@ -67,6 +67,23 @@ def test_scale_invariance():
     assert np.abs(q_eps(3.0 * u, 0.2, bp, g) - q).max() <= 1e-13 * max(1.0, np.abs(q).max())
 
 
+@pytest.mark.parametrize("dim, h, eps", [(1, 0.01, 0.1), (1, 0.1, 1.0), (2, 0.1, 0.3), (2, 0.25, 1.5)])
+def test_q_eps_matches_row_sum_reference(dim, h, eps):
+    # the reference form: density-weighted rows of chi, summed over nodes
+    g = build_grid(dim, 12.0, h)
+    bp = BarycenterParams(R0=4.0)
+    scaled = eps * g.nodes
+    chi = chi_map(scaled, bp.R0)
+    wq = g.quad_weights * g_weight(scaled, bp.R0)
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        u = _translated_gaussian(g, rng.uniform(-6.0, 6.0, size=dim))
+        density = wq * u * u
+        ref = (density[:, None] * chi).sum(axis=0) / density.sum()
+        q = q_eps(u, eps, bp, g)
+        assert np.abs(q - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
 def test_boundedness_by_R0():
     g = build_grid(2, 6.0, 0.25)
     rng = np.random.default_rng(1)

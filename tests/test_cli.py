@@ -135,11 +135,12 @@ def test_history_dump(tmp_path):
     assert len(rows) > 2
 
 
-def _run_module(*args):
+def _run_module(*args, **env_vars):
     """Run ``python -m lognls`` on the package imported here, so the
-    subprocess tests this checkout whatever is installed or on PATH."""
+    subprocess tests this checkout whatever is installed or on PATH;
+    env_vars are set in the subprocess's environment."""
     src = str(Path(lognls.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "lognls", *args],
@@ -164,6 +165,23 @@ def test_console_script_maps_to_cli_main():
 def test_entry_point_passes_exit_code(tmp_path):
     proc = _run_module("solve", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 2, proc.stderr
+
+
+def test_solve_outputs_independent_of_blas_threads(tmp_path):
+    # 12,001 nodes: long enough that np.dot would run on OpenBLAS threads,
+    # whose partial sums make the last digits depend on the thread count
+    cfg = json.loads(json.dumps(SINGLE_WELL))
+    cfg["numerics"] = {"h": 0.01, "R_schedule": [60.0]}
+    cfg["outputs"]["dump_fields"] = False
+    path = _write(tmp_path, cfg)
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _run_module("solve", "--config", str(path), "--out", str(out),
+                           OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "levels.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_sweep_smoke_and_csv(tmp_path):

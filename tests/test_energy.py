@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lognls.energy import (
     DELTA_DEFAULT,
     DELTA_MAX,
     EnergyParams,
     energy,
+    evaluate,
     f2_growth_check,
     f_split,
     gradient,
@@ -196,6 +198,14 @@ def test_nehari_zero_field_rejected(fine_grid, const_params):
         nehari_residual(np.zeros(fine_grid.num_nodes), const_params, fine_grid)
 
 
+def test_nehari_scale_underflow_rejected(fine_grid):
+    # V = -2000 puts the Nehari root near exp(-1000): s*u would be the zero
+    # field, which a descent step must not accept
+    params = EnergyParams(eps=1.0, potential=-2000.0)
+    with pytest.raises(ZeroField, match="underflows"):
+        nehari_scale(gausson(fine_grid, 1.0), params, fine_grid)
+
+
 def test_nehari_residual_after_projection(fine_grid, const_params):
     rng = np.random.default_rng(7)
     u = smooth_random_field(fine_grid, rng)
@@ -222,6 +232,40 @@ def test_nehari_residual_of_doubled_field(fine_grid, const_params):
     expected = 4.0 * math.log(4.0) * eb.mass / max(1.0, eb2.norm_eps**2)
     assert res.value > 0.0
     assert res.value == pytest.approx(expected, rel=1e-9)
+
+
+# --- evaluation record -----------------------------------------------------
+
+_G_REC = build_grid(1, 10.0, 0.02)
+_PARAMS_REC = EnergyParams(eps=1.0, potential=1.5)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(0.05, 20.0),
+       positive=st.booleans())
+def test_scaled_record_matches_fresh_record(seed, s, positive):
+    g, params = _G_REC, _PARAMS_REC
+    w = smooth_random_field(g, np.random.default_rng(seed), positive=positive)
+    scaled = evaluate(w, params, g).scaled(s)
+    fresh = evaluate(s * w, params, g)
+    for name in ("u", "u_log_u2"):
+        a, b = getattr(scaled, name), getattr(fresh, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    # the fresh stencil amplifies the rounding of s * w by up to 4/h^2
+    assert g.h**2 * np.abs(scaled.Lu - fresh.Lu).max() \
+        <= 1e-12 * np.abs(fresh.u).max()
+    for name in ("K", "E", "M", "level"):
+        a, b = getattr(scaled, name), getattr(fresh, name)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    assert np.array_equal(fresh.gradient(), gradient(s * w, params, g))
+    eb = energy(s * w, params, g)
+    assert abs(fresh.level - eb.total) <= 1e-12 * max(1.0, abs(eb.total))
+    # the public functions read a record as they read its field
+    assert nehari_scale(fresh, params, g) == nehari_scale(s * w, params, g)
+    from_field = nehari_residual(s * w, params, g)
+    from_record = fresh.nehari_residual()
+    for a, b in zip(from_record, from_field):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(eb.total))
 
 
 # --- log-Sobolev ----------------------------------------------------------

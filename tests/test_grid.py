@@ -194,3 +194,21 @@ def test_field_csv_round_trip(tmp_path):
     g2, u2 = load_field(path)
     assert g2.dim == g.dim and g2.R == g.R and g2.h == g.h
     assert np.array_equal(u2, u)
+
+
+@pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05)])
+def test_dirichlet_energy_rounding_below_descent_slack(dim, h):
+    # int(s u L(s u)) / s^2 is one number for every s; its spread over s is
+    # the rounding noise that the descent sees in J, which must stay below
+    # its acceptance slack of 32 eps |J|
+    g = build_grid(dim, 8.0, h)
+    u = np.exp(1.5 - 0.5 * (g.nodes ** 2).sum(axis=1))
+    u[~g.interior_mask] = 0.0
+    base = integrate(g, u * laplacian_apply(g, u))
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for s in rng.uniform(0.5, 2.0, 50):
+        v = s * u
+        k = integrate(g, v * laplacian_apply(g, v)) / (s * s)
+        worst = max(worst, abs(k - base))
+    assert worst <= 32.0 * np.finfo(float).eps * base

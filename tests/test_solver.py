@@ -114,6 +114,21 @@ def test_seed_out_of_regime_barycenter(dw_spec):
         seed_well(1, 5.0, params, cfg, g)
 
 
+@pytest.mark.parametrize("z", [1.0, 1.5, 2.0])
+def test_translated_well_same_level_and_iterations(z):
+    # the seed must not depend on where its well sits: well 2 at z is well 1
+    # moved, so it reaches the same level in about as many iterations
+    spec = make_multiwell([[0.0], [z]], 2.0, 0.25)
+    g = build_grid(1, 30.0, 0.02)
+    cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
+    params = EnergyParams(eps=0.1, potential=spec)
+    runs = [minimize_localized(seed_well(i, 0.1, params, cfg, g), i, 0.1,
+                               params, cfg, g) for i in (0, 1)]
+    assert all(r.status == SolveStatus.CONVERGED for r in runs)
+    assert abs(runs[1].level - runs[0].level) <= 1e-10 * abs(runs[0].level)
+    assert runs[1].iterations <= 1.5 * runs[0].iterations + 20
+
+
 # --- localized minimization --------------------------------------------------
 
 def test_minimize_from_exact_gausson_fast():
@@ -126,6 +141,17 @@ def test_minimize_from_exact_gausson_fast():
     assert res.status == SolveStatus.CONVERGED
     assert res.iterations <= 5
     assert res.level == pytest.approx(0.5 * E**2 * SQPI, rel=1e-3)
+
+
+def test_reported_level_is_energy_of_returned_field():
+    g = build_grid(1, 10.0, 0.02)
+    cfg = SolverConfig(h=0.02, R_schedule=(10.0,))
+    params = EnergyParams(eps=1.0, potential=1.0)
+    bump = np.exp(-((g.nodes[:, 0] - 1.0) ** 2) / 0.5)
+    bump[~g.interior_mask] = 0.0
+    res = minimize_localized(gausson(g, 1.0) + 0.2 * bump, None, 1.0, params, cfg, g)
+    assert res.level == energy(res.u, params, g).total
+    assert res.level_history_R == [(10.0, res.level)]
 
 
 def test_minimize_perturbed_seed_same_level():
@@ -291,6 +317,25 @@ def test_solve_multiplicity_single_well():
     assert res.status == SolveStatus.CONVERGED
     assert res.level < out.c0 + out.gamma
     assert np.abs(res.barycenter).max() <= out.geometry.rho0 / 2
+
+
+def test_repeated_solves_reuse_ground_levels():
+    from lognls.solver import _ground_level_cached
+
+    spec = make_multiwell([[0.0]], 2.0, 1.0)
+    cfg = SolverConfig(h=0.05, R_schedule=(10.0,))
+    first = solve_multiplicity(0.1, spec, cfg)
+    hits = _ground_level_cached.cache_info().hits
+    second = solve_multiplicity(0.2, spec, cfg)
+    assert _ground_level_cached.cache_info().hits == hits + 2
+    assert (second.c0, second.c_inf) == (first.c0, first.c_inf)
+    # the weak residual is measured once per well, on its final field only
+    for out in (first, second):
+        assert all(math.isfinite(r.weak_res) for r in out.results)
+    g = build_grid(1, 10.0, 0.05)
+    res = minimize_localized(gausson(g, 1.0), None, 1.0,
+                             EnergyParams(eps=1.0, potential=1.0), cfg, g)
+    assert math.isnan(res.weak_res)
 
 
 def test_solve_multiplicity_two_wells(double_well_run):

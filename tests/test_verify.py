@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_weak_residual_orders_random_vs_converged(fine_grid, const_params,
     rng = np.random.default_rng(12)
     u = smooth_random_field(fine_grid, rng, positive=True)
     res_random = weak_residual(u, 1.0, const_params, fine_grid)
-    res_converged = gausson_run["result"].weak_res
+    res_converged = gausson_run["weak_res"]
     assert res_random >= 10.0 * res_converged
     assert res_random >= 10.0 * weak_residual(
         gausson(fine_grid, 1.0), 1.0, const_params, fine_grid)
@@ -136,6 +137,17 @@ def test_audit_fails_on_duplicated_result(double_well_run):
     rep = audit(results, out)
     assert rep.status == 1
     assert not rep.distinct_ok
+
+
+def test_audit_fails_on_unstabilized_well(double_well_run):
+    out = double_well_run["outcome"]
+    results = list(out.results)
+    results[1] = dataclasses.replace(results[1], r_stabilized=False)
+    rep = audit(results, out)
+    assert rep.status == 1
+    assert rep.wells[0]["ok"] and rep.wells[0]["r_stabilized"]
+    assert not rep.wells[1]["ok"] and not rep.wells[1]["r_stabilized"]
+    assert rep.wells[1]["continuation_gap"] == results[1].continuation_gap
 
 
 def test_audit_is_deterministic(double_well_run):
