@@ -44,7 +44,6 @@ from .solver import (
     SolveResult,
     SolveStatus,
     SolverConfig,
-    StepRule,
     WellFailure,
     continue_in_R,
     gausson,

@@ -36,7 +36,6 @@ from .grid import build_grid, conforming_radius, save_field
 from .potential import PotentialSpec, WellGeometry, make_multiwell, validate
 from .solver import (
     SolverConfig,
-    StepRule,
     gausson,
     ground_level,
     rescale_to_original,
@@ -48,7 +47,6 @@ __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_sweep", "
 
 @dataclass
 class RunConfig:
-    dim: int
     eps: float
     potential: PotentialSpec
     solver: SolverConfig
@@ -56,7 +54,27 @@ class RunConfig:
     dump_fields: bool
     dump_history: bool
     verbosity: int
-    rng_seed: int
+
+
+# every key load_config reads, per section; any other key is an error
+_KEYS = {
+    "config": {"problem", "numerics", "solver", "outputs", "rng_seed"},
+    "problem": {"dim", "eps", "wells", "v_inf", "width"},
+    "numerics": {"h", "R_schedule"},
+    "solver": {"grad_tol", "nehari_tol", "max_iters", "step_init", "backtrack",
+               "precondition", "gamma", "rho0", "R0", "probes"},
+    "outputs": {"out_dir", "dump_fields", "dump_history", "verbosity"},
+}
+
+
+def _section(raw: dict, where: str, required: bool = True) -> dict:
+    section = _need(raw, where, "config") if required else raw.get(where, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    for key in section:
+        if key not in _KEYS[where]:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    return section
 
 
 def _need(section: dict, key: str, where: str):
@@ -79,10 +97,11 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
-    problem = _need(raw, "problem", "config")
-    numerics = _need(raw, "numerics", "config")
-    solver = raw.get("solver", {})
-    outputs = raw.get("outputs", {})
+    raw = _section({"config": raw}, "config")  # the top level is section "config"
+    problem = _section(raw, "problem")
+    numerics = _section(raw, "numerics")
+    solver = _section(raw, "solver", required=False)
+    outputs = _section(raw, "outputs", required=False)
 
     dim = int(_need(problem, "dim", "problem"))
     if dim not in (1, 2):
@@ -133,14 +152,10 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
             grad_tol=float(solver.get("grad_tol", 1e-8)),
             nehari_tol=float(solver.get("nehari_tol", 1e-10)),
             max_iters=int(solver.get("max_iters", 5000)),
-            step_rule=StepRule(
-                initial=float(solver.get("step_init", 1.0)),
-                backtrack=float(solver.get("backtrack", 0.5)),
-            ),
+            step_init=float(solver.get("step_init", 1.0)),
+            backtrack=float(solver.get("backtrack", 0.5)),
             gamma=None if gamma is None else float(gamma),
             localization=localization,
-            delta=float(numerics.get("delta", DELTA_DEFAULT)),
-            p=float(numerics.get("p", 3.0)),
             probes=int(solver.get("probes", 50)),
             probe_seed=seed,
         )
@@ -149,7 +164,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
 
     out_dir = Path(out_override) if out_override else Path(outputs.get("out_dir", "out"))
     return RunConfig(
-        dim=dim,
         eps=eps,
         potential=spec,
         solver=solver_cfg,
@@ -157,7 +171,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         dump_fields=bool(outputs.get("dump_fields", True)),
         dump_history=bool(outputs.get("dump_history", False)),
         verbosity=int(outputs.get("verbosity", 1)),
-        rng_seed=seed,
     )
 
 
@@ -212,7 +225,7 @@ def cmd_solve(args) -> int:
     if args.verbose:
         cfg.verbosity = max(cfg.verbosity, 2)
 
-    g_probe = build_grid(cfg.dim, conforming_radius(
+    g_probe = build_grid(cfg.potential.dim, conforming_radius(
         max(cfg.solver.R_schedule[0], 10.0), cfg.solver.h), cfg.solver.h)
     pot_report = validate(cfg.potential, g_probe, cfg.solver.localization)
     if not pot_report.passed and cfg.verbosity:
@@ -395,7 +408,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--eps", type=float, nargs="*", default=[])
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--verbose", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -237,14 +237,13 @@ def restrict(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
 
 def save_field(path, g: Grid, u: np.ndarray) -> None:
     """Write a field as CSV: header with dim,R,h then one row per node."""
-    u = g.check_field(u)
+    # the bytes of csv.writer's default dialect: \r\n line ends, and no
+    # float repr needs quoting
+    rows = np.column_stack([g.nodes, g.check_field(u)]).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "R", "h"])
-        writer.writerow([g.dim, repr(g.R), repr(g.h)])
-        writer.writerow(["x", "value"] if g.dim == 1 else ["x", "y", "value"])
-        for coords, val in zip(g.nodes, u):
-            writer.writerow([repr(float(c)) for c in coords] + [repr(float(val))])
+        fh.write(f"dim,R,h\r\n{g.dim},{g.R!r},{g.h!r}\r\n")
+        fh.write("x,value\r\n" if g.dim == 1 else "x,y,value\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def load_field(path) -> tuple[Grid, np.ndarray]:

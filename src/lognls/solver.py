@@ -25,14 +25,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .barycenter import BarycenterParams, Region, q_eps, region_of
-from .energy import (
-    DELTA_DEFAULT,
-    EnergyParams,
-    _check_delta,
-    energy,
-    evaluate,
-    nehari_scale,
-)
+from .energy import EnergyParams, energy, evaluate, nehari_scale
 from .errors import (
     ConfigError,
     DomainTooSmall,
@@ -47,7 +40,6 @@ from .verify import weak_residual
 
 __all__ = [
     "SolveStatus",
-    "StepRule",
     "SolverConfig",
     "SolveResult",
     "WellFailure",
@@ -63,6 +55,13 @@ __all__ = [
 
 _J_SLACK = 32.0 * np.finfo(float).eps
 _STALL = 4.0 * np.finfo(float).eps
+# backtracked Barzilai-Borwein steps: clamped to [_STEP_MIN, _STEP_MAX] and
+# shrunk by `backtrack` at most _MAX_HALVINGS times per iteration
+_MAX_HALVINGS = 40
+_STEP_MIN = 1e-6
+_STEP_MAX = 10.0
+# keeps the seed and the zero-extended continuation start strictly positive
+_SEED_FLOOR = 1e-200
 
 
 class SolveStatus(str, enum.Enum):
@@ -82,21 +81,6 @@ class HistoryRow(NamedTuple):
     step: float
 
 
-@dataclass(frozen=True)
-class StepRule:
-    """Backtracked Barzilai-Borwein steps, clamped and halved on rejection."""
-
-    initial: float = 1.0
-    backtrack: float = 0.5
-    max_halvings: int = 40
-    step_min: float = 1e-6
-    step_max: float = 10.0
-
-    def __post_init__(self):
-        if not (0.0 < self.backtrack < 1.0):
-            raise ConfigError(f"backtrack must lie in (0,1), got {self.backtrack}")
-
-
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     h: float
@@ -104,12 +88,10 @@ class SolverConfig:
     grad_tol: float = 1e-8
     nehari_tol: float = 1e-10
     max_iters: int = 5000
-    step_rule: StepRule = field(default_factory=StepRule)
+    step_init: float = 1.0
+    backtrack: float = 0.5
     gamma: float | None = None            # None: (c_inf - c0)/4 at runtime
     localization: WellGeometry | None = None  # None: default_geometry(spec)
-    delta: float = DELTA_DEFAULT          # identity suite of the audit only
-    p: float = 3.0                        # identity suite of the audit only
-    seed_floor: float = 1e-200
     probes: int = 50
     probe_seed: int = 0
 
@@ -127,9 +109,8 @@ class SolverConfig:
                 f"grad_tol/nehari_tol must be positive, got "
                 f"{self.grad_tol}/{self.nehari_tol}"
             )
-        _check_delta(self.delta)
-        if self.p <= 2.0:
-            raise ConfigError(f"p must exceed 2, got {self.p}")
+        if not (0.0 < self.backtrack < 1.0):
+            raise ConfigError(f"backtrack must lie in (0,1), got {self.backtrack}")
 
 
 @dataclass
@@ -176,22 +157,6 @@ class MultiplicityOutcome:
         return not self.failures and len(self.results) == spec.l and all(
             r.status == SolveStatus.CONVERGED for r in self.results
         )
-
-    @property
-    def distinct_ok(self) -> bool:
-        """Pairwise distinctness via barycenters in the disjoint well balls:
-        every converged result sits strictly inside its own ball, and no two
-        share a well."""
-        spec = self.params.potential
-        seen = set()
-        for r in self.results:
-            if r.status != SolveStatus.CONVERGED:
-                continue
-            reg = region_of(r.barycenter, self.geometry, spec.wells)
-            if not reg.is_interior(r.well_index) or r.well_index in seen:
-                return False
-            seen.add(r.well_index)
-        return True
 
 
 def _smootherstep(t: np.ndarray) -> np.ndarray:
@@ -261,7 +226,7 @@ def seed_well(
         )
     amplitude = math.exp(0.5 * (g.dim + 1.0))
     u0 = _boundary_ramp(g) * (
-        _gaussian_profile(g, amplitude, center) + config.seed_floor
+        _gaussian_profile(g, amplitude, center) + _SEED_FLOOR
     )
     u0[~g.interior_mask] = 0.0
     u = nehari_scale(u0, params, g) * u0
@@ -344,7 +309,6 @@ def minimize_localized(
     the smoothed direction leaves rounding-level sign dust in the far tail,
     while rectifying every step pumps that dust into a slow plateau.
     """
-    rule = config.step_rule
     constrained = i is not None
     if constrained:
         spec = params.potential
@@ -373,7 +337,7 @@ def minimize_localized(
 
     resid = rec.residual()
     dirn = _h1_direction(g, resid)
-    tau = rule.initial
+    tau = config.step_init
     prev_du = prev_dy = None
     history: list[HistoryRow] = []
     status = SolveStatus.ITERATION_CAP
@@ -404,19 +368,19 @@ def minimize_localized(
             sy = float(np.einsum("i,i->", prev_du, prev_dy))
             if sy > 0.0:
                 tau = ss / sy
-        tau = min(max(tau, rule.step_min), rule.step_max)
+        tau = min(max(tau, _STEP_MIN), _STEP_MAX)
 
         accepted = False
         region_blocked = False
         j_slack = _J_SLACK * max(1.0, abs(J))
-        for _ in range(rule.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = evaluate(rec.u - tau * dirn, params, g)
             try:
                 s = nehari_scale(trial, params, g)
             except ZeroField:
                 s = math.inf
             if not math.isfinite(s):
-                tau *= rule.backtrack
+                tau *= config.backtrack
                 continue
             trial = trial.scaled(s)
             Jt = trial.level
@@ -431,7 +395,7 @@ def minimize_localized(
                 break
             if ok_j and not ok_region:
                 region_blocked = True
-            tau *= rule.backtrack
+            tau *= config.backtrack
         if not accepted:
             status = (SolveStatus.BOUNDARY_HIT if region_blocked
                       else SolveStatus.LINE_SEARCH_FAILED)
@@ -500,7 +464,7 @@ def continue_in_R(
     for R_next in remaining:
         g_new = build_grid(res.grid.dim, R_next, config.h)
         u_ext = zero_extend(res.u, res.grid, g_new)
-        u_ext += config.seed_floor * _boundary_ramp(g_new)
+        u_ext += _SEED_FLOOR * _boundary_ramp(g_new)
         new_res = minimize_localized(u_ext, i, eps, params, config, g_new)
         gap = abs(new_res.level - res.level)
         q_gap = 0.0

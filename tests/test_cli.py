@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,9 +30,9 @@ def _write(tmp_path, cfg, name="cfg.json"):
 def test_load_config_round_trip(tmp_path):
     path = _write(tmp_path, SINGLE_WELL)
     cfg = load_config(path)
-    assert cfg.dim == 1 and cfg.eps == 0.1
+    assert cfg.potential.dim == 1 and cfg.eps == 0.1
     assert cfg.solver.R_schedule == (10.0,)
-    assert cfg.rng_seed == 7
+    assert cfg.solver.probe_seed == 7
 
 
 def test_load_config_missing_key(tmp_path):
@@ -48,10 +49,12 @@ def test_load_config_bad_json_line_number(tmp_path):
         load_config(path)
 
 
-def test_load_config_delta_cap_message(tmp_path):
+@pytest.mark.parametrize("name", ["config.rng_sed", "numerics.delta", "solver.grad_tl"])
+def test_load_config_rejects_unknown_keys(tmp_path, name):
     bad = json.loads(json.dumps(SINGLE_WELL))
-    bad["numerics"]["delta"] = 0.5
-    with pytest.raises(ConfigError, match="0.22313"):
+    section, key = name.split(".")
+    (bad if section == "config" else bad[section])[key] = 0.1
+    with pytest.raises(ConfigError, match=re.escape(f"{name}: unknown key")):
         load_config(_write(tmp_path, bad))
 
 

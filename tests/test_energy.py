@@ -19,7 +19,7 @@ from lognls.energy import (
 )
 from lognls.errors import InvalidDelta, ZeroField
 from lognls.grid import build_grid
-from lognls.solver import SolverConfig, gausson
+from lognls.solver import gausson
 from lognls.verify import smooth_random_field
 
 DELTA = DELTA_DEFAULT
@@ -92,8 +92,6 @@ def test_invalid_delta_rejected():
         f_split(1.0, 0.5)
     with pytest.raises(InvalidDelta):
         f_split(1.0, 0.0)
-    with pytest.raises(InvalidDelta):
-        SolverConfig(h=0.05, R_schedule=(10.0,), delta=0.3)
 
 
 def test_f2_growth_p3_uniform():

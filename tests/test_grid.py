@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -194,6 +195,28 @@ def test_field_csv_round_trip(tmp_path):
     g2, u2 = load_field(path)
     assert g2.dim == g.dim and g2.R == g.R and g2.h == g.h
     assert np.array_equal(u2, u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_save_field_bytes_match_csv_writer(tmp_path, dim):
+    g = build_grid(dim, 4.0, 0.5)
+    rng = np.random.default_rng(dim)
+    u = rng.normal(size=g.num_nodes) * 10.0 ** rng.integers(-20, 20, g.num_nodes)
+    u[~g.interior_mask] = 0.0
+    interior = np.flatnonzero(g.interior_mask)
+    u[interior[:3]] = [1e-300, -2.5, -1e-310]
+    path = tmp_path / "field.csv"
+    save_field(path, g, u)
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dim", "R", "h"])
+        w.writerow([g.dim, repr(g.R), repr(g.h)])
+        w.writerow(["x", "value"] if dim == 1 else ["x", "y", "value"])
+        for coords, val in zip(g.nodes, u):
+            w.writerow([repr(float(c)) for c in coords] + [repr(float(val))])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05)])

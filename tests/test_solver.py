@@ -12,7 +12,6 @@ from lognls.potential import default_geometry, make_multiwell
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
-    StepRule,
     continue_in_R,
     gausson,
     ground_level,
@@ -341,7 +340,6 @@ def test_repeated_solves_reuse_ground_levels():
 def test_solve_multiplicity_two_wells(double_well_run):
     out = double_well_run["outcome"]
     assert out.all_converged
-    assert out.distinct_ok
     assert len(out.results) == 2
     for res, z in zip(out.results, double_well_run["spec"].wells):
         assert np.linalg.norm(res.barycenter - z) < out.geometry.rho0 / 2
@@ -369,9 +367,7 @@ def test_numeric_settings_validated_on_construction():
     with pytest.raises(LogNLSError, match="nehari_tol"):
         SolverConfig(h=0.05, R_schedule=(10.0,), nehari_tol=-1.0)
     with pytest.raises(LogNLSError, match="backtrack"):
-        StepRule(backtrack=1.5)
-    with pytest.raises(LogNLSError, match="p must exceed 2"):
-        SolverConfig(h=0.05, R_schedule=(10.0,), p=2.0)
+        SolverConfig(h=0.05, R_schedule=(10.0,), backtrack=1.5)
     with pytest.raises(LogNLSError, match="h must be positive"):
         SolverConfig(h=0.0, R_schedule=(10.0,))
 
