@@ -62,7 +62,7 @@ _KEYS = {
     "problem": {"dim", "eps", "wells", "v_inf", "width"},
     "numerics": {"h", "R_schedule"},
     "solver": {"grad_tol", "nehari_tol", "max_iters", "step_init", "backtrack",
-               "precondition", "gamma", "rho0", "R0", "probes"},
+               "gamma", "rho0", "R0", "probes"},
     "outputs": {"out_dir", "dump_fields", "dump_history", "verbosity"},
 }
 
@@ -128,11 +128,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     schedule = _need(numerics, "R_schedule", "numerics")
     if not isinstance(schedule, list) or not schedule:
         raise ConfigError("numerics.R_schedule: must be a nonempty list")
-    precondition = solver.get("precondition", "h1")
-    if precondition != "h1":
-        raise ConfigError(
-            f"solver.precondition: only 'h1' is supported, got {precondition!r}"
-        )
     gamma = solver.get("gamma")
     localization = None
     if "rho0" in solver or "R0" in solver:
@@ -222,8 +217,6 @@ def cmd_solve(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.verbose:
-        cfg.verbosity = max(cfg.verbosity, 2)
 
     g_probe = build_grid(cfg.potential.dim, conforming_radius(
         max(cfg.solver.R_schedule[0], 10.0), cfg.solver.h), cfg.solver.h)
@@ -395,7 +388,6 @@ def main(argv=None) -> int:
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the identity/oracle suite")

@@ -49,7 +49,8 @@ def test_load_config_bad_json_line_number(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("name", ["config.rng_sed", "numerics.delta", "solver.grad_tl"])
+@pytest.mark.parametrize("name", ["config.rng_sed", "numerics.delta", "solver.grad_tl",
+                                  "solver.precondition"])
 def test_load_config_rejects_unknown_keys(tmp_path, name):
     bad = json.loads(json.dumps(SINGLE_WELL))
     section, key = name.split(".")
@@ -101,6 +102,14 @@ def test_solve_bad_config_exits_2(tmp_path):
     bad["numerics"]["delta"] = 0.5
     path = _write(tmp_path, bad)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_solve_rejects_verbose_flag(tmp_path):
+    # no setting reads a verbosity above 1: `outputs.verbosity` is the one knob
+    path = _write(tmp_path, SINGLE_WELL)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(path), "--verbose"])
+    assert exc.value.code == 2
 
 
 def test_solve_missing_config_exits_2(tmp_path):

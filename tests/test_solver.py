@@ -9,9 +9,13 @@ from lognls.energy import EnergyParams, energy, log_sobolev_gap
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
 from lognls.grid import build_grid, integrate
 from lognls.potential import default_geometry, make_multiwell
+import lognls.solver as solver_mod
+from lognls.energy import evaluate
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
+    _h1_direction,
+    _LBFGS,
     continue_in_R,
     gausson,
     ground_level,
@@ -251,6 +255,75 @@ def test_minimize_positivity_at_convergence():
     assert res.u[g.interior_mask].min() > 0.0
 
 
+# --- the L-BFGS direction -----------------------------------------------------
+
+def _lbfgs_fields(g, k):
+    """k + 1 positive fields near the Gausson, their records and residuals."""
+    params = EnergyParams(eps=1.0, potential=1.0)
+    base = gausson(g, 1.0)
+    recs = []
+    for j in range(k + 1):
+        bump = np.exp(-((g.nodes[:, 0] - 0.3 * j) ** 2))
+        bump[~g.interior_mask] = 0.0
+        recs.append(evaluate(base * (1.0 + 0.05 * j * bump), params, g))
+    return recs, [r.residual() for r in recs]
+
+
+def test_lbfgs_without_pairs_is_h1_gradient():
+    # the first step of every descent is the preconditioned residual itself
+    g = build_grid(1, 10.0, 0.05)
+    recs, resids = _lbfgs_fields(g, 0)
+    d = _LBFGS(g).direction(resids[0])
+    assert np.array_equal(d, _h1_direction(g, resids[0]))
+
+
+def test_lbfgs_skips_pairs_without_positive_curvature():
+    g = build_grid(1, 10.0, 0.05)
+    recs, resids = _lbfgs_fields(g, 1)
+    lb = _LBFGS(g)
+    s = recs[1].u - recs[0].u
+    lb.update(recs[0], recs[1], resids[0], resids[0] - s)   # s.y = -|s|^2
+    lb.update(recs[0], recs[1], resids[0], resids[0])       # s.y = 0
+    assert len(lb.pairs) == 0 and lb.gamma == 1.0
+    lb.update(recs[0], recs[1], resids[0], resids[0] + s)   # s.y = |s|^2
+    assert len(lb.pairs) == 1
+    # gamma = s.(-L + I)s / s.y, (-L + I)s read from the records' stencils
+    hs = float(s @ (recs[1].Lu - recs[0].Lu + s))
+    assert lb.gamma == pytest.approx(hs / float(s @ s), rel=1e-12)
+
+
+def test_lbfgs_memory_is_bounded():
+    g = build_grid(1, 10.0, 0.05)
+    recs, resids = _lbfgs_fields(g, 8)
+    lb = _LBFGS(g)
+    for a in range(8):
+        lb.update(recs[a], recs[a + 1], resids[a], resids[a + 1])
+        assert len(lb.pairs) <= 5
+    assert len(lb.pairs) == 5
+    # the kept pairs are the last five, and the direction still descends
+    assert np.array_equal(lb.pairs[-1][0], recs[8].u - recs[7].u)
+    d = lb.direction(resids[8])
+    assert float(d @ resids[8]) > 0.0
+
+
+def test_double_well_iteration_bound(double_well_run):
+    # L-BFGS: 80 and 75 iterations per well (158 and 176 with the
+    # Barzilai-Borwein step it replaced)
+    for res in double_well_run["outcome"].results:
+        assert res.iterations <= 110
+
+
+def test_stage_records_count_every_stage(double_well_run):
+    for res in double_well_run["outcome"].results:
+        assert [st.R for st in res.stages] == [R for R, _ in res.level_history_R]
+        assert len(res.stages) == 2
+        assert sum(st.iterations for st in res.stages) == res.iterations
+        for st in res.stages:
+            assert st.trials >= st.iterations
+            assert st.backtracks <= st.trials
+            assert 0 <= st.region_blocked <= st.backtracks
+
+
 # --- ground levels -----------------------------------------------------------
 
 def test_ground_level_omega_1():
@@ -281,6 +354,30 @@ def test_continuation_constant_potential_level_stable():
     (r1, l1), (r2, l2) = res.level_history_R
     assert abs(l2 - l1) <= 1e-8
     assert res.r_stabilized
+
+
+def test_stabilization_gap_bounded_by_level_tolerance(monkeypatch):
+    # a stage-to-stage level gap below grad_tol but above the level bound
+    # nehari_tol * max(1, |J|) is not stabilized
+    cfg = SolverConfig(h=0.05, R_schedule=(10.0, 20.0))
+    params = EnergyParams(eps=1.0, potential=1.0)
+    g = build_grid(1, 10.0, 0.05)
+    first = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    bound = cfg.nehari_tol * max(1.0, abs(first.level))
+    shift = math.sqrt(bound * cfg.grad_tol)
+    assert bound < shift < cfg.grad_tol
+    real = solver_mod.minimize_localized
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.level += shift
+        return res
+
+    monkeypatch.setattr(solver_mod, "minimize_localized", shifted)
+    res = continue_in_R(first, None, 1.0, params, cfg)
+    assert res.status == SolveStatus.CONVERGED
+    assert bound < res.continuation_gap < cfg.grad_tol
+    assert not res.r_stabilized
 
 
 def test_continuation_keeps_every_stage_history():

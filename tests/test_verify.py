@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lognls.energy import EnergyParams
+from lognls.energy import DELTA_DEFAULT, EnergyParams
 from lognls.errors import ZeroField
-from lognls.grid import build_grid
+from lognls.grid import build_grid, conforming_radius
 from lognls.solver import gausson
 from lognls.verify import (
     audit,
@@ -94,6 +94,17 @@ def test_identity_suite_all_pass():
         assert entry["pass"] == entry["total"], name
 
 
+@pytest.mark.parametrize("dim, target, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
+def test_identity_suite_passes_on_shipped_grids(dim, target, h):
+    # the suite on the grids of the shipped configs (h = 0.01 in 1d,
+    # configs/double_well.json; h = 0.1 in 2d, perfbench/configs/dw2d.json);
+    # `audit` checks results only, so these checks of the code live here
+    g = build_grid(dim, conforming_radius(target, h), h)
+    ids = identity_suite(DELTA_DEFAULT, 3.0, g, seed=0, fields=20)
+    for name, entry in ids.items():
+        assert entry["pass"] == entry["total"], name
+
+
 def test_identity_suite_catches_corrupted_f2_branch(monkeypatch):
     import lognls.verify as verify_mod
 
@@ -163,6 +174,11 @@ def test_audit_report_is_json_serializable(double_well_run):
     out = double_well_run["outcome"]
     rep = audit(out.results, out)
     parsed = json.loads(rep.to_json())
-    assert parsed["schema_version"] == 1
+    assert parsed["schema_version"] == 2
     assert parsed["status"] == 0
     assert len(parsed["wells"]) == 2
+    # the audit checks results; the identity suite is `lognls verify`'s
+    assert "identity_suite" not in parsed
+    for entry, res in zip(parsed["wells"], out.results):
+        assert entry["stages"] == [st._asdict() for st in res.stages]
+        assert sum(st["iterations"] for st in entry["stages"]) == entry["iterations"]
