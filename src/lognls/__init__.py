@@ -26,7 +26,6 @@ from .grid import (
     integrate,
     laplacian_apply,
     load_field,
-    restrict,
     save_field,
     zero_extend,
 )
@@ -49,7 +48,6 @@ from .solver import (
     gausson,
     ground_level,
     minimize_localized,
-    rescale_to_original,
     seed_well,
     solve_multiplicity,
 )

@@ -38,7 +38,6 @@ from .solver import (
     SolverConfig,
     gausson,
     ground_level,
-    rescale_to_original,
     solve_multiplicity,
 )
 
@@ -241,9 +240,7 @@ def cmd_solve(args) -> int:
         fields = out / "fields"
         fields.mkdir(exist_ok=True)
         for r in outcome.results:
-            save_field(fields / f"u_well{r.well_index + 1}.csv", r.grid, r.u)
-            g_orig, v = rescale_to_original(r, cfg.eps)
-            save_field(fields / f"v_well{r.well_index + 1}.csv", g_orig, v)
+            save_field(fields / f"u_well{r.well_index + 1}.csv", r.grid, r.u, cfg.eps)
             if cfg.dump_history:
                 _write_history(fields / f"history_well{r.well_index + 1}.csv", r)
 

@@ -14,7 +14,6 @@ Euler-Lagrange equation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ __all__ = [
     "laplacian_apply",
     "integrate",
     "zero_extend",
-    "restrict",
     "save_field",
     "load_field",
 ]
@@ -220,47 +218,37 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
     return out.ravel()
 
 
-def restrict(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
-    """Restrict a field to a smaller same-spacing grid (inverse of zero_extend)."""
-    u = g_old.check_field(u)
-    if g_new.R > g_old.R + 1e-12 * g_old.R:
-        raise ShrinkingDomain(
-            f"target radius {g_new.R} larger than source {g_old.R}; use zero_extend"
-        )
-    k = _embed_offset(g_new, g_old)
-    n_new = g_new.n_axis
-    if g_old.dim == 1:
-        return u[k : k + n_new].copy()
-    U = u.reshape(g_old.n_axis, g_old.n_axis)
-    return U[k : k + n_new, k : k + n_new].ravel().copy()
-
-
-def save_field(path, g: Grid, u: np.ndarray) -> None:
-    """Write a field as CSV: header with dim,R,h then one row per node."""
-    # the bytes of csv.writer's default dialect: \r\n line ends, and no
-    # float repr needs quoting
-    rows = np.column_stack([g.nodes, g.check_field(u)]).tolist()
+def save_field(path, g: Grid, u: np.ndarray, eps: float) -> None:
+    """Write a field: a header line ``dim,R,h,eps``, its values, then one
+    value per node in the grid's order. Lines end in CRLF; each value is its
+    repr, which reads back exactly."""
+    body = "\r\n".join(map(repr, g.check_field(u).tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write(f"dim,R,h\r\n{g.dim},{g.R!r},{g.h!r}\r\n")
-        fh.write("x,value\r\n" if g.dim == 1 else "x,y,value\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.write(f"dim,R,h,eps\r\n{g.dim},{g.R!r},{g.h!r},{float(eps)!r}\r\n")
+        fh.write(body + "\r\n")
 
 
-def load_field(path) -> tuple[Grid, np.ndarray]:
-    """Read a field CSV written by save_field; rebuilds the grid."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["dim", "R", "h"]:
+def load_field(path) -> tuple[Grid, float, np.ndarray]:
+    """Read a field file written by save_field; returns (grid, eps, values).
+
+    The grid is that of the rescaled problem. The original-variable solution
+    v(x) = u(x/eps) has the same values on the lattice eps times the grid's,
+    ``build_grid(g.dim, eps * g.R, eps * g.h)``. A malformed file, or one
+    whose value count differs from the grid's node count, raises GridMismatch.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != ["dim", "R", "h", "eps"]:
             raise GridMismatch(f"unexpected field header {header}")
-        dim_s, R_s, h_s = next(reader)[:3]
-        g = build_grid(int(dim_s), float(R_s), float(h_s))
-        next(reader)  # column names
-        values = np.empty(g.num_nodes)
-        for j, row in enumerate(reader):
-            values[j] = float(row[-1])
-        if j + 1 != g.num_nodes:
-            raise GridMismatch(
-                f"field file has {j + 1} rows, grid has {g.num_nodes} nodes"
-            )
-    return g, values
+        try:
+            dim_s, R_s, h_s, eps_s = fh.readline().split(",")
+            dim, R, h, eps = int(dim_s), float(R_s), float(h_s), float(eps_s)
+            values = np.array(fh.read().split(), dtype=float)
+        except ValueError as exc:
+            raise GridMismatch(f"malformed field file {path}: {exc}") from exc
+    g = build_grid(dim, R, h)
+    if values.size != g.num_nodes:
+        raise GridMismatch(
+            f"field file has {values.size} values, grid has {g.num_nodes} nodes"
+        )
+    return g, eps, values

@@ -51,7 +51,6 @@ __all__ = [
     "continue_in_R",
     "solve_multiplicity",
     "ground_level",
-    "rescale_to_original",
 ]
 
 _J_SLACK = 32.0 * np.finfo(float).eps
@@ -647,10 +646,3 @@ def solve_multiplicity(
         eps=eps,
     )
 
-
-def rescale_to_original(result: SolveResult, eps: float) -> tuple[Grid, np.ndarray]:
-    """The solution of the original problem, v(x) = u(x/eps), sampled on the
-    eps-scaled lattice (same values, scaled coordinates)."""
-    g = result.grid
-    g_orig = build_grid(g.dim, g.R * eps, g.h * eps)
-    return g_orig, result.u.copy()

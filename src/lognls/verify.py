@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -263,25 +263,8 @@ class VerificationReport:
     distinct_pairs: list
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "status": self.status,
-            "eps": self.eps,
-            "c0": self.c0,
-            "c_inf": self.c_inf,
-            "gamma": self.gamma,
-            "gap_ok": self.gap_ok,
-            "tolerances": self.tolerances,
-            "wells": self.wells,
-            "failures": self.failures,
-            "distinct_ok": self.distinct_ok,
-            "distinct_pairs": self.distinct_pairs,
-            "notes": self.notes,
-        }
-
     def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kw)
+        return json.dumps(asdict(self), indent=2, **kw)
 
 
 def audit(results, ctx) -> VerificationReport:

@@ -83,7 +83,8 @@ def test_solve_single_well_end_to_end(tmp_path):
     assert report["wells"][0]["separation_ok"]
     assert (out / "levels.csv").exists()
     assert (out / "fields" / "u_well1.csv").exists()
-    assert (out / "fields" / "v_well1.csv").exists()
+    assert not (out / "fields" / "v_well1.csv").exists()
+    assert (out / "fields" / "u_well1.csv").read_bytes().startswith(b"dim,R,h,eps\r\n")
 
 
 def test_solve_deterministic_outputs(tmp_path):

@@ -17,7 +17,6 @@ from lognls.grid import (
     integrate,
     laplacian_apply,
     load_field,
-    restrict,
     save_field,
     zero_extend,
 )
@@ -129,14 +128,18 @@ def test_zero_extend_rejects_spacing_mismatch():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_extend_restrict_round_trip_exact(dim):
+def test_zero_extend_places_field_in_centre_block(dim):
     g_small = build_grid(dim, 4.0, 0.25)
     g_big = build_grid(dim, 8.0, 0.25)
     rng = np.random.default_rng(3)
     u = rng.normal(size=g_small.num_nodes)
     u[~g_small.interior_mask] = 0.0
-    back = restrict(zero_extend(u, g_small, g_big), g_big, g_small)
-    assert np.array_equal(back, u)
+    big = zero_extend(u, g_small, g_big).reshape(g_big.shape)
+    # the small axis is nodes 16..48 of the big one: (8 - 4) / 0.25 = 16
+    centre = (slice(16, 16 + g_small.n_axis),) * dim
+    assert np.array_equal(big[centre], u.reshape(g_small.shape))
+    big[centre] = 0.0
+    assert not big.any()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -186,15 +189,17 @@ def test_laplacian_second_order_convergence():
 
 
 def test_field_csv_round_trip(tmp_path):
-    g = build_grid(2, 4.0, 0.5)
     rng = np.random.default_rng(5)
-    u = rng.normal(size=g.num_nodes)
-    u[~g.interior_mask] = 0.0
-    path = tmp_path / "field.csv"
-    save_field(path, g, u)
-    g2, u2 = load_field(path)
-    assert g2.dim == g.dim and g2.R == g.R and g2.h == g.h
-    assert np.array_equal(u2, u)
+    for dim in (1, 2):
+        g = build_grid(dim, 4.0, 0.5)
+        u = rng.normal(size=g.num_nodes)
+        u[~g.interior_mask] = 0.0
+        path = tmp_path / f"field{dim}.csv"
+        save_field(path, g, u, 0.1)
+        g2, eps, u2 = load_field(path)
+        assert g2.dim == g.dim and g2.R == g.R and g2.h == g.h
+        assert eps == 0.1
+        assert np.array_equal(u2, u)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -206,17 +211,34 @@ def test_save_field_bytes_match_csv_writer(tmp_path, dim):
     interior = np.flatnonzero(g.interior_mask)
     u[interior[:3]] = [1e-300, -2.5, -1e-310]
     path = tmp_path / "field.csv"
-    save_field(path, g, u)
+    save_field(path, g, u, 0.1)
 
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["dim", "R", "h"])
-        w.writerow([g.dim, repr(g.R), repr(g.h)])
-        w.writerow(["x", "value"] if dim == 1 else ["x", "y", "value"])
-        for coords, val in zip(g.nodes, u):
-            w.writerow([repr(float(c)) for c in coords] + [repr(float(val))])
+        w.writerow(["dim", "R", "h", "eps"])
+        w.writerow([g.dim, repr(g.R), repr(g.h), repr(0.1)])
+        for val in u:
+            w.writerow([repr(float(val))])
     assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("body", [
+    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n",
+    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 16,
+    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 18,
+    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 16 + "zero\r\n",
+    "dim,R,h,eps\r\n1,4.0,0.5\r\n" + "0.0\r\n" * 17,
+    "dim,R,h\r\n1,4.0,0.5\r\nx,value\r\n" + "-4.0,0.0\r\n" * 17,
+    "",
+], ids=["empty", "short", "long", "not_a_number", "short_header_values",
+        "old_format", "no_header"])
+def test_load_field_rejects_malformed_files(tmp_path, body):
+    # the grid [-4, 4] at h = 0.5 has 17 nodes
+    path = tmp_path / "field.csv"
+    path.write_bytes(body.encode())
+    with pytest.raises(GridMismatch):
+        load_field(path)
 
 
 @pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lognls.barycenter import BarycenterParams, q_eps, region_of
 from lognls.energy import EnergyParams, energy, log_sobolev_gap
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
-from lognls.grid import build_grid, integrate
+from lognls.grid import build_grid, integrate, load_field, save_field
 from lognls.potential import default_geometry, make_multiwell
 import lognls.solver as solver_mod
 from lognls.energy import evaluate
@@ -20,7 +20,6 @@ from lognls.solver import (
     gausson,
     ground_level,
     minimize_localized,
-    rescale_to_original,
     seed_well,
     solve_multiplicity,
 )
@@ -496,13 +495,15 @@ def test_solve_multiplicity_2d_smoke():
     assert audit(out.results, out).status == 0
 
 
-def test_rescale_to_original(double_well_run):
+def test_field_dump_rescales_to_original(double_well_run, tmp_path):
     out = double_well_run["outcome"]
     res = out.results[1]
-    g_orig, v = rescale_to_original(res, 0.1)
-    assert g_orig.R == pytest.approx(res.grid.R * 0.1)
-    assert g_orig.h == pytest.approx(res.grid.h * 0.1)
-    assert np.array_equal(v, res.u)
-    # v(x) = u(x/eps): the peak sits at eps * (z/eps) = z
-    peak_x = g_orig.nodes[np.argmax(v), 0]
-    assert abs(peak_x - 2.0) <= g_orig.h
+    path = tmp_path / "u_well2.csv"
+    save_field(path, res.grid, res.u, out.eps)
+    g, eps, u = load_field(path)
+    assert eps == out.eps
+    assert np.array_equal(u, res.u)
+    # v(x) = u(x/eps) on the lattice eps * grid: the peak sits at z = 2
+    g_orig = build_grid(g.dim, eps * g.R, eps * g.h)
+    peak_x = g_orig.nodes[np.argmax(u), 0]
+    assert abs(peak_x - 2.0) <= eps * g.h

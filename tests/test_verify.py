@@ -165,7 +165,7 @@ def test_audit_is_deterministic(double_well_run):
     out = double_well_run["outcome"]
     rep1 = audit(out.results, out)
     rep2 = audit(out.results, out)
-    assert rep1.to_dict() == rep2.to_dict()
+    assert rep1 == rep2
 
 
 def test_audit_report_is_json_serializable(double_well_run):
