@@ -304,6 +304,12 @@ def cmd_verify(args) -> int:
     _check("levels: c_inf(2) within 0.5%", abs(c_inf - t2) <= 5e-3 * t2,
            f"c_inf={c_inf!r}", verbose, lines)
     _check("levels: c0 < c_inf", c0 < c_inf, f"gap={c_inf - c0!r}", verbose, lines)
+    # the 2d level on [-8, 8]^2 from one 1d solve on its axis
+    c0_2d = ground_level(1.0, build_grid(1, 8.0, 0.05),
+                         SolverConfig(h=0.05, R_schedule=(8.0,)), dim=2)
+    t3 = 0.5 * math.e**3 * math.pi
+    _check("levels: 2d c0 within 2% of e^3 pi/2", abs(c0_2d - t3) <= 2e-2 * t3,
+           f"c0_2d={c0_2d!r}", verbose, lines)
 
     grow = f2_growth_check(delta, 2.0, np.geomspace(delta / 10, 1e3, 2001))
     _check("growth: p=2 flagged non-uniform", not grow.uniform,

@@ -127,6 +127,13 @@ class SolverConfig:
             )
         if not (0.0 < self.backtrack < 1.0):
             raise ConfigError(f"backtrack must lie in (0,1), got {self.backtrack}")
+        if not self.step_init > 0.0:
+            raise ConfigError(f"step_init must be positive, got {self.step_init}")
+        if self.max_iters < 0:
+            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        # with no probe the weak residual would read 0 without measuring
+        if self.probes < 1:
+            raise ConfigError(f"probes must be >= 1, got {self.probes}")
 
 
 @dataclass
@@ -558,31 +565,46 @@ def continue_in_R(
 
 
 @lru_cache(maxsize=32)
-def _ground_level_cached(omega: float, g: Grid, config: SolverConfig) -> float:
-    params = EnergyParams(eps=1.0, potential=float(omega))
-    seed = gausson(g, omega)
-    res = minimize_localized(seed, None, 1.0, params, config, g)
+def _ground_level_cached(R: float, h: float, config: SolverConfig) -> float:
+    """M1 = int phi^2 of the 1d ground state phi at omega = 0 on [-R, R],
+    minimized from the Gausson seed."""
+    g = build_grid(1, R, h)
+    params = EnergyParams(eps=1.0, potential=0.0)
+    res = minimize_localized(gausson(g, 0.0), None, 1.0, params, config, g)
     if res.status != SolveStatus.CONVERGED:
         raise SolverFailure(
-            f"constant-coefficient solve (omega={omega}) ended {res.status.value}",
+            f"constant-coefficient solve (omega=0) ended {res.status.value}",
             result=res,
         )
-    return res.level
+    return integrate(g, res.u * res.u)
 
 
-def ground_level(omega: float, g: Grid, config: SolverConfig) -> float:
-    """Converged level of the constant-coefficient problem V = omega,
-    minimized from the Gausson seed; realizes c0 (omega = 1) and c_inf
-    (omega = V_inf)."""
-    return _ground_level_cached(float(omega), g, config)
+def ground_level(
+    omega: float, g: Grid, config: SolverConfig, dim: int | None = None
+) -> float:
+    """Level of the constant-coefficient problem V = omega on [-R, R]^dim
+    (g's R and h; dim defaults to g.dim); realizes c0 (omega = 1) and c_inf
+    (omega = V_inf).
+
+    Two exact laws of u log u^2 (Bialynicki-Birula & Mycielski, Ann. Phys.
+    100, 1976) reduce it to one 1d solve. log (cu)^2 = log u^2 + log c^2
+    turns a solution at omega into e^(a) times it at omega + 2a, and the
+    stencil, the trapezoid weights and the log of a product split over the
+    axes, so the ground state on the square is the product of 1d ground
+    states at omega/dim. Hence the level is 1/2 (e^(omega/dim) M1)^dim with
+    M1 = int phi^2 of the 1d ground state at omega = 0 on the same axis,
+    solved once per (R, h, config).
+    """
+    d = g.dim if dim is None else dim
+    m1 = _ground_level_cached(g.R, g.h, config)
+    return 0.5 * (math.exp(float(omega) / d) * m1) ** d
 
 
-@lru_cache(maxsize=8)
 def _reference_grid(dim: int, h: float) -> Grid:
-    # one Grid object per (dim, h), so that _ground_level_cached, keyed on
-    # the grid, hits on every later solve with the same config
+    """The 1d axis [-R, R] of the ground-level solve for a dim-dimensional
+    run: R = 10 in 1d and 8 in 2d, rounded up to a multiple of h."""
     target = 10.0 if dim == 1 else 8.0
-    return build_grid(dim, conforming_radius(target, h), h)
+    return build_grid(1, conforming_radius(target, h), h)
 
 
 def solve_multiplicity(
@@ -607,8 +629,8 @@ def solve_multiplicity(
         )
 
     g_ref = _reference_grid(potential.dim, config.h)
-    c0 = ground_level(1.0, g_ref, config)
-    c_inf = ground_level(potential.v_inf, g_ref, config)
+    c0 = ground_level(1.0, g_ref, config, dim=potential.dim)
+    c_inf = ground_level(potential.v_inf, g_ref, config, dim=potential.dim)
     gamma = config.gamma if config.gamma is not None else 0.25 * (c_inf - c0)
     if not (0.0 < gamma < 0.5 * (c_inf - c0)):
         raise ConfigError(

@@ -66,6 +66,15 @@ def test_load_config_rejects_other_preconditioner(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("key, value", [("probes", 0), ("step_init", 0.0),
+                                        ("max_iters", -1)])
+def test_load_config_rejects_settings_that_skip_work(tmp_path, key, value):
+    bad = json.loads(json.dumps(SINGLE_WELL))
+    bad["solver"][key] = value
+    with pytest.raises(ConfigError, match=f"numerics/solver: {key}"):
+        load_config(_write(tmp_path, bad))
+
+
 def test_load_config_rejects_mismatched_dim(tmp_path):
     bad = json.loads(json.dumps(SINGLE_WELL))
     bad["problem"]["wells"] = [[0.0, 0.0]]

@@ -341,6 +341,19 @@ def test_ground_level_omega_2_and_gap():
     assert c0 < c_inf
 
 
+@pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+def test_ground_level_scaling_law_matches_direct_solve(dim, R, h, omega):
+    # ground_level solves once in 1d at omega = 0 and scales; the direct
+    # solve in the level's own dimension keeps that factorization checked
+    g = build_grid(dim, R, h)
+    cfg = SolverConfig(h=h, R_schedule=(R,))
+    params = EnergyParams(eps=1.0, potential=omega)
+    direct = minimize_localized(gausson(g, omega), None, 1.0, params, cfg, g)
+    assert direct.status == SolveStatus.CONVERGED
+    assert ground_level(omega, g, cfg) == pytest.approx(direct.level, rel=1e-12)
+
+
 # --- continuation ------------------------------------------------------------
 
 def test_continuation_constant_potential_level_stable():
@@ -414,22 +427,34 @@ def test_solve_multiplicity_single_well():
     assert np.abs(res.barycenter).max() <= out.geometry.rho0 / 2
 
 
-def test_repeated_solves_reuse_ground_levels():
+def test_repeated_solves_reuse_ground_levels(monkeypatch):
     from lognls.solver import _ground_level_cached
 
     spec = make_multiwell([[0.0]], 2.0, 1.0)
     cfg = SolverConfig(h=0.05, R_schedule=(10.0,))
     first = solve_multiplicity(0.1, spec, cfg)
-    hits = _ground_level_cached.cache_info().hits
+    before = _ground_level_cached.cache_info()
+    real = solver_mod.minimize_localized
+    ground_solves = []
+
+    def counted(seed, i, *args):
+        if i is None:
+            ground_solves.append(i)
+        return real(seed, i, *args)
+
+    monkeypatch.setattr(solver_mod, "minimize_localized", counted)
     second = solve_multiplicity(0.2, spec, cfg)
-    assert _ground_level_cached.cache_info().hits == hits + 2
+    after = _ground_level_cached.cache_info()
+    # one hit for each of c0 and c_inf, no miss, no constant-coefficient solve
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert ground_solves == []
     assert (second.c0, second.c_inf) == (first.c0, first.c_inf)
     # the weak residual is measured once per well, on its final field only
     for out in (first, second):
         assert all(math.isfinite(r.weak_res) for r in out.results)
     g = build_grid(1, 10.0, 0.05)
-    res = minimize_localized(gausson(g, 1.0), None, 1.0,
-                             EnergyParams(eps=1.0, potential=1.0), cfg, g)
+    res = real(gausson(g, 1.0), None, 1.0,
+               EnergyParams(eps=1.0, potential=1.0), cfg, g)
     assert math.isnan(res.weak_res)
 
 
@@ -466,6 +491,14 @@ def test_numeric_settings_validated_on_construction():
         SolverConfig(h=0.05, R_schedule=(10.0,), backtrack=1.5)
     with pytest.raises(LogNLSError, match="h must be positive"):
         SolverConfig(h=0.0, R_schedule=(10.0,))
+    # settings that would run without measuring or stepping
+    for kw, name in [({"probes": 0}, "probes"), ({"probes": -3}, "probes"),
+                     ({"step_init": 0.0}, "step_init"),
+                     ({"step_init": -1.0}, "step_init"),
+                     ({"max_iters": -1}, "max_iters")]:
+        with pytest.raises(LogNLSError, match=name):
+            SolverConfig(h=0.05, R_schedule=(10.0,), **kw)
+    SolverConfig(h=0.05, R_schedule=(10.0,), probes=1, max_iters=0)
 
 
 def test_schedule_must_cover_wells(dw_spec):

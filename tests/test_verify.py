@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lognls.energy import DELTA_DEFAULT, EnergyParams
 from lognls.errors import ZeroField
-from lognls.grid import build_grid, conforming_radius
+from lognls.grid import build_grid, conforming_radius, integrate, laplacian_apply
 from lognls.solver import gausson
 from lognls.verify import (
+    _cubic_bspline,
+    _factored_probe,
     audit,
     identity_suite,
     positivity_check,
@@ -56,6 +59,53 @@ def test_weak_residual_second_order_in_h(const_params):
 def test_weak_residual_zero_field(fine_grid, const_params):
     with pytest.raises(ZeroField):
         weak_residual(np.zeros(fine_grid.num_nodes), 1.0, const_params, fine_grid)
+
+
+# one grid per dimension for the probe tests
+_PROBE_GRIDS = {1: build_grid(1, 10.0, 0.05), 2: build_grid(2, 8.0, 0.1)}
+
+
+def _full_grid_probe(g, center, sigma):
+    """Reference: the tensor B-spline bump built on every node of g, zeroed
+    on the boundary, and its discrete H^1 norm^2 from the full stencil."""
+    v = np.ones(g.num_nodes)
+    for k in range(g.dim):
+        v *= _cubic_bspline((g.nodes[:, k] - center[k]) / sigma)
+    v[~g.interior_mask] = 0.0
+    h1sq = integrate(g, v * laplacian_apply(g, v)) + integrate(g, v * v)
+    return v, h1sq
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), field_seed=st.integers(0, 2**32 - 1),
+       t_sigma=st.floats(0.0, 1.0),
+       t_center=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_factored_probe_matches_full_grid_probe(dim, field_seed, t_sigma, t_center):
+    g = _PROBE_GRIDS[dim]
+    g1 = build_grid(1, g.R, g.h)
+    # the probe family of weak_residual: log-uniform width, support inside
+    sigma_hi = g.R / 8.0
+    sigma_lo = min(max(3.0 * g.h, g.R / 100.0), sigma_hi)
+    sigma = sigma_lo * (sigma_hi / sigma_lo) ** t_sigma
+    center = np.array(t_center[:dim]) * (g.R - 2.0 * sigma - g.h)
+    r = smooth_random_field(g, np.random.default_rng(field_seed))
+    wr = (g.quad_weights * r).reshape(g.shape)
+
+    pairing, h1sq = _factored_probe(g1, wr, center, sigma)
+    v, h1sq_ref = _full_grid_probe(g, center, sigma)
+    assert h1sq == pytest.approx(h1sq_ref, rel=1e-12)
+    # r changes sign: bound the pairing's error by the scale of its terms
+    assert abs(pairing - integrate(g, r * v)) <= 1e-12 * integrate(g, np.abs(r) * v)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_factored_probe_degenerate_support_raises(dim):
+    g = _PROBE_GRIDS[dim]
+    g1 = build_grid(1, g.R, g.h)
+    wr = np.ones(g.shape)
+    center = np.full(dim, g.R + 1.0)   # support entirely outside the domain
+    with pytest.raises(ZeroField, match="probe degenerate"):
+        _factored_probe(g1, wr, center, 0.2)
 
 
 def test_positivity_check_accepts_gausson(fine_grid):
