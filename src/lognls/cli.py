@@ -82,6 +82,59 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+_REQUIRED = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(section: dict, key: str, where: str, default, ok, kind: str):
+    value = _need(section, key, where) if default is _REQUIRED else section.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{where}.{key}: must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _number(section: dict, key: str, where: str, default=_REQUIRED) -> float:
+    """A JSON number, not a bool, as a float."""
+    return float(_typed(section, key, where, default, _is_number, "a number"))
+
+
+def _integer(section: dict, key: str, where: str, default=_REQUIRED) -> int:
+    """A JSON integer, not a bool and not a number with a fraction."""
+    return _typed(section, key, where, default,
+                  lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+
+
+def _flag(section: dict, key: str, where: str, default: bool) -> bool:
+    return _typed(section, key, where, default,
+                  lambda v: isinstance(v, bool), "true or false")
+
+
+def _numbers(section: dict, key: str, where: str) -> list:
+    """A nonempty JSON list of numbers."""
+    return _typed(section, key, where, _REQUIRED,
+                  lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                  "a nonempty list of numbers")
+
+
+def _wells(problem: dict) -> list:
+    """Well centers as equal-length lists of numbers; a bare number is a 1d
+    center."""
+    wells = _typed(problem, "wells", "problem", _REQUIRED,
+                   lambda v: isinstance(v, list) and v, "a nonempty list")
+    rows = [w if isinstance(w, list) else [w] for w in wells]
+    if len({len(row) for row in rows}) != 1 or not all(
+        row and all(map(_is_number, row)) for row in rows
+    ):
+        raise ConfigError(
+            "problem.wells: must list numbers or equal-length lists of numbers, "
+            f"got {json.dumps(wells)}"
+        )
+    return rows
+
+
 def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
@@ -102,19 +155,19 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     solver = _section(raw, "solver", required=False)
     outputs = _section(raw, "outputs", required=False)
 
-    dim = int(_need(problem, "dim", "problem"))
+    dim = _integer(problem, "dim", "problem")
     if dim not in (1, 2):
         raise ConfigError(f"problem.dim: must be 1 or 2, got {dim}")
-    eps = float(_need(problem, "eps", "problem"))
+    eps = _number(problem, "eps", "problem")
     if eps <= 0.0:
         raise ConfigError(f"problem.eps: must be positive, got {eps}")
 
-    wells = _need(problem, "wells", "problem")
+    wells = _wells(problem)
     try:
         spec = make_multiwell(
             wells,
-            float(_need(problem, "v_inf", "problem")),
-            float(_need(problem, "width", "problem")),
+            _number(problem, "v_inf", "problem"),
+            _number(problem, "width", "problem"),
         )
     except LogNLSError as exc:
         raise ConfigError(f"problem.wells/v_inf/width: {exc}") from exc
@@ -123,48 +176,49 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
             f"problem.wells: centers are {spec.dim}d but problem.dim = {dim}"
         )
 
-    h = float(_need(numerics, "h", "numerics"))
-    schedule = _need(numerics, "R_schedule", "numerics")
-    if not isinstance(schedule, list) or not schedule:
-        raise ConfigError("numerics.R_schedule: must be a nonempty list")
+    h = _number(numerics, "h", "numerics")
+    schedule = _numbers(numerics, "R_schedule", "numerics")
     gamma = solver.get("gamma")
+    if gamma is not None:
+        gamma = _number(solver, "gamma", "solver")
     localization = None
-    if "rho0" in solver or "R0" in solver:
+    if solver.get("rho0") is not None or solver.get("R0") is not None:
         try:
             localization = WellGeometry(
-                rho0=float(_need(solver, "rho0", "solver")),
-                R0=float(_need(solver, "R0", "solver")),
+                rho0=_number(solver, "rho0", "solver"),
+                R0=_number(solver, "R0", "solver"),
             )
         except LogNLSError as exc:
             raise ConfigError(f"solver.rho0/R0: {exc}") from exc
-    seed = int(raw.get("rng_seed", 0)) if seed_override is None else int(seed_override)
+    seed = _integer(raw, "rng_seed", "config", 0) if seed_override is None else int(seed_override)
 
     try:
         solver_cfg = SolverConfig(
             h=h,
             R_schedule=tuple(float(r) for r in schedule),
-            grad_tol=float(solver.get("grad_tol", 1e-8)),
-            nehari_tol=float(solver.get("nehari_tol", 1e-10)),
-            max_iters=int(solver.get("max_iters", 5000)),
-            step_init=float(solver.get("step_init", 1.0)),
-            backtrack=float(solver.get("backtrack", 0.5)),
-            gamma=None if gamma is None else float(gamma),
+            grad_tol=_number(solver, "grad_tol", "solver", 1e-8),
+            nehari_tol=_number(solver, "nehari_tol", "solver", 1e-10),
+            max_iters=_integer(solver, "max_iters", "solver", 5000),
+            step_init=_number(solver, "step_init", "solver", 1.0),
+            backtrack=_number(solver, "backtrack", "solver", 0.5),
+            gamma=gamma,
             localization=localization,
-            probes=int(solver.get("probes", 50)),
+            probes=_integer(solver, "probes", "solver", 50),
             probe_seed=seed,
         )
     except LogNLSError as exc:
         raise ConfigError(f"numerics/solver: {exc}") from exc
 
-    out_dir = Path(out_override) if out_override else Path(outputs.get("out_dir", "out"))
+    out_dir = _typed(outputs, "out_dir", "outputs", "out",
+                     lambda v: isinstance(v, str) and v, "a nonempty string")
     return RunConfig(
         eps=eps,
         potential=spec,
         solver=solver_cfg,
-        out_dir=out_dir,
-        dump_fields=bool(outputs.get("dump_fields", True)),
-        dump_history=bool(outputs.get("dump_history", False)),
-        verbosity=int(outputs.get("verbosity", 1)),
+        out_dir=Path(out_override) if out_override else Path(out_dir),
+        dump_fields=_flag(outputs, "dump_fields", "outputs", True),
+        dump_history=_flag(outputs, "dump_history", "outputs", False),
+        verbosity=_integer(outputs, "verbosity", "outputs", 1),
     )
 
 

@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InvalidDelta, NonPositiveEpsilon, ZeroField
 from .grid import Grid, integrate, laplacian_apply
@@ -118,14 +117,37 @@ def _potential_table(params: EnergyParams, g: Grid) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=64)
+def _boundary_nodes(g: Grid) -> np.ndarray:
+    """Indices of the boundary nodes, where residuals are zeroed."""
+    idx = np.flatnonzero(~g.interior_mask)
+    idx.setflags(write=False)
+    return idx
+
+
+def _log_abs(u: np.ndarray) -> np.ndarray:
+    """log|u|, with 0 where u = 0, so that u log|u| is 0 there."""
+    out = np.abs(u)
+    return np.log(out, out=out, where=out != 0.0)
+
+
 def _u_log_u2(u: np.ndarray) -> np.ndarray:
-    """u log u^2 with 0 log 0 = 0, safe down to the smallest doubles."""
-    return 2.0 * xlogy(u, np.abs(u))
+    """u log u^2 = 2 u log|u| with 0 log 0 = 0, safe down to the smallest
+    doubles (a subnormal product underflows gradually, without a warning)."""
+    out = _log_abs(u)
+    with np.errstate(under="ignore"):
+        out *= u
+    out *= 2.0
+    return out
 
 
 def _u2_log_u2(u: np.ndarray) -> np.ndarray:
     """u^2 log u^2 with 0 log 0 = 0, safe down to the smallest doubles."""
-    return 2.0 * xlogy(u * u, np.abs(u))
+    out = _log_abs(u)
+    with np.errstate(under="ignore"):
+        out *= u * u
+    out *= 2.0
+    return out
 
 
 def f_split(s, delta: float):
@@ -149,8 +171,9 @@ def f_split(s, delta: float):
 
     inner = (a > 0.0) & (a < delta)
     si, ai = s_arr[inner], a[inner]
-    F1[inner] = -xlogy(si * si, ai)            # -1/2 s^2 log s^2
-    dF1[inner] = -2.0 * xlogy(si, ai) - si     # -s log s^2 - s
+    log_ai = np.log(ai)
+    F1[inner] = -(si * si * log_ai)            # -1/2 s^2 log s^2
+    dF1[inner] = -2.0 * (si * log_ai) - si     # -s log s^2 - s
 
     outer = a >= delta
     so, ao = s_arr[outer], a[outer]
@@ -194,13 +217,17 @@ class Evaluation:
         """The record of s*u (s > 0), from L(su) = s Lu and
         (su) log (su)^2 = s (u log u^2 + u log s^2); K, E and M are
         integrated again on the scaled arrays."""
-        u_log_u2 = s * (self.u_log_u2 + (2.0 * math.log(s)) * self.u)
+        u_log_u2 = self.u * (2.0 * math.log(s))
+        u_log_u2 += self.u_log_u2
+        u_log_u2 *= s
         return _record(s * self.u, s * self.Lu, u_log_u2, self.v, self.grid)
 
     def residual(self) -> np.ndarray:
         """Euler-Lagrange residual Lu + V u - u log u^2, zero on boundary rows."""
-        res = self.Lu + self.v * self.u - self.u_log_u2
-        res[~self.grid.interior_mask] = 0.0
+        res = self.v * self.u
+        res += self.Lu
+        res -= self.u_log_u2
+        res[_boundary_nodes(self.grid)] = 0.0
         return res
 
     def gradient(self) -> np.ndarray:
@@ -214,12 +241,14 @@ class Evaluation:
 
 def _record(u, Lu, u_log_u2, v, g) -> Evaluation:
     uu = u * u
+    tmp = u * Lu
+    k_grad = integrate(g, tmp)
     return Evaluation(
         u=u,
         Lu=Lu,
         u_log_u2=u_log_u2,
-        K=integrate(g, u * Lu) + integrate(g, v * uu),
-        E=integrate(g, u * u_log_u2),
+        K=k_grad + integrate(g, np.multiply(v, uu, out=tmp)),
+        E=integrate(g, np.multiply(u, u_log_u2, out=tmp)),
         M=integrate(g, uu),
         v=v,
         grid=g,

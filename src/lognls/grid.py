@@ -218,14 +218,22 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
     return out.ravel()
 
 
+_SAVE_BLOCK = 4096   # values formatted per write in save_field
+
+
 def save_field(path, g: Grid, u: np.ndarray, eps: float) -> None:
     """Write a field: a header line ``dim,R,h,eps``, its values, then one
     value per node in the grid's order. Lines end in CRLF; each value is its
-    repr, which reads back exactly."""
-    body = "\r\n".join(map(repr, g.check_field(u).tolist()))
+    repr, which reads back exactly.
+
+    The values are formatted a block at a time, so the text of a large field
+    never sits in memory whole."""
+    values = g.check_field(u)
     with open(path, "w", newline="") as fh:
         fh.write(f"dim,R,h,eps\r\n{g.dim},{g.R!r},{g.h!r},{float(eps)!r}\r\n")
-        fh.write(body + "\r\n")
+        for start in range(0, values.size, _SAVE_BLOCK):
+            block = values[start:start + _SAVE_BLOCK].tolist()
+            fh.write("".join(map("{!r}\r\n".format, block)))
 
 
 def load_field(path) -> tuple[Grid, float, np.ndarray]:

@@ -22,8 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from scipy.fft import dstn, idstn
+from numpy.fft import rfft
 
 from .barycenter import BarycenterParams, Region, q_eps, region_of
 from .energy import EnergyParams, Evaluation, energy, evaluate, nehari_scale
@@ -278,22 +277,40 @@ def _helmholtz_eigenvalues(g: Grid) -> np.ndarray:
     return denom
 
 
+@lru_cache(maxsize=64)
+def _odd_extension(shape: tuple[int, ...]) -> np.ndarray:
+    """Buffer of the odd extension of `_dst1` for an array of this shape;
+    only the x parts are ever written, so the zeros stay."""
+    return np.zeros(shape[:-1] + (2 * (shape[-1] + 1),))
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis; it is its own inverse.
+
+    The FFT of the odd extension [0, -x, 0, x reversed], of length
+    N = 2(n+1), is 2i times the sine sum, so with the 1/sqrt(N) of
+    norm="ortho" its imaginary part is sqrt(2/(n+1)) sum_j x_j
+    sin(pi j k/(n+1)), the orthonormal transform."""
+    n = x.shape[-1]
+    z = _odd_extension(x.shape)
+    np.negative(x, out=z[..., 1:n + 1])
+    z[..., n + 2:] = x[..., ::-1]
+    return rfft(z, norm="ortho")[..., 1:n + 1].imag
+
+
 def _h1_direction(g: Grid, r: np.ndarray) -> np.ndarray:
     """Solve (-L + I) d = r on interior nodes (Dirichlet), via DST-I."""
-    ni = g.n_axis - 2
     denom = _helmholtz_eigenvalues(g)
     if g.dim == 1:
-        rr = r[1:-1]
-    else:
-        rr = r.reshape(g.n_axis, g.n_axis)[1:-1, 1:-1]
-    coeff = dstn(rr, type=1, norm="ortho") / denom
-    d_int = idstn(coeff, type=1, norm="ortho")
-    if g.dim == 1:
         out = np.zeros_like(r)
-        out[1:-1] = d_int
+        out[1:-1] = _dst1(_dst1(r[1:-1]) / denom)
         return out
+    # the 2d transform runs along the rows, then along the rows of a
+    # contiguous transposed copy, so its result comes out transposed
+    rr = r.reshape(g.n_axis, g.n_axis)[1:-1, 1:-1]
+    coeff_t = _dst1(np.ascontiguousarray(_dst1(rr).T)) / denom.T
     out = np.zeros((g.n_axis, g.n_axis))
-    out[1:-1, 1:-1] = d_int
+    out[1:-1, 1:-1] = _dst1(np.ascontiguousarray(_dst1(coeff_t).T))
     return out.ravel()
 
 
@@ -318,16 +335,18 @@ class _LBFGS:
         self.gamma = 1.0
 
     def direction(self, resid: np.ndarray) -> np.ndarray:
-        q = resid
+        # the vector updates run in place through one scratch field
+        tmp = np.empty_like(resid)
+        q = resid.copy() if self.pairs else resid
         alphas = []
         for s, y, rho in reversed(self.pairs):
             a = rho * _dot(s, q)
-            q = q - a * y
+            q -= np.multiply(y, a, out=tmp)
             alphas.append(a)
         z = _h1_direction(self.g, q)
         z *= self.gamma
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            z += (a - rho * _dot(y, z)) * s
+            z += np.multiply(s, a - rho * _dot(y, z), out=tmp)
         return z
 
     def update(self, old: Evaluation, new: Evaluation,
@@ -351,11 +370,14 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid) -> float:
     its component along the Nehari-normal direction removed; vanishes
     exactly at constrained stationary points (which are free critical
     points here)."""
-    n = 2.0 * (r - u)
-    nn = integrate(g, n * n)
+    n = r - u
+    n *= 2.0
+    tmp = n * n
+    nn = integrate(g, tmp)
     if nn > 0.0:
-        r = r - (integrate(g, r * n) / nn) * n
-    return math.sqrt(max(0.0, integrate(g, r * r)))
+        n *= integrate(g, np.multiply(r, n, out=tmp)) / nn
+        r = np.subtract(r, n, out=n)
+    return math.sqrt(max(0.0, integrate(g, np.multiply(r, r, out=tmp))))
 
 
 def minimize_localized(
@@ -443,7 +465,8 @@ def minimize_localized(
         j_slack = _J_SLACK * max(1.0, abs(J))
         for _ in range(_MAX_HALVINGS + 1):
             trials += 1
-            trial = evaluate(rec.u - tau * dirn, params, g)
+            step = np.multiply(dirn, tau)
+            trial = evaluate(np.subtract(rec.u, step, out=step), params, g)
             try:
                 s = nehari_scale(trial, params, g)
             except ZeroField:

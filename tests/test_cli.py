@@ -75,6 +75,29 @@ def test_load_config_rejects_settings_that_skip_work(tmp_path, key, value):
         load_config(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("outputs", "dump_fields", "false"),
+    ("solver", "probes", 2.7),
+    ("solver", "max_iters", True),
+    ("problem", "dim", 1.5),
+    ("problem", "eps", "abc"),
+    ("problem", "eps", None),
+    ("numerics", "h", [0.01]),
+    ("problem", "wells", "x"),
+], ids=["flag-string", "integer-fraction", "integer-bool", "dim-fraction",
+        "number-string", "number-null", "number-list", "list-string"])
+def test_load_config_checks_json_types(tmp_path, section, key, value):
+    """A value of the wrong JSON type is an error, not coerced, and the CLI
+    exits 2 with it instead of a traceback."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
+    bad = json.loads(shipped.read_text())
+    bad.setdefault(section, {})[key] = value
+    path = _write(tmp_path, bad)
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: ")):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+
+
 def test_load_config_rejects_mismatched_dim(tmp_path):
     bad = json.loads(json.dumps(SINGLE_WELL))
     bad["problem"]["wells"] = [[0.0, 0.0]]
@@ -157,16 +180,34 @@ def test_history_dump(tmp_path):
     assert len(rows) > 2
 
 
-def _run_module(*args, **env_vars):
-    """Run ``python -m lognls`` on the package imported here, so the
+def _run_python(*args, **env_vars):
+    """Run ``python *args`` on the package imported here, so the
     subprocess tests this checkout whatever is installed or on PATH;
     env_vars are set in the subprocess's environment."""
     src = str(Path(lognls.__file__).resolve().parent.parent)
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "lognls", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def _run_module(*args, **env_vars):
+    """Run ``python -m lognls`` as `_run_python` does."""
+    return _run_python("-m", "lognls", *args, **env_vars)
+
+
+def test_cli_import_loads_numpy_alone():
+    """The package needs numpy only, and loads numpy.fft and numpy.random
+    (which numpy imports lazily) with itself rather than in the first
+    solve."""
+    proc = _run_python("-c", (
+        "import sys, lognls.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.fft' in sys.modules, 'numpy.random' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_entry_point_help():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lognls.energy import (
+    _u_log_u2,
     DELTA_DEFAULT,
     DELTA_MAX,
     EnergyParams,
@@ -292,3 +293,38 @@ def test_log_sobolev_scale_consistency(fine_grid):
 def test_log_sobolev_zero_field(fine_grid):
     with pytest.raises(ZeroField):
         log_sobolev_gap(np.zeros(fine_grid.num_nodes), fine_grid)
+
+
+# --- the log term u log u^2 through np.log --------------------------------
+
+def test_u_log_u2_is_zero_at_zero():
+    with np.errstate(all="raise"):
+        out = _u_log_u2(np.array([0.0, -0.0, 0.5]))
+    assert out[0] == 0.0 and out[1] == 0.0
+
+
+@pytest.mark.parametrize("u", [5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0,
+                               1e300, -1e300])
+def test_u_log_u2_matches_math_log_at_extremes(u):
+    """2 u log|u| down to the smallest subnormal and up to 1e300, with no
+    floating-point exception raised."""
+    with np.errstate(all="raise"):
+        got = float(_u_log_u2(np.array([u]))[0])
+    want = 2.0 * u * math.log(abs(u))
+    assert math.isfinite(got)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=80),
+       keep_seed=st.integers(0, 2**32 - 1))
+def test_u_log_u2_node_values_do_not_depend_on_other_nodes(values, keep_seed):
+    """The log runs only where u != 0 (a masked loop); zeroing other nodes
+    never changes a node's value, so each node is computed the same way
+    whatever the rest of the field holds."""
+    u = np.array(values)
+    keep = np.random.default_rng(keep_seed).random(u.size) < 0.5
+    full = _u_log_u2(u)
+    part = _u_log_u2(np.where(keep, u, 0.0))
+    assert np.array_equal(full[keep], part[keep])
+    assert np.all(part[~keep] == 0.0)

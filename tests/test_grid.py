@@ -12,6 +12,7 @@ from lognls.errors import (
     ShrinkingDomain,
     SpacingMismatch,
 )
+from lognls import grid as grid_mod
 from lognls.grid import (
     build_grid,
     integrate,
@@ -212,15 +213,29 @@ def test_save_field_bytes_match_csv_writer(tmp_path, dim):
     u[interior[:3]] = [1e-300, -2.5, -1e-310]
     path = tmp_path / "field.csv"
     save_field(path, g, u, 0.1)
+    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", g, u, 0.1)
 
-    ref = tmp_path / "ref.csv"
+
+def test_save_field_bytes_across_blocks(tmp_path):
+    # 8201 nodes: two full blocks of formatted values and a partial third
+    g = build_grid(1, 8.2, 0.002)
+    assert g.num_nodes > 2 * grid_mod._SAVE_BLOCK
+    u = np.random.default_rng(3).normal(size=g.num_nodes)
+    u[~g.interior_mask] = 0.0
+    path = tmp_path / "field.csv"
+    save_field(path, g, u, 0.25)
+    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", g, u, 0.25)
+
+
+def _csv_writer_bytes(ref, g, u, eps) -> bytes:
+    """The field file as the csv module writes it."""
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dim", "R", "h", "eps"])
-        w.writerow([g.dim, repr(g.R), repr(g.h), repr(0.1)])
+        w.writerow([g.dim, repr(g.R), repr(g.h), repr(eps)])
         for val in u:
             w.writerow([repr(float(val))])
-    assert path.read_bytes() == ref.read_bytes()
+    return ref.read_bytes()
 
 
 @pytest.mark.parametrize("body", [

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from lognls.barycenter import BarycenterParams, q_eps, region_of
 from lognls.energy import EnergyParams, energy, log_sobolev_gap
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
-from lognls.grid import build_grid, integrate, load_field, save_field
+from lognls.grid import build_grid, integrate, laplacian_apply, load_field, save_field
 from lognls.potential import default_geometry, make_multiwell
 import lognls.solver as solver_mod
 from lognls.energy import evaluate
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
+    _dst1,
     _h1_direction,
     _LBFGS,
     continue_in_R,
@@ -26,6 +27,45 @@ from lognls.solver import (
 
 E = math.e
 SQPI = math.sqrt(math.pi)
+
+
+# --- the DST-I preconditioner ----------------------------------------------
+
+def _sine_matrix(n):
+    """The orthonormal DST-I as a dense matrix, sqrt(2/(n+1)) sin(pi jk/(n+1))."""
+    j = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(j, j) / (n + 1))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (64,), (9, 9)])
+def test_dst1_matches_dense_sine_matrix(shape):
+    """Along the last axis (each row of a 2d array), and its own inverse."""
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    ref = x @ _sine_matrix(shape[-1])      # the matrix is symmetric
+    y = _dst1(x)
+    assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(_dst1(y) - x).max() <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
+def test_h1_direction_solves_the_helmholtz_system(dim, R, h):
+    g = build_grid(dim, R, h)
+    r = np.random.default_rng(dim).standard_normal(g.num_nodes)
+    r[~g.interior_mask] = 0.0
+    d = _h1_direction(g, r)
+    assert np.all(d[~g.interior_mask] == 0.0)
+    res = (laplacian_apply(g, d) + d - r)[g.interior_mask]
+    assert np.abs(res).max() <= 1e-10 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("n", [159, 1999, 5999, 11999])
+def test_dst1_bit_identical_to_scipy_in_1d(n):
+    """At the interior sizes of the shipped configs' 1d grids (the 2d run's
+    ground-level axis, R = 10, 30 and 60 at h = 0.01); at some other sizes
+    the two FFT libraries round differently in the last bit."""
+    sfft = pytest.importorskip("scipy.fft")
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(_dst1(x), sfft.dst(x, type=1, norm="ortho"))
 
 
 # --- the Gausson oracle ----------------------------------------------------
