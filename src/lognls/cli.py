@@ -416,15 +416,16 @@ def cmd_sweep(args) -> int:
         for r in outcome.results:
             z = cfg.potential.wells[r.well_index]
             rows.append([eps, r.well_index + 1, r.level,
-                         float(np.linalg.norm(r.barycenter - z)), r.status.value])
+                         float(np.linalg.norm(r.barycenter - z)), r.status.value,
+                         r.iterations])
         for f in outcome.failures:
-            rows.append([eps, f.well_index + 1, "", "", f"failed:{f.error}"])
+            rows.append([eps, f.well_index + 1, "", "", f"failed:{f.error}", ""])
         if cfg.verbosity:
             print(f"eps={eps}: {'all converged' if all_ok else 'failures present'}")
 
     with open(cfg.out_dir / "sweep.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["eps", "well", "level", "dist_to_well", "status"])
+        w.writerow(["eps", "well", "level", "dist_to_well", "status", "iterations"])
         for row in rows:
             w.writerow([_fmt(v) for v in row])
     if onset is not None and cfg.verbosity:

@@ -254,8 +254,9 @@ def test_sweep_smoke_and_csv(tmp_path):
                  "--eps", "0.4", "0.2"])
     assert code == 0
     rows = (out / "sweep.csv").read_text().strip().splitlines()
-    assert rows[0] == "eps,well,level,dist_to_well,status"
+    assert rows[0] == "eps,well,level,dist_to_well,status,iterations"
     assert len(rows) == 3
+    assert all(int(row.rsplit(",", 1)[1]) > 0 for row in rows[1:])
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):

@@ -54,7 +54,7 @@ def test_h1_direction_solves_the_helmholtz_system(dim, R, h):
     r[~g.interior_mask] = 0.0
     d = _h1_direction(g, r)
     assert np.all(d[~g.interior_mask] == 0.0)
-    res = (laplacian_apply(g, d) + d - r)[g.interior_mask]
+    res = (laplacian_apply(g, d) + solver_mod._H1_SHIFT * d - r)[g.interior_mask]
     assert np.abs(res).max() <= 1e-10 * np.abs(r).max()
 
 
@@ -183,6 +183,42 @@ def test_minimize_from_exact_gausson_fast():
     assert res.status == SolveStatus.CONVERGED
     assert res.iterations <= 5
     assert res.level == pytest.approx(0.5 * E**2 * SQPI, rel=1e-3)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.02])
+@pytest.mark.parametrize("grad_tol", [5e-5, 1e-6, 1e-8])
+def test_descent_from_exact_gausson_converges(h, grad_tol):
+    g = build_grid(1, 10.0, h)
+    cfg = SolverConfig(h=h, R_schedule=(10.0,), grad_tol=grad_tol)
+    params = EnergyParams(eps=1.0, potential=1.0)
+    res = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    assert res.status == SolveStatus.CONVERGED
+    assert res.grad_norm <= grad_tol and res.nehari_res <= cfg.nehari_tol
+    assert np.all(res.u >= 0.0)
+
+
+def test_rectified_field_that_misses_grad_tol_keeps_descending(monkeypatch):
+    # with c = 12 the descent reaches half of grad_tol at iteration 4 with
+    # negative tail nodes; their rectification reads 6.0e-5 > grad_tol, so
+    # the descent goes on from |u| instead of stopping there
+    monkeypatch.setattr(solver_mod, "_H1_SHIFT", 12.0)
+    real = solver_mod._rectified
+    rectified = []
+
+    def spy(rec, params, g):
+        out = real(rec, params, g)
+        rectified.append(solver_mod._projected_grad_norm(out.u, out.residual(), g))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_rectified", spy)
+    g = build_grid(1, 10.0, 0.01)
+    cfg = SolverConfig(h=0.01, R_schedule=(10.0,), grad_tol=5e-5)
+    params = EnergyParams(eps=1.0, potential=1.0)
+    res = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    assert rectified[0] > cfg.grad_tol
+    assert res.status == SolveStatus.CONVERGED
+    assert res.iterations <= 10
+    assert res.grad_norm <= cfg.grad_tol and np.all(res.u >= 0.0)
 
 
 def test_reported_level_is_energy_of_returned_field():
@@ -326,8 +362,8 @@ def test_lbfgs_skips_pairs_without_positive_curvature():
     assert len(lb.pairs) == 0 and lb.gamma == 1.0
     lb.update(recs[0], recs[1], resids[0], resids[0] + s)   # s.y = |s|^2
     assert len(lb.pairs) == 1
-    # gamma = s.(-L + I)s / s.y, (-L + I)s read from the records' stencils
-    hs = float(s @ (recs[1].Lu - recs[0].Lu + s))
+    # gamma = s.(-L + c)s / s.y, (-L + c)s read from the records' stencils
+    hs = float(s @ (recs[1].Lu - recs[0].Lu + solver_mod._H1_SHIFT * s))
     assert lb.gamma == pytest.approx(hs / float(s @ s), rel=1e-12)
 
 
@@ -346,10 +382,21 @@ def test_lbfgs_memory_is_bounded():
 
 
 def test_double_well_iteration_bound(double_well_run):
-    # L-BFGS: 80 and 75 iterations per well (158 and 176 with the
-    # Barzilai-Borwein step it replaced)
+    # L-BFGS in the metric -L + 16: 33 and 33 iterations per well (80 and 85
+    # with the metric -L + 1; 158 and 176 with the Barzilai-Borwein step)
     for res in double_well_run["outcome"].results:
-        assert res.iterations <= 110
+        assert res.iterations <= 50
+
+
+def test_double_well_2d_iteration_bound():
+    # 14,641 nodes: 21 and 26 iterations per well in the metric -L + 16
+    # (56 and 75 with -L + 1)
+    spec = make_multiwell([[0.0, 0.0], [2.0, 0.0]], 2.0, 0.25)
+    cfg = SolverConfig(h=0.2, R_schedule=(12.0,), grad_tol=1e-6)
+    out = solve_multiplicity(0.3, spec, cfg)
+    assert out.all_converged
+    for res in out.results:
+        assert res.iterations <= 40
 
 
 def test_stage_records_count_every_stage(double_well_run):
