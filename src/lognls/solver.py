@@ -1,12 +1,14 @@
 """Localized Nehari minimization: seeding, descent, continuation in R.
 
 One solution per potential well: seed a translated Gausson at z_i/eps,
-ramped to zero at the boundary of the truncated domain only, project onto
-the Nehari set, then run monotone projected descent that rejects any step
-whose barycenter leaves the ball B_rho0(z_i); its direction is L-BFGS in
-the shifted H^1 metric -L + c, c = _H1_SHIFT. Converged solutions are
-continued through an increasing schedule of truncation radii until the
-level and barycenter stabilize.
+ramped to zero at the boundary of the truncated domain only, with the
+width of least Nehari level, project onto the Nehari set, then run
+monotone projected descent that rejects any step whose barycenter leaves
+the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
+Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
+S where the Hessian's multiplication part exceeds c. Converged solutions
+are continued through an increasing schedule of truncation radii until
+the level and barycenter stabilize.
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -46,6 +48,7 @@ __all__ = [
     "WellFailure",
     "MultiplicityOutcome",
     "gausson",
+    "seed_width",
     "seed_well",
     "minimize_localized",
     "continue_in_R",
@@ -58,18 +61,27 @@ _STALL = 4.0 * np.finfo(float).eps
 # each trial step starts at `step_init` and is shrunk by `backtrack` at most
 # _MAX_HALVINGS times per iteration
 _MAX_HALVINGS = 40
-# L-BFGS pairs kept, two fields each: 10 pairs would hold 20 fields, 9.3 MB
-# on a 58,081-node 2d grid, and with the metric -L + 16 they take 52 instead
-# of 66 well iterations on the 1d double well, 174 instead of 193 on its eps
-# sweep, but 57 instead of 54 on that 2d grid
+# L-BFGS pairs kept, two fields each. In the damped metric from the Ritz
+# seed, m = 10 takes 32 / 27 / 112 well iterations on the 1d double well, a
+# 58,081-node 2d double well and the 1d eps sweep against 37 / 30 / 129 for
+# m = 5, but its 10 more fields (4.6 MB on that 2d grid) would raise the
+# peak memory by more than 5%
 _LBFGS_MEMORY = 5
 # mass term c of the H^1 metric -L + c. Near a well solution the Hessian's
 # multiplication part V - 2 - log u^2 grows like |x - z_i/eps|^2, the
 # harmonic confinement of u log u^2, on a length scale of 1 in the rescaled
-# variables whatever eps and h are; iteration counts are flat for c in 8..32
+# variables whatever eps and h are; c fits the core, where that part is
+# below c, and `_tail_damping` the rest. Well iterations on the same three
+# runs with m = 5: c = 8: 41 / 30 / 147, 12: 34 / 26 / 132,
+# 16: 37 / 30 / 129, 24: 34 / 31 / 162, 32: 46 / 33 / 164. 12 and 16 differ
+# by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
 # keeps the seed and the zero-extended continuation start strictly positive
 _SEED_FLOOR = 1e-200
+# the Gausson widths b searched by `seed_width`, and its evaluations: the
+# golden section narrows [0.5, 4] to 0.007 in 14
+_SEED_WIDTHS = (0.5, 4.0)
+_RITZ_EVALS = 14
 
 
 class SolveStatus(str, enum.Enum):
@@ -156,6 +168,7 @@ class SolveResult:
     iterations: int
     status: SolveStatus
     weak_res: float = math.nan  # set by solve_multiplicity on each well's result
+    seed_width: float = math.nan  # likewise: the Gausson width b of its seed
     history: list[HistoryRow] = field(default_factory=list)
     level_history_R: list[tuple[float, float]] = field(default_factory=list)
     r_stabilized: bool = True
@@ -207,9 +220,12 @@ def _boundary_ramp(g: Grid) -> np.ndarray:
     return _smootherstep(0.5 * (g.R - _max_norm(g)))
 
 
+def _sq_distance(g: Grid, center: np.ndarray) -> np.ndarray:
+    return ((g.nodes - center[None, :]) ** 2).sum(axis=1)
+
+
 def _gaussian_profile(g: Grid, amplitude: float, center: np.ndarray) -> np.ndarray:
-    d2 = ((g.nodes - center[None, :]) ** 2).sum(axis=1)
-    return amplitude * np.exp(-0.5 * d2)
+    return amplitude * np.exp(-0.5 * _sq_distance(g, center))
 
 
 def gausson(g: Grid, omega: float) -> np.ndarray:
@@ -234,15 +250,64 @@ def _resolve_geometry(config: SolverConfig, spec: PotentialSpec) -> WellGeometry
     return geom
 
 
+def _seed_profile(g: Grid, ramp: np.ndarray, d2: np.ndarray,
+                  width: float) -> np.ndarray:
+    """ramp * (A exp(-b d2/2) + floor), A = e^((N+1)/2), zero on the
+    boundary, with d2 the squared distance to the centre: the seed of width
+    b before its Nehari projection."""
+    u0 = np.exp(-0.5 * width * d2)
+    u0 *= math.exp(0.5 * (g.dim + 1.0))
+    u0 += _SEED_FLOOR
+    u0 *= ramp
+    u0[~g.interior_mask] = 0.0
+    return u0
+
+
+def seed_width(params: EnergyParams, g: Grid, center: np.ndarray) -> float:
+    """The Gausson width b in _SEED_WIDTHS of least Nehari level
+    1/2 s*(b)^2 M(phi_b) = 1/2 M exp((K - E)/M) of the seed profile phi_b
+    at center (Rayleigh-Ritz over the Gausson family), by a golden-section
+    search of _RITZ_EVALS evaluations.
+
+    A exp(-b|y|^2/2) solves -Lu + (1 + a|y|^2)u = u log u^2 exactly for
+    b^2 - b = a (Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976), so
+    b = 1 is exact only for a flat well; the search also sees the ramp, the
+    grid and the anharmonic part of V.
+    """
+    ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
+
+    def log_level(b: float) -> float:
+        rec = evaluate(_seed_profile(g, ramp, d2, b), params, g)
+        return math.log(rec.M) + (rec.K - rec.E) / rec.M
+
+    lo, hi = _SEED_WIDTHS
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    b1, b2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = log_level(b1), log_level(b2)
+    for _ in range(_RITZ_EVALS - 2):
+        if f1 <= f2:
+            hi, b2, f2 = b2, b1, f1
+            b1 = hi - shrink * (hi - lo)
+            f1 = log_level(b1)
+        else:
+            lo, b1, f1 = b1, b2, f2
+            b2 = lo + shrink * (hi - lo)
+            f2 = log_level(b2)
+    return b1 if f1 <= f2 else b2
+
+
 def seed_well(
     i: int,
     eps: float,
     params: EnergyParams,
     config: SolverConfig,
     g: Grid,
+    width: float | None = None,
 ) -> np.ndarray:
-    """Translated Gausson (omega = 1) at z_i/eps, ramped to zero at the
-    domain boundary, floored to stay strictly positive, and Nehari-projected."""
+    """Translated Gausson at z_i/eps, ramped to zero at the domain boundary,
+    floored to stay strictly positive, and Nehari-projected. Its width b is
+    `width`, or when None the Ritz width `seed_width`; the centre, ramp and
+    floor do not depend on where the well sits, and neither does b."""
     spec = params.potential
     if not isinstance(spec, PotentialSpec):
         raise ConfigError("seed_well needs a multi-well PotentialSpec")
@@ -255,11 +320,9 @@ def seed_well(
             f"well {i} at |z|/eps = {np.linalg.norm(center):.3f} needs margin >= 5 "
             f"inside R = {g.R}"
         )
-    amplitude = math.exp(0.5 * (g.dim + 1.0))
-    u0 = _boundary_ramp(g) * (
-        _gaussian_profile(g, amplitude, center) + _SEED_FLOOR
-    )
-    u0[~g.interior_mask] = 0.0
+    if width is None:
+        width = seed_width(params, g, center)
+    u0 = _seed_profile(g, _boundary_ramp(g), _sq_distance(g, center), width)
     u = nehari_scale(u0, params, g) * u0
     q = q_eps(u, eps, BarycenterParams(R0=geometry.R0), g)
     reg = region_of(q, geometry, spec.wells)
@@ -327,15 +390,42 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _tail_damping(rec: Evaluation, out: np.ndarray) -> np.ndarray:
+    """S = sqrt(c / max(c, V - 2 - log u^2)) of the record's field, into out,
+    with c = _H1_SHIFT: 1 in the core, where the Hessian's multiplication
+    part V - 2 - log u^2 is at most c, and 0 where u = 0.
+
+    log u^2 is read from the record as u_log_u2 / u, which is 0/0 = nan
+    where u = 0; nan survives max, the quotient and the root, and is zeroed
+    last."""
+    with np.errstate(invalid="ignore"):
+        np.divide(rec.u_log_u2, rec.u, out=out)
+    np.subtract(rec.v, out, out=out)
+    out -= 2.0
+    np.maximum(out, _H1_SHIFT, out=out)
+    np.divide(_H1_SHIFT, out, out=out)
+    np.sqrt(out, out=out)
+    out[np.isnan(out)] = 0.0
+    return out
+
+
 class _LBFGS:
-    """L-BFGS direction in the H^1 metric (Liu & Nocedal, Math. Program. 45,
-    1989), with the initial inverse Hessian gamma (-L + c)^{-1}, c = _H1_SHIFT.
+    """L-BFGS direction in the damped H^1 metric (Liu & Nocedal, Math.
+    Program. 45, 1989), with the initial inverse Hessian
+    gamma S(-L + c)^{-1}S, c = _H1_SHIFT and S = `_tail_damping` of the
+    current record.
+
+    (-L + c) matches the Hessian -L + V - 2 - log u^2 of the level where
+    the multiplication part is near c, in the core; in the tail that part
+    grows like |x - z_i/eps|^2, and S scales the metric's inverse down by
+    it, a diagonal form of the energy-adaptive metric of Henning &
+    Peterseim (SIAM J. Numer. Anal. 58, 2020).
 
     The pairs are (s, y) = (change of the accepted, Nehari-scaled iterate,
     change of its residual), the last _LBFGS_MEMORY with s.y > 0. The
     two-loop recursion costs one DST pair, 2m dot products and 2m vector
-    updates for m pairs; with no pair stored the direction is the H^1
-    gradient (-L + c)^{-1} r itself.
+    updates for m pairs; with no pair stored the direction is the damped
+    H^1 gradient S(-L + c)^{-1}S r itself.
     """
 
     def __init__(self, g: Grid):
@@ -343,16 +433,20 @@ class _LBFGS:
         self.pairs: deque = deque(maxlen=_LBFGS_MEMORY)   # (s, y, 1/(s.y))
         self.gamma = 1.0
 
-    def direction(self, resid: np.ndarray) -> np.ndarray:
-        # the vector updates run in place through one scratch field
+    def direction(self, rec: Evaluation, resid: np.ndarray) -> np.ndarray:
+        # the vector updates run in place through one scratch field, which
+        # holds S between them
         tmp = np.empty_like(resid)
-        q = resid.copy() if self.pairs else resid
+        q = resid.copy()
         alphas = []
         for s, y, rho in reversed(self.pairs):
             a = rho * _dot(s, q)
             q -= np.multiply(y, a, out=tmp)
             alphas.append(a)
+        damping = _tail_damping(rec, tmp)
+        q *= damping
         z = _h1_direction(self.g, q)
+        z *= damping
         z *= self.gamma
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             z += np.multiply(s, a - rho * _dot(y, z), out=tmp)
@@ -488,7 +582,7 @@ def minimize_localized(
         if it == config.max_iters:
             break
 
-        dirn = lbfgs.direction(resid)
+        dirn = lbfgs.direction(rec, resid)
         tau = config.step_init
         accepted = False
         region_blocked = False
@@ -689,10 +783,12 @@ def solve_multiplicity(
     failures: list[WellFailure] = []
     for i in range(potential.l):
         try:
-            seed = seed_well(i, eps, params, config, g0)
+            width = seed_width(params, g0, potential.wells[i] / eps)
+            seed = seed_well(i, eps, params, config, g0, width)
             res = minimize_localized(seed, i, eps, params, config, g0)
             if res.status == SolveStatus.CONVERGED:
                 res = continue_in_R(res, i, eps, params, config)
+            res.seed_width = width
             res.weak_res = weak_residual(
                 res.u, eps, params, res.grid,
                 probes=config.probes, seed=config.probe_seed,

@@ -34,7 +34,7 @@ from .energy import (
     nehari_scale,
 )
 from .errors import ZeroField
-from .grid import Grid, build_grid, integrate, laplacian_apply, zero_extend
+from .grid import Grid, build_grid, integrate, zero_extend
 
 __all__ = [
     "VerificationReport",
@@ -61,6 +61,21 @@ def _cubic_bspline(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bspline_factor(g1: Grid, c: float, sigma: float) -> tuple[slice, np.ndarray]:
+    """The 1d factor b((x - c)/sigma) on the axis nodes of g1 where it is
+    nonzero, with one node more at each end (zero there, or an end of the
+    axis, where b is zeroed), and the slice of the axis they occupy."""
+    n = g1.n_axis
+    lo = max(int(np.searchsorted(g1.axis, c - 2.0 * sigma, "right")) - 1, 0)
+    hi = min(int(np.searchsorted(g1.axis, c + 2.0 * sigma, "left")) + 1, n)
+    b = _cubic_bspline((g1.axis[lo:hi] - c) / sigma)
+    if lo == 0:
+        b[0] = 0.0
+    if hi == n:
+        b[-1] = 0.0
+    return slice(lo, hi), b
+
+
 def _factored_probe(
     g1: Grid, wr: np.ndarray, center: np.ndarray, sigma: float
 ) -> tuple[float, float]:
@@ -72,24 +87,24 @@ def _factored_probe(
     Stencil, weights and v all split over the axes, so with W and L1 the 1d
     weights and stencil the norm^2 is
     sum_k (b_k.W.L1 b_k) prod_{j!=k} (b_j.W.b_j) + prod_k (b_k.W.b_k),
-    and no full-grid probe is formed.
+    and no full-grid probe is formed. Each factor, and the pairing, covers
+    only the nodes where the factor is nonzero (`_bspline_factor`); as b_k
+    is zero at both ends of its range, b_k.W.L1 b_k sums by parts to
+    |diff b_k|^2 / h.
     """
-    factors = []
-    for c in center:
-        b = _cubic_bspline((g1.axis - c) / sigma)
-        b[0] = b[-1] = 0.0
-        factors.append(b)
-    mass = [integrate(g1, b * b) for b in factors]
-    stiff = [integrate(g1, b * laplacian_apply(g1, b)) for b in factors]
+    spans, factors = zip(*(_bspline_factor(g1, c, sigma) for c in center))
+    mass = [float(np.einsum("i,i,i->", g1.quad_weights[sp], b, b))
+            for sp, b in zip(spans, factors)]
+    stiff = [float(np.einsum("i,i->", d, d)) / g1.h for d in map(np.diff, factors)]
     h1sq = math.prod(mass) + sum(
         st * math.prod(mass[:k] + mass[k + 1:]) for k, st in enumerate(stiff)
     )
     if h1sq <= 0.0:
         raise ZeroField("probe degenerate: support does not meet the grid")
     if len(factors) == 1:
-        pairing = np.einsum("i,i->", wr, factors[0])
+        pairing = np.einsum("i,i->", wr[spans], factors[0])
     else:
-        pairing = np.einsum("i,ij,j->", factors[0], wr, factors[1])
+        pairing = np.einsum("i,ij,j->", factors[0], wr[spans], factors[1])
     return float(pairing), h1sq
 
 
@@ -330,6 +345,7 @@ def audit(results, ctx) -> VerificationReport:
             "level": res.level,
             "R_final": res.R_final,
             "iterations": res.iterations,
+            "seed_width": res.seed_width,
             "r_stabilized": res.r_stabilized,
             "continuation_gap": res.continuation_gap,
             "stages": [st._asdict() for st in res.stages],

@@ -17,11 +17,13 @@ from lognls.solver import (
     _dst1,
     _h1_direction,
     _LBFGS,
+    _tail_damping,
     continue_in_R,
     gausson,
     ground_level,
     minimize_localized,
     seed_well,
+    seed_width,
     solve_multiplicity,
 )
 
@@ -156,6 +158,24 @@ def test_seed_out_of_regime_barycenter(dw_spec):
         seed_well(1, 5.0, params, cfg, g)
 
 
+@pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
+def test_ritz_seed_width_of_a_flat_well_is_one(dim, R, h):
+    # V = 1 has curvature a = 0, where the unit-width Gausson is exact
+    g = build_grid(dim, R, h)
+    b = seed_width(EnergyParams(eps=1.0, potential=1.0), g, np.zeros(dim))
+    assert abs(b - 1.0) <= 0.05
+
+
+def test_seed_well_takes_the_ritz_width(dw_spec):
+    g = build_grid(1, 30.0, 0.05)
+    cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
+    params = EnergyParams(eps=0.1, potential=dw_spec)
+    b = seed_width(params, g, dw_spec.wells[0] / 0.1)
+    assert 1.0 < b < 4.0   # the well's curvature narrows the Gausson
+    assert np.array_equal(seed_well(0, 0.1, params, cfg, g),
+                          seed_well(0, 0.1, params, cfg, g, b))
+
+
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0])
 def test_translated_well_same_level_and_iterations(z):
     # the seed must not depend on where its well sits: well 2 at z is well 1
@@ -198,10 +218,13 @@ def test_descent_from_exact_gausson_converges(h, grad_tol):
 
 
 def test_rectified_field_that_misses_grad_tol_keeps_descending(monkeypatch):
-    # with c = 12 the descent reaches half of grad_tol at iteration 4 with
-    # negative tail nodes; their rectification reads 6.0e-5 > grad_tol, so
-    # the descent goes on from |u| instead of stopping there
+    # undamped (S = 1) with c = 12 the descent reaches half of grad_tol at
+    # iteration 4 with negative tail nodes; their rectification reads
+    # 6.0e-5 > grad_tol, so the descent goes on from |u| instead of stopping
+    # there (the damped metric leaves less dust: 1.5e-5 at c = 12)
     monkeypatch.setattr(solver_mod, "_H1_SHIFT", 12.0)
+    monkeypatch.setattr(solver_mod, "_tail_damping",
+                        lambda rec, out: np.ones_like(out))
     real = solver_mod._rectified
     rectified = []
 
@@ -345,11 +368,36 @@ def _lbfgs_fields(g, k):
 
 
 def test_lbfgs_without_pairs_is_h1_gradient():
-    # the first step of every descent is the preconditioned residual itself
+    # the first step of every descent is the damped H^1 gradient S(-L + c)^{-1}S r
     g = build_grid(1, 10.0, 0.05)
     recs, resids = _lbfgs_fields(g, 0)
-    d = _LBFGS(g).direction(resids[0])
-    assert np.array_equal(d, _h1_direction(g, resids[0]))
+    d = _LBFGS(g).direction(recs[0], resids[0])
+    damping = _tail_damping(recs[0], np.empty(g.num_nodes))
+    assert np.array_equal(d, damping * _h1_direction(g, damping * resids[0]))
+
+
+def test_tail_damping_is_one_in_the_core_and_zero_off_the_field():
+    g = build_grid(1, 30.0, 0.05)
+    params = EnergyParams(eps=1.0, potential=1.0)
+    u = gausson(g, 1.0)
+    u[np.argmin(np.abs(g.nodes[:, 0] - 3.0))] = 0.0   # an interior zero
+    u[np.argmin(np.abs(g.nodes[:, 0] + 5.0))] *= -1.0  # a sign flip
+    rec = evaluate(u, params, g)
+    damping = _tail_damping(rec, np.empty(g.num_nodes))
+    mult = np.full(g.num_nodes, np.inf)
+    nz = u != 0.0
+    mult[nz] = rec.v[nz] - 2.0 - 2.0 * np.log(np.abs(u[nz]))
+    core = mult <= solver_mod._H1_SHIFT
+    assert core.sum() > 10 and np.all(damping[core] == 1.0)
+    assert np.all(damping[~nz] == 0.0) and np.any(~nz & g.interior_mask)
+    tail = ~core & nz
+    assert tail.sum() > 10
+    assert np.all((damping[tail] > 0.0) & (damping[tail] <= 1.0))
+    assert np.allclose(damping[tail] ** 2, solver_mod._H1_SHIFT / mult[tail],
+                       rtol=1e-12)
+    # the damped H^1 gradient is a descent direction
+    r = rec.residual()
+    assert float(_LBFGS(g).direction(rec, r) @ r) > 0.0
 
 
 def test_lbfgs_skips_pairs_without_positive_curvature():
@@ -377,26 +425,29 @@ def test_lbfgs_memory_is_bounded():
     assert len(lb.pairs) == 5
     # the kept pairs are the last five, and the direction still descends
     assert np.array_equal(lb.pairs[-1][0], recs[8].u - recs[7].u)
-    d = lb.direction(resids[8])
+    d = lb.direction(recs[8], resids[8])
     assert float(d @ resids[8]) > 0.0
 
 
 def test_double_well_iteration_bound(double_well_run):
-    # L-BFGS in the metric -L + 16: 33 and 33 iterations per well (80 and 85
-    # with the metric -L + 1; 158 and 176 with the Barzilai-Borwein step)
+    # L-BFGS in the damped metric S(-L + 16)^{-1}S from the Ritz-width seed:
+    # 18 and 19 iterations per well (33 and 33 undamped from the unit-width
+    # seed, 80 and 85 with the metric -L + 1; 158 and 176 with the
+    # Barzilai-Borwein step)
     for res in double_well_run["outcome"].results:
-        assert res.iterations <= 50
+        assert res.iterations <= 30
 
 
 def test_double_well_2d_iteration_bound():
-    # 14,641 nodes: 21 and 26 iterations per well in the metric -L + 16
-    # (56 and 75 with -L + 1)
+    # 14,641 nodes: 14 and 15 iterations per well in the damped metric from
+    # the Ritz-width seed (21 and 26 undamped from the unit-width seed, 56
+    # and 75 with -L + 1)
     spec = make_multiwell([[0.0, 0.0], [2.0, 0.0]], 2.0, 0.25)
     cfg = SolverConfig(h=0.2, R_schedule=(12.0,), grad_tol=1e-6)
     out = solve_multiplicity(0.3, spec, cfg)
     assert out.all_converged
     for res in out.results:
-        assert res.iterations <= 40
+        assert res.iterations <= 25
 
 
 def test_stage_records_count_every_stage(double_well_run):
