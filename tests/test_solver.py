@@ -10,20 +10,23 @@ from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
 from lognls.grid import build_grid, integrate, laplacian_apply, load_field, save_field
 from lognls.potential import default_geometry, make_multiwell
 import lognls.solver as solver_mod
-from lognls.energy import evaluate
+from lognls.energy import evaluate, nehari_scale
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
     _dst1,
     _h1_direction,
     _LBFGS,
+    _boundary_ramp,
+    _ritz_width,
+    _seed_profile,
+    _sq_distance,
     _tail_damping,
     continue_in_R,
     gausson,
     ground_level,
     minimize_localized,
     seed_well,
-    seed_width,
     solve_multiplicity,
 )
 
@@ -122,7 +125,7 @@ def test_seed_center_well(dw_spec):
     g = build_grid(1, 30.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed = seed_well(0, 0.1, params, cfg, g)
+    seed, _ = seed_well(0, 0.1, params, cfg, g)
     geom = default_geometry(dw_spec)
     q = q_eps(seed, 0.1, BarycenterParams(R0=geom.R0), g)
     assert np.abs(q).max() <= 1e-6
@@ -134,7 +137,7 @@ def test_seed_translated_well(dw_spec):
     g = build_grid(1, 40.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(40.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed = seed_well(1, 0.1, params, cfg, g)
+    seed, _ = seed_well(1, 0.1, params, cfg, g)
     peak = g.nodes[np.argmax(seed), 0]
     assert abs(peak - 20.0) <= g.h
     geom = default_geometry(dw_spec)
@@ -162,18 +165,24 @@ def test_seed_out_of_regime_barycenter(dw_spec):
 def test_ritz_seed_width_of_a_flat_well_is_one(dim, R, h):
     # V = 1 has curvature a = 0, where the unit-width Gausson is exact
     g = build_grid(dim, R, h)
-    b = seed_width(EnergyParams(eps=1.0, potential=1.0), g, np.zeros(dim))
+    center = np.zeros(dim)
+    b = _ritz_width(EnergyParams(eps=1.0, potential=1.0), g,
+                    _boundary_ramp(g), _sq_distance(g, center))
     assert abs(b - 1.0) <= 0.05
 
 
-def test_seed_well_takes_the_ritz_width(dw_spec):
+def test_seed_well_returns_its_ritz_width(dw_spec):
     g = build_grid(1, 30.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    b = seed_width(params, g, dw_spec.wells[0] / 0.1)
+    seed, b = seed_well(0, 0.1, params, cfg, g)
     assert 1.0 < b < 4.0   # the well's curvature narrows the Gausson
-    assert np.array_equal(seed_well(0, 0.1, params, cfg, g),
-                          seed_well(0, 0.1, params, cfg, g, b))
+    # no nearby width seeds a lower Nehari level
+    ramp, d2 = _boundary_ramp(g), _sq_distance(g, dw_spec.wells[0] / 0.1)
+    for other in (0.9 * b, 1.1 * b):
+        phi = _seed_profile(g, ramp, d2, other)
+        phi *= nehari_scale(phi, params, g)
+        assert energy(seed, params, g).total < energy(phi, params, g).total
 
 
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0])
@@ -184,7 +193,7 @@ def test_translated_well_same_level_and_iterations(z):
     g = build_grid(1, 30.0, 0.02)
     cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=spec)
-    runs = [minimize_localized(seed_well(i, 0.1, params, cfg, g), i, 0.1,
+    runs = [minimize_localized(seed_well(i, 0.1, params, cfg, g)[0], i, 0.1,
                                params, cfg, g) for i in (0, 1)]
     assert all(r.status == SolveStatus.CONVERGED for r in runs)
     assert abs(runs[1].level - runs[0].level) <= 1e-10 * abs(runs[0].level)
@@ -326,7 +335,7 @@ def test_minimize_confined_iterates(dw_spec):
     g = build_grid(1, 30.0, 0.02)
     cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed = seed_well(1, 0.1, params, cfg, g)
+    seed, _ = seed_well(1, 0.1, params, cfg, g)
     res = minimize_localized(seed, 1, 0.1, params, cfg, g)
     assert res.status == SolveStatus.CONVERGED
     geom = default_geometry(dw_spec)

@@ -98,37 +98,21 @@ def test_factored_probe_matches_full_grid_probe(dim, field_seed, t_sigma, t_cent
     assert abs(pairing - integrate(g, r * v)) <= 1e-12 * integrate(g, np.abs(r) * v)
 
 
-def _full_axis_probe(g1, wr, center, sigma):
-    """Reference: the factors built on the whole axis and paired over the
-    whole grid, with the 1d stencil's stiffness."""
-    factors = []
-    for c in center:
-        b = _cubic_bspline((g1.axis - c) / sigma)
-        b[0] = b[-1] = 0.0
-        factors.append(b)
-    mass = [integrate(g1, b * b) for b in factors]
-    stiff = [integrate(g1, b * laplacian_apply(g1, b)) for b in factors]
-    h1sq = math.prod(mass) + sum(
-        st * math.prod(mass[:k] + mass[k + 1:]) for k, st in enumerate(stiff))
-    if len(factors) == 1:
-        return float(np.einsum("i,i->", wr, factors[0])), h1sq
-    return float(np.einsum("i,ij,j->", factors[0], wr, factors[1])), h1sq
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_factored_probe_pairs_on_support_only(dim):
-    # the support-only pairing of weak_residual's probes against the pairing
-    # over the whole grid, on a random field and the probe family's widths
+    # the support-only pairing against the full-grid probe within 1e-13, on
+    # a random field at the smallest, a middle and the largest probe width
     g = _PROBE_GRIDS[dim]
     g1 = build_grid(1, g.R, g.h)
     rng = np.random.default_rng(40 + dim)
-    wr = (g.quad_weights * smooth_random_field(g, rng)).reshape(g.shape)
+    r = smooth_random_field(g, rng)
+    wr = (g.quad_weights * r).reshape(g.shape)
     for sigma in (3.0 * g.h, g.R / 20.0, g.R / 8.0):
         center = rng.uniform(-1.0, 1.0, size=dim) * (g.R - 2.0 * sigma - g.h)
         pairing, h1sq = _factored_probe(g1, wr, center, sigma)
-        ref_pairing, ref_h1sq = _full_axis_probe(g1, wr, center, sigma)
-        assert pairing == pytest.approx(ref_pairing, rel=1e-13)
-        assert h1sq == pytest.approx(ref_h1sq, rel=1e-13)
+        v, h1sq_ref = _full_grid_probe(g, center, sigma)
+        assert h1sq == pytest.approx(h1sq_ref, rel=1e-13)
+        assert abs(pairing - integrate(g, r * v)) <= 1e-13 * integrate(g, np.abs(r) * v)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
