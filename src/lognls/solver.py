@@ -77,7 +77,7 @@ _LBFGS_MEMORY = 5
 _H1_SHIFT = 16.0
 # keeps the seed and the zero-extended continuation start strictly positive
 _SEED_FLOOR = 1e-200
-# the Gausson widths b searched by `_ritz_width`, and its evaluations: the
+# the Gausson widths b searched by `_ritz_seed`, and its evaluations: the
 # golden section narrows [0.5, 4] to 0.007 in 14
 _SEED_WIDTHS = (0.5, 4.0)
 _RITZ_EVALS = 14
@@ -263,12 +263,13 @@ def _seed_profile(g: Grid, ramp: np.ndarray, d2: np.ndarray,
     return u0
 
 
-def _ritz_width(params: EnergyParams, g: Grid, ramp: np.ndarray,
-                d2: np.ndarray) -> float:
-    """The Gausson width b in _SEED_WIDTHS of least Nehari level
-    1/2 s*(b)^2 M(phi_b) = 1/2 M exp((K - E)/M) of the seed profile
-    phi_b = `_seed_profile(g, ramp, d2, b)` (Rayleigh-Ritz over the Gausson
-    family), by a golden-section search of _RITZ_EVALS evaluations.
+def _ritz_seed(params: EnergyParams, g: Grid,
+               center: np.ndarray) -> tuple[np.ndarray, float]:
+    """The seed profile phi_b at center (`_seed_profile`) of the Gausson
+    width b in _SEED_WIDTHS of least Nehari level
+    1/2 s*(b)^2 M(phi_b) = 1/2 M exp((K - E)/M), and b (Rayleigh-Ritz over
+    the Gausson family), by a golden-section search of _RITZ_EVALS
+    evaluations.
 
     A exp(-b|y|^2/2) solves -Lu + (1 + a|y|^2)u = u log u^2 exactly for
     b^2 - b = a (Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976), so
@@ -278,6 +279,8 @@ def _ritz_width(params: EnergyParams, g: Grid, ramp: np.ndarray,
     iterations on the 1d double well, the 2d double well and the 1d eps
     sweep, against 37 / 30 / 129 from the Ritz b and 38 / 44 / 144 from b = 1.
     """
+    ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
+
     def log_level(b: float) -> float:
         rec = evaluate(_seed_profile(g, ramp, d2, b), params, g)
         return math.log(rec.M) + (rec.K - rec.E) / rec.M
@@ -295,7 +298,8 @@ def _ritz_width(params: EnergyParams, g: Grid, ramp: np.ndarray,
             lo, b1, f1 = b1, b2, f2
             b2 = lo + shrink * (hi - lo)
             f2 = log_level(b2)
-    return b1 if f1 <= f2 else b2
+    width = b1 if f1 <= f2 else b2
+    return _seed_profile(g, ramp, d2, width), width
 
 
 def seed_well(
@@ -307,7 +311,7 @@ def seed_well(
 ) -> tuple[np.ndarray, float]:
     """Translated Gausson at z_i/eps, ramped to zero at the domain boundary,
     floored to stay strictly positive, and Nehari-projected, with the width
-    b of least Nehari level (`_ritz_width`); returns the seed and b. The
+    b of least Nehari level (`_ritz_seed`); returns the seed and b. The
     centre, ramp and floor do not depend on where the well sits, and
     neither does b."""
     spec = params.potential
@@ -322,9 +326,7 @@ def seed_well(
             f"well {i} at |z|/eps = {np.linalg.norm(center):.3f} needs margin >= 5 "
             f"inside R = {g.R}"
         )
-    ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
-    width = _ritz_width(params, g, ramp, d2)
-    u0 = _seed_profile(g, ramp, d2, width)
+    u0, width = _ritz_seed(params, g, center)
     u = nehari_scale(u0, params, g) * u0
     q = q_eps(u, eps, BarycenterParams(R0=geometry.R0), g)
     reg = region_of(q, geometry, spec.wells)

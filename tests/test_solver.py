@@ -18,7 +18,7 @@ from lognls.solver import (
     _h1_direction,
     _LBFGS,
     _boundary_ramp,
-    _ritz_width,
+    _ritz_seed,
     _seed_profile,
     _sq_distance,
     _tail_damping,
@@ -165,9 +165,7 @@ def test_seed_out_of_regime_barycenter(dw_spec):
 def test_ritz_seed_width_of_a_flat_well_is_one(dim, R, h):
     # V = 1 has curvature a = 0, where the unit-width Gausson is exact
     g = build_grid(dim, R, h)
-    center = np.zeros(dim)
-    b = _ritz_width(EnergyParams(eps=1.0, potential=1.0), g,
-                    _boundary_ramp(g), _sq_distance(g, center))
+    _, b = _ritz_seed(EnergyParams(eps=1.0, potential=1.0), g, np.zeros(dim))
     assert abs(b - 1.0) <= 0.05
 
 

@@ -91,28 +91,12 @@ def test_factored_probe_matches_full_grid_probe(dim, field_seed, t_sigma, t_cent
     r = smooth_random_field(g, np.random.default_rng(field_seed))
     wr = (g.quad_weights * r).reshape(g.shape)
 
+    # the factors and the pairing cover only the probe's support
     pairing, h1sq = _factored_probe(g1, wr, center, sigma)
     v, h1sq_ref = _full_grid_probe(g, center, sigma)
-    assert h1sq == pytest.approx(h1sq_ref, rel=1e-12)
+    assert h1sq == pytest.approx(h1sq_ref, rel=1e-13)
     # r changes sign: bound the pairing's error by the scale of its terms
-    assert abs(pairing - integrate(g, r * v)) <= 1e-12 * integrate(g, np.abs(r) * v)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_factored_probe_pairs_on_support_only(dim):
-    # the support-only pairing against the full-grid probe within 1e-13, on
-    # a random field at the smallest, a middle and the largest probe width
-    g = _PROBE_GRIDS[dim]
-    g1 = build_grid(1, g.R, g.h)
-    rng = np.random.default_rng(40 + dim)
-    r = smooth_random_field(g, rng)
-    wr = (g.quad_weights * r).reshape(g.shape)
-    for sigma in (3.0 * g.h, g.R / 20.0, g.R / 8.0):
-        center = rng.uniform(-1.0, 1.0, size=dim) * (g.R - 2.0 * sigma - g.h)
-        pairing, h1sq = _factored_probe(g1, wr, center, sigma)
-        v, h1sq_ref = _full_grid_probe(g, center, sigma)
-        assert h1sq == pytest.approx(h1sq_ref, rel=1e-13)
-        assert abs(pairing - integrate(g, r * v)) <= 1e-13 * integrate(g, np.abs(r) * v)
+    assert abs(pairing - integrate(g, r * v)) <= 1e-13 * integrate(g, np.abs(r) * v)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
