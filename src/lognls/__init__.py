@@ -5,15 +5,11 @@ continued through an increasing sequence of truncation radii."""
 
 from .barycenter import BarycenterParams, Region, q_eps, region_of
 from .energy import (
-    DELTA_DEFAULT,
-    DELTA_MAX,
     EnergyBreakdown,
     EnergyParams,
     Evaluation,
     energy,
     evaluate,
-    f2_growth_check,
-    f_split,
     gradient,
     log_sobolev_gap,
     nehari_residual,

@@ -21,10 +21,6 @@ Every quantity above is read from one evaluation record per field
 K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2), so that
 J = (K + M - E)/2 and J'(u)u = K - E. The record of s*u follows from the
 record of u without a new stencil or log (`Evaluation.scaled`).
-
-F1/F2 below split 1/2 s^2 log s^2 = F2(s) - F1(s) into a convex part F1 and
-a power-growth part F2; the split is kept as audited ground truth while the
-main evaluation path uses u^2 log u^2 directly.
 """
 
 from __future__ import annotations
@@ -36,18 +32,14 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidDelta, NonPositiveEpsilon, ZeroField
+from .errors import NonPositiveEpsilon, ZeroField
 from .grid import Grid, integrate, laplacian_apply
 from .potential import PotentialSpec, eval_scaled
 
 __all__ = [
-    "DELTA_MAX",
-    "DELTA_DEFAULT",
     "EnergyParams",
     "EnergyBreakdown",
     "NehariResidual",
-    "GrowthFit",
-    "f_split",
     "Evaluation",
     "evaluate",
     "energy",
@@ -55,20 +47,7 @@ __all__ = [
     "nehari_scale",
     "nehari_residual",
     "log_sobolev_gap",
-    "f2_growth_check",
 ]
-
-# F1'' = -log(s^2) - 3 on (0, delta): convexity of F1 requires delta <= e^{-3/2}
-DELTA_MAX = math.exp(-1.5)
-DELTA_DEFAULT = math.exp(-2.0)
-
-
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta <= DELTA_MAX):
-        raise InvalidDelta(
-            f"delta must lie in (0, e^(-3/2) ~ {DELTA_MAX:.5f}], got {delta}"
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class EnergyParams:
@@ -99,11 +78,6 @@ class EnergyBreakdown:
 class NehariResidual(NamedTuple):
     value: float        # |J'(u)u| / max(1, ||u||_eps^2)
     level_gap: float    # |J(u) - 1/2 int(u^2)|, the equivalent characterization
-
-
-class GrowthFit(NamedTuple):
-    c: float            # smallest C with |F2'(s)| <= C |s|^(p-1) over the samples
-    uniform: bool       # False when the bound is still growing at the sample edge
 
 
 @lru_cache(maxsize=64)
@@ -148,46 +122,6 @@ def _u2_log_u2(u: np.ndarray) -> np.ndarray:
         out *= u * u
     out *= 2.0
     return out
-
-
-def f_split(s, delta: float):
-    """Evaluate the splitting pair (F1, F2) and derivatives at s.
-
-    F1 is the convex piece, F2 the power-growth piece, with
-    F2(s) - F1(s) = 1/2 s^2 log s^2 for every s. Accepts scalars or arrays.
-    """
-    _check_delta(delta)
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    a = np.abs(s_arr)
-    sign = np.sign(s_arr)
-    log_d2 = 2.0 * math.log(delta)
-
-    F1 = np.zeros_like(s_arr)
-    F2 = np.zeros_like(s_arr)
-    dF1 = np.zeros_like(s_arr)
-    dF2 = np.zeros_like(s_arr)
-
-    inner = (a > 0.0) & (a < delta)
-    si, ai = s_arr[inner], a[inner]
-    log_ai = np.log(ai)
-    F1[inner] = -(si * si * log_ai)            # -1/2 s^2 log s^2
-    dF1[inner] = -2.0 * (si * log_ai) - si     # -s log s^2 - s
-
-    outer = a >= delta
-    so, ao = s_arr[outer], a[outer]
-    F1[outer] = -0.5 * so * so * (log_d2 + 3.0) + 2.0 * delta * ao - 0.5 * delta**2
-    dF1[outer] = -so * (log_d2 + 3.0) + 2.0 * delta * sign[outer]
-    log_ratio = 2.0 * (np.log(ao) - math.log(delta))   # log(s^2 / delta^2)
-    F2[outer] = (
-        0.5 * so * so * log_ratio + 2.0 * delta * ao - 1.5 * so * so - 0.5 * delta**2
-    )
-    dF2[outer] = so * log_ratio - 2.0 * so + 2.0 * delta * sign[outer]
-
-    if scalar:
-        return float(F1[0]), float(F2[0]), float(dF1[0]), float(dF2[0])
-    return F1, F2, dF1, dF2
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,42 +259,26 @@ def nehari_residual(u: np.ndarray, params: EnergyParams, g: Grid) -> NehariResid
     return _nehari_residual(eb.total, eb.mass, eb.norm_eps**2)
 
 
-def log_sobolev_gap(u: np.ndarray, g: Grid, a: float | None = None) -> float:
+# the log-Sobolev parameter a, with a^2/pi = 1/4
+_LS_A = math.sqrt(math.pi) / 2.0
+
+
+def log_sobolev_gap(u: np.ndarray, g: Grid) -> float:
     """RHS minus LHS of the logarithmic Sobolev inequality
 
         int(u^2 log u^2) <= (a^2/pi) |grad u|_2^2
-                            + (log |u|_2^2 - N (1 + log a)) |u|_2^2.
+                            + (log |u|_2^2 - N (1 + log a)) |u|_2^2
 
-    Default a = sqrt(pi)/2, i.e. a^2/pi = 1/4. Nonnegative return value
+    at a = sqrt(pi)/2, i.e. a^2/pi = 1/4. Nonnegative return value
     certifies the inequality for this field (up to quadrature error).
     """
     u = g.check_field(u)
-    if a is None:
-        a = math.sqrt(math.pi) / 2.0
-    if a <= 0.0:
-        raise ValueError(f"log-Sobolev parameter a must be positive, got {a}")
     Kgrad = integrate(g, u * laplacian_apply(g, u))
     M = integrate(g, u * u)
     if M <= 0.0:
         raise ZeroField("log-Sobolev gap undefined for the zero field")
     E = integrate(g, _u2_log_u2(u))
-    rhs = (a * a / math.pi) * Kgrad + (math.log(M) - g.dim * (1.0 + math.log(a))) * M
+    rhs = ((_LS_A * _LS_A / math.pi) * Kgrad
+           + (math.log(M) - g.dim * (1.0 + math.log(_LS_A))) * M)
     return rhs - E
 
-
-def f2_growth_check(delta: float, p: float, s_samples: np.ndarray) -> GrowthFit:
-    """Smallest C with |F2'(s)| <= C |s|^(p-1) over the samples.
-
-    The bound is uniform (supremum attained away from the largest samples)
-    exactly when p > 2; the boundary exponent p = 2 comes back flagged
-    non-uniform.
-    """
-    s = np.abs(np.asarray(s_samples, dtype=float))
-    s = s[s > 0.0]
-    _, _, _, dF2 = f_split(s, delta)
-    ratio = np.abs(dF2) / s ** (p - 1.0)
-    c = float(ratio.max(initial=0.0))
-    edge = s >= s.max() / 10.0
-    c_inner = float(ratio[~edge].max(initial=0.0))
-    uniform = c <= c_inner * (1.0 + 1e-9) or not edge.any()
-    return GrowthFit(c=c, uniform=uniform)

@@ -51,10 +51,6 @@ class NonPositiveEpsilon(LogNLSError):
 
 # --- energy / functional evaluation ---
 
-class InvalidDelta(LogNLSError):
-    pass
-
-
 class ZeroField(LogNLSError):
     pass
 

@@ -273,6 +273,33 @@ def test_verify_subcommand_passes():
     assert main(["verify"]) == 0
 
 
+def test_sweep_onset_resets_after_a_raised_solve(tmp_path, capsys):
+    # eps = 0.05 needs R >= 2/0.05 + 5 = 45 > 30: its solve raises, so no
+    # eps of the list has every later eps converged
+    config = Path(__file__).resolve().parents[1] / "configs" / "double_well.json"
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path),
+                 "--eps", "0.1", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "eps=0.1: all converged" in captured.out
+    assert "eps=0.05: solve failed" in captured.err
+    assert "localization onset" not in captured.out
+
+
+def test_verify_failed_check_exits_1_and_is_named(monkeypatch, capsys):
+    import lognls.verify as verify_mod
+
+    real = verify_mod.nehari_scale
+    monkeypatch.setattr(verify_mod, "nehari_scale",
+                        lambda u, params, g: real(u, params, g) ** 2)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "verify: 10/11 checks passed" in captured.out
+    failed = captured.err.split("failed checks:", 1)[1]
+    assert [name.strip() for name in failed.split(",")] == [
+        "identity:nehari_idempotence [0/100]"]
+
+
 def test_verify_verbose_prints_margins(capsys):
     assert main(["verify", "--verbose"]) == 0
     captured = capsys.readouterr().out

@@ -6,25 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from lognls.energy import (
     _u_log_u2,
-    DELTA_DEFAULT,
-    DELTA_MAX,
     EnergyParams,
     energy,
     evaluate,
-    f2_growth_check,
-    f_split,
     gradient,
     log_sobolev_gap,
     nehari_residual,
     nehari_scale,
 )
-from lognls.errors import InvalidDelta, ZeroField
+from lognls.errors import ZeroField
 from lognls.grid import build_grid
 from lognls.solver import gausson
 from lognls.verify import smooth_random_field
-
-DELTA = DELTA_DEFAULT
-
 
 @pytest.fixture(scope="module")
 def fine_grid():
@@ -34,82 +27,6 @@ def fine_grid():
 @pytest.fixture(scope="module")
 def const_params():
     return EnergyParams(eps=1.0, potential=1.0)
-
-
-# --- splitting pair -------------------------------------------------------
-
-def test_f_split_vanishes_at_zero():
-    F1, F2, d1, d2 = f_split(0.0, DELTA)
-    assert (F1, F2, d1, d2) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_splitting_identity_at_two():
-    F1, F2, _, _ = f_split(2.0, DELTA)
-    assert F2 - F1 == pytest.approx(2.0 * math.log(4.0), rel=1e-13)
-
-
-def test_splitting_identity_many_samples():
-    rng = np.random.default_rng(0)
-    s = rng.uniform(-1e3, 1e3, size=1_000_000)
-    F1, F2, _, _ = f_split(s, DELTA)
-    target = s * s * np.log(np.abs(s))
-    err = np.abs(F2 - F1 - target)
-    assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(target)))
-
-
-def test_seam_values_and_derivatives_match():
-    inner = f_split(np.nextafter(DELTA, 0.0), DELTA)
-    outer = f_split(DELTA, DELTA)
-    for a, b in zip(inner, outer):
-        assert abs(a - b) <= 1e-13
-
-
-def test_df1_at_delta_analytic():
-    _, _, d1, _ = f_split(DELTA, DELTA)
-    expected = -DELTA * math.log(DELTA**2) - DELTA
-    assert d1 == pytest.approx(expected, rel=1e-14)
-
-
-def test_f1_sign_properties_and_evenness():
-    rng = np.random.default_rng(1)
-    s = rng.uniform(-1e3, 1e3, size=100_000)
-    F1, _, d1, _ = f_split(s, DELTA)
-    assert np.all(F1 >= 0.0)
-    assert np.all(d1 * s >= 0.0)
-    F1n, _, d1n, _ = f_split(-s, DELTA)
-    assert np.array_equal(F1, F1n)
-    assert np.array_equal(d1, -d1n)
-
-
-def test_f1_convex_at_cap_delta():
-    s = np.linspace(-1.0, 1.0, 4001)
-    F1, _, _, _ = f_split(s, DELTA_MAX)
-    second = F1[2:] - 2.0 * F1[1:-1] + F1[:-2]
-    assert np.all(second >= -1e-9)
-
-
-def test_invalid_delta_rejected():
-    with pytest.raises(InvalidDelta):
-        f_split(1.0, 0.5)
-    with pytest.raises(InvalidDelta):
-        f_split(1.0, 0.0)
-
-
-def test_f2_growth_p3_uniform():
-    fit = f2_growth_check(DELTA, 3.0, np.geomspace(DELTA / 10.0, 1e3, 2001))
-    assert math.isfinite(fit.c) and fit.c > 0.0
-    assert fit.uniform
-
-
-def test_f2_vanishes_inside_delta(const_params):
-    s = np.linspace(-DELTA * 0.99, DELTA * 0.99, 101)
-    _, F2, _, d2 = f_split(s, DELTA)
-    assert np.all(F2 == 0.0) and np.all(d2 == 0.0)
-
-
-def test_f2_growth_p2_non_uniform():
-    fit = f2_growth_check(DELTA, 2.0, np.geomspace(DELTA / 10.0, 1e3, 2001))
-    assert not fit.uniform
 
 
 # --- energy and gradient --------------------------------------------------

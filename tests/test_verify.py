@@ -1,12 +1,11 @@
 import copy
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lognls.energy import DELTA_DEFAULT, EnergyParams
+from lognls.energy import EnergyParams
 from lognls.errors import ZeroField
 from lognls.grid import build_grid, conforming_radius, integrate, laplacian_apply
 from lognls.solver import gausson
@@ -140,7 +139,7 @@ def test_positivity_check_rejects_zero_hole_near_peak():
 
 def test_identity_suite_all_pass():
     g = build_grid(1, 10.0, 0.05)
-    ids = identity_suite(math.exp(-2.0), 3.0, g, seed=0, samples=200_000, fields=25)
+    ids = identity_suite(g, seed=0, fields=25)
     for name, entry in ids.items():
         assert entry["pass"] == entry["total"], name
 
@@ -151,25 +150,25 @@ def test_identity_suite_passes_on_shipped_grids(dim, target, h):
     # configs/double_well.json; h = 0.1 in 2d, perfbench/configs/dw2d.json);
     # `audit` checks results only, so these checks of the code live here
     g = build_grid(dim, conforming_radius(target, h), h)
-    ids = identity_suite(DELTA_DEFAULT, 3.0, g, seed=0, fields=20)
+    ids = identity_suite(g, seed=0, fields=20)
     for name, entry in ids.items():
         assert entry["pass"] == entry["total"], name
 
 
-def test_identity_suite_catches_corrupted_f2_branch(monkeypatch):
+def test_identity_suite_catches_corrupted_nehari_scale(monkeypatch):
     import lognls.verify as verify_mod
 
-    real = verify_mod.f_split
+    real = verify_mod.nehari_scale
 
-    def corrupted(s, delta):
-        F1, F2, d1, d2 = real(s, delta)
-        return F1, F2 * 1.001, d1, d2  # wrong constant in the outer branch
+    def corrupted(u, params, g):
+        # the exponent (K - E)/M without its 1/2; a constant factor on s*
+        # would cancel in the idempotence check, as s*(c u) = s*(u)/c
+        return real(u, params, g) ** 2
 
-    monkeypatch.setattr(verify_mod, "f_split", corrupted)
-    g = build_grid(1, 10.0, 0.1)
-    ids = verify_mod.identity_suite(math.exp(-2.0), 3.0, g,
-                                    samples=50_000, fields=3)
-    assert ids["splitting_identity"]["pass"] < ids["splitting_identity"]["total"]
+    monkeypatch.setattr(verify_mod, "nehari_scale", corrupted)
+    ids = verify_mod.identity_suite(build_grid(1, 10.0, 0.1), fields=3)
+    assert ids["nehari_idempotence"]["pass"] < ids["nehari_idempotence"]["total"]
+    assert ids["scaling_identity"]["pass"] == ids["scaling_identity"]["total"]
 
 
 def test_audit_passes_on_double_well(double_well_run):
