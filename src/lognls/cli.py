@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .energy import EnergyParams, energy, gradient, nehari_scale
+from .energy import EnergyParams, energy, gradient, nehari_residual, nehari_scale
 from .errors import ConfigError, LogNLSError
 from .grid import build_grid, conforming_radius, save_field
 from .potential import PotentialSpec, WellGeometry, make_multiwell, validate
@@ -283,11 +283,12 @@ def cmd_solve(args) -> int:
     (out / "report.json").write_text(report.to_json())
     if outcome.results or outcome.failures:
         _write_levels(out / "levels.csv", outcome, cfg.potential)
-    if cfg.dump_fields:
+    if cfg.dump_fields or cfg.dump_history:
         fields = out / "fields"
         fields.mkdir(exist_ok=True)
         for r in outcome.results:
-            save_field(fields / f"u_well{r.well_index + 1}.csv", r.grid, r.u, cfg.eps)
+            if cfg.dump_fields:
+                save_field(fields / f"u_well{r.well_index + 1}.npz", r.grid, r.u, cfg.eps)
             if cfg.dump_history:
                 _write_history(fields / f"history_well{r.well_index + 1}.csv", r)
 
@@ -333,6 +334,9 @@ def cmd_verify(args) -> int:
     sstar = nehari_scale(ug, params, gf)
     _check("gausson: nehari scale within 1e-3 of 1", abs(sstar - 1.0) <= 1e-3,
            f"s*={sstar!r}", verbose, lines)
+    nres = nehari_residual(sstar * ug, params, gf).value
+    _check("gausson: Nehari residual of s*u <= 1e-10", nres <= 1e-10,
+           f"res={nres:.3e}", verbose, lines)
     lvl = energy(ug, params, gf).total
     target = 0.5 * math.e**2 * math.sqrt(math.pi)
     _check("gausson: level within 0.5% of e^2 sqrt(pi)/2",

@@ -15,6 +15,7 @@ Euler-Lagrange equation.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,22 +219,15 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
     return out.ravel()
 
 
-_SAVE_BLOCK = 4096   # values formatted per write in save_field
-
-
 def save_field(path, g: Grid, u: np.ndarray, eps: float) -> None:
-    """Write a field: a header line ``dim,R,h,eps``, its values, then one
-    value per node in the grid's order. Lines end in CRLF; each value is its
-    repr, which reads back exactly.
-
-    The values are formatted a block at a time, so the text of a large field
-    never sits in memory whole."""
-    values = g.check_field(u)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"dim,R,h,eps\r\n{g.dim},{g.R!r},{g.h!r},{float(eps)!r}\r\n")
-        for start in range(0, values.size, _SAVE_BLOCK):
-            block = values[start:start + _SAVE_BLOCK].tolist()
-            fh.write("".join(map("{!r}\r\n".format, block)))
+    """Write a field as an uncompressed .npz: float64 ``u`` shaped g.shape and
+    0-d ``R``, ``h``, ``eps``. Bare ZipInfos carry the fixed 1980-01-01 date,
+    so the bytes depend only on the values; np.savez stamps the wall clock."""
+    u = g.check_field(u).reshape(g.shape)
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, value in (("u", u), ("R", g.R), ("h", g.h), ("eps", eps)):
+            with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(value, dtype=np.float64))
 
 
 def load_field(path) -> tuple[Grid, float, np.ndarray]:
@@ -241,22 +235,23 @@ def load_field(path) -> tuple[Grid, float, np.ndarray]:
 
     The grid is that of the rescaled problem. The original-variable solution
     v(x) = u(x/eps) has the same values on the lattice eps times the grid's,
-    ``build_grid(g.dim, eps * g.R, eps * g.h)``. A malformed file, or one
-    whose value count differs from the grid's node count, raises GridMismatch.
-    """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != ["dim", "R", "h", "eps"]:
-            raise GridMismatch(f"unexpected field header {header}")
+    ``build_grid(g.dim, eps * g.R, eps * g.h)``. Any other file, an earlier
+    version's CSV dump included, raises GridMismatch."""
+    with open(path, "rb") as fh:  # np.load leaks a file it opens on a corrupt zip
         try:
-            dim_s, R_s, h_s, eps_s = fh.readline().split(",")
-            dim, R, h, eps = int(dim_s), float(R_s), float(h_s), float(eps_s)
-            values = np.array(fh.read().split(), dtype=float)
-        except ValueError as exc:
-            raise GridMismatch(f"malformed field file {path}: {exc}") from exc
-    g = build_grid(dim, R, h)
-    if values.size != g.num_nodes:
-        raise GridMismatch(
-            f"field file has {values.size} values, grid has {g.num_nodes} nodes"
-        )
-    return g, eps, values
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise GridMismatch(f"{path} holds a bare array, not a field file")
+            with data:
+                values = {key: data[key] for key in data.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise GridMismatch(f"{path} is not a field .npz file: {exc}") from exc
+    if values.keys() != {"u", "R", "h", "eps"} or not all(
+            isinstance(v, np.ndarray) and v.dtype == np.float64 and (k == "u" or v.ndim == 0)
+            for k, v in values.items()):
+        raise GridMismatch(f"{path} must hold float64 u and 0-d R, h, eps: {sorted(values)}")
+    u = values["u"]
+    g = build_grid(u.ndim, float(values["R"]), float(values["h"]))
+    if u.shape != g.shape:
+        raise GridMismatch(f"field file u has shape {u.shape}, grid has {g.shape}")
+    return g, float(values["eps"]), u.ravel()

@@ -11,6 +11,7 @@ import pytest
 import lognls
 from lognls.cli import load_config, main
 from lognls.errors import ConfigError
+from lognls.grid import load_field
 
 SINGLE_WELL = {
     "problem": {"dim": 1, "eps": 0.1, "wells": [[0.0]], "v_inf": 2.0, "width": 1.0},
@@ -114,9 +115,10 @@ def test_solve_single_well_end_to_end(tmp_path):
     assert report["status"] == 0
     assert report["wells"][0]["separation_ok"]
     assert (out / "levels.csv").exists()
-    assert (out / "fields" / "u_well1.csv").exists()
-    assert not (out / "fields" / "v_well1.csv").exists()
-    assert (out / "fields" / "u_well1.csv").read_bytes().startswith(b"dim,R,h,eps\r\n")
+    assert sorted(p.name for p in (out / "fields").iterdir()) == ["u_well1.npz"]
+    g, eps, u = load_field(out / "fields" / "u_well1.npz")
+    assert (g.dim, g.R, g.h, eps) == (1, 10.0, 0.05, 0.1)
+    assert u.shape == (g.num_nodes,) and u.max() > 0.0
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -126,8 +128,8 @@ def test_solve_deterministic_outputs(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(out2)]) == 0
     assert (out1 / "levels.csv").read_bytes() == (out2 / "levels.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "fields" / "u_well1.csv").read_bytes() == \
-        (out2 / "fields" / "u_well1.csv").read_bytes()
+    assert (out1 / "fields" / "u_well1.npz").read_bytes() == \
+        (out2 / "fields" / "u_well1.npz").read_bytes()
 
 
 def test_solve_bad_config_exits_2(tmp_path):
@@ -175,6 +177,18 @@ def test_history_dump(tmp_path):
     path = _write(tmp_path, cfg)
     out = tmp_path / "run"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "fields" / "history_well1.csv").read_text().splitlines()
+    assert rows[0] == "R,iter,J,nehari_res,grad_norm,qx,step"
+    assert len(rows) > 2
+
+
+def test_history_dump_without_field_dump(tmp_path):
+    cfg = json.loads(json.dumps(SINGLE_WELL))
+    cfg["outputs"].update(dump_fields=False, dump_history=True)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "fields").iterdir()) == ["history_well1.csv"]
     rows = (out / "fields" / "history_well1.csv").read_text().splitlines()
     assert rows[0] == "R,iter,J,nehari_res,grad_norm,qx,step"
     assert len(rows) > 2
@@ -294,10 +308,24 @@ def test_verify_failed_check_exits_1_and_is_named(monkeypatch, capsys):
                         lambda u, params, g: real(u, params, g) ** 2)
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
-    assert "verify: 10/11 checks passed" in captured.out
+    assert "verify: 11/12 checks passed" in captured.out
     failed = captured.err.split("failed checks:", 1)[1]
     assert [name.strip() for name in failed.split(",")] == [
         "identity:nehari_idempotence [0/100]"]
+
+
+def test_verify_catches_constant_factor_in_nehari_scale(monkeypatch, capsys):
+    # idempotence cancels a constant factor, since s*(c u) = s*(u) / c; the
+    # Nehari residual of the projected Gausson does not
+    real = sys.modules["lognls.energy"].nehari_scale
+    monkeypatch.setattr(sys.modules["lognls.cli"], "nehari_scale",
+                        lambda u, params, g: 1.001 * real(u, params, g))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "verify: 11/12 checks passed" in captured.out
+    failed = captured.err.split("failed checks:", 1)[1]
+    assert [name.strip() for name in failed.split(",")] == [
+        "gausson: Nehari residual of s*u <= 1e-10"]
 
 
 def test_verify_verbose_prints_margins(capsys):

@@ -1,5 +1,5 @@
-import csv
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from lognls.errors import (
     ShrinkingDomain,
     SpacingMismatch,
 )
-from lognls import grid as grid_mod
 from lognls.grid import (
     build_grid,
     integrate,
@@ -189,71 +188,88 @@ def test_laplacian_second_order_convergence():
     assert e1 / e2 >= 3.5
 
 
-def test_field_csv_round_trip(tmp_path):
+def test_field_npz_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     for dim in (1, 2):
         g = build_grid(dim, 4.0, 0.5)
         u = rng.normal(size=g.num_nodes)
         u[~g.interior_mask] = 0.0
-        path = tmp_path / f"field{dim}.csv"
+        path = tmp_path / f"field{dim}.npz"
         save_field(path, g, u, 0.1)
         g2, eps, u2 = load_field(path)
         assert g2.dim == g.dim and g2.R == g.R and g2.h == g.h
         assert eps == 0.1
         assert np.array_equal(u2, u)
+        assert np.array_equal(np.load(path)["u"], u.reshape(g.shape))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_save_field_bytes_match_csv_writer(tmp_path, dim):
+def test_save_field_is_deterministic(tmp_path, dim):
     g = build_grid(dim, 4.0, 0.5)
-    rng = np.random.default_rng(dim)
-    u = rng.normal(size=g.num_nodes) * 10.0 ** rng.integers(-20, 20, g.num_nodes)
+    u = np.random.default_rng(dim).normal(size=g.num_nodes)
     u[~g.interior_mask] = 0.0
-    interior = np.flatnonzero(g.interior_mask)
-    u[interior[:3]] = [1e-300, -2.5, -1e-310]
-    path = tmp_path / "field.csv"
-    save_field(path, g, u, 0.1)
-    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", g, u, 0.1)
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_field(first, g, u, 0.1)
+    save_field(second, g, u, 0.1)
+    assert first.read_bytes() == second.read_bytes()
+    with zipfile.ZipFile(first) as zf:
+        members = zf.infolist()
+        assert sorted(m.filename for m in members) == ["R.npy", "eps.npy", "h.npy", "u.npy"]
+        assert all(m.date_time == (1980, 1, 1, 0, 0, 0) for m in members)
+    with np.load(first) as npz:
+        assert all(npz[key].dtype == np.float64 for key in npz.files)
 
 
-def test_save_field_bytes_across_blocks(tmp_path):
-    # 8201 nodes: two full blocks of formatted values and a partial third
-    g = build_grid(1, 8.2, 0.002)
-    assert g.num_nodes > 2 * grid_mod._SAVE_BLOCK
-    u = np.random.default_rng(3).normal(size=g.num_nodes)
-    u[~g.interior_mask] = 0.0
-    path = tmp_path / "field.csv"
-    save_field(path, g, u, 0.25)
-    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", g, u, 0.25)
+def _field(**changes):
+    # a valid field on [-4, 4] at h = 0.5 (17 nodes), with keys replaced
+    # (value None drops the key); R, h and eps stand where the text format
+    # had its header
+    arrays = {"u": np.zeros(17), "R": np.float64(4.0), "h": np.float64(0.5),
+              "eps": np.float64(0.1)}
+    arrays.update(changes)
+    return {k: v for k, v in arrays.items() if v is not None}
 
 
-def _csv_writer_bytes(ref, g, u, eps) -> bytes:
-    """The field file as the csv module writes it."""
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dim", "R", "h", "eps"])
-        w.writerow([g.dim, repr(g.R), repr(g.h), repr(eps)])
-        for val in u:
-            w.writerow([repr(float(val))])
-    return ref.read_bytes()
+def _bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(17))
 
 
-@pytest.mark.parametrize("body", [
-    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n",
-    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 16,
-    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 18,
-    "dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 16 + "zero\r\n",
-    "dim,R,h,eps\r\n1,4.0,0.5\r\n" + "0.0\r\n" * 17,
-    "dim,R,h\r\n1,4.0,0.5\r\nx,value\r\n" + "-4.0,0.0\r\n" * 17,
-    "",
-], ids=["empty", "short", "long", "not_a_number", "short_header_values",
-        "old_format", "no_header"])
-def test_load_field_rejects_malformed_files(tmp_path, body):
-    # the grid [-4, 4] at h = 0.5 has 17 nodes
-    path = tmp_path / "field.csv"
-    path.write_bytes(body.encode())
+def _truncated(path):
+    save_field(path, build_grid(1, 4.0, 0.5), np.zeros(17), 0.1)
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+_OLD_CSV = ("dim,R,h,eps\r\n1,4.0,0.5,0.1\r\n" + "0.0\r\n" * 17).encode()
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: p.write_bytes(b""),
+    lambda p: np.savez(p, **_field(u=np.zeros(16))),
+    lambda p: np.savez(p, **_field(u=np.zeros(18))),
+    lambda p: np.savez(p, **_field(R=np.array("4.0"))),
+    lambda p: np.savez(p, **_field(u=np.zeros(17, dtype=np.int64))),
+    lambda p: np.savez(p, **_field(eps=None)),
+    lambda p: np.savez(p, **_field(dim=np.float64(1.0))),
+    lambda p: np.savez(p, **_field(h=np.array([0.5]))),
+    lambda p: np.savez(p, **_field(u=np.zeros((17, 1)))),
+    lambda p: p.write_bytes(_OLD_CSV),
+    _bare_npy,
+    lambda p: p.write_bytes(b"not a zip file"),
+    _truncated,
+], ids=["empty", "short", "long", "not_a_number", "int_values", "short_header_values",
+        "extra_key", "non_scalar", "wrong_dim", "old_format", "no_header", "not_a_zip",
+        "truncated"])
+def test_load_field_rejects_malformed_files(tmp_path, write):
+    path = tmp_path / "field.npz"
+    write(path)
     with pytest.raises(GridMismatch):
         load_field(path)
+
+
+def test_load_field_missing_file_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        load_field(tmp_path / "absent.npz")
 
 
 @pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05)])

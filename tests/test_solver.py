@@ -676,7 +676,7 @@ def test_solve_multiplicity_2d_smoke():
 def test_field_dump_rescales_to_original(double_well_run, tmp_path):
     out = double_well_run["outcome"]
     res = out.results[1]
-    path = tmp_path / "u_well2.csv"
+    path = tmp_path / "u_well2.npz"
     save_field(path, res.grid, res.u, out.eps)
     g, eps, u = load_field(path)
     assert eps == out.eps
