@@ -217,7 +217,7 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

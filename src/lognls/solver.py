@@ -214,6 +214,8 @@ def _max_norm(g: Grid) -> np.ndarray:
 def _boundary_ramp(g: Grid) -> np.ndarray:
     """0 on the boundary of the square, 1 from distance 2 inward; unlike a
     cutoff centred on the origin it leaves a translated profile in place.
+    Exactly 0 at every boundary node, since the grid axis ends at exactly
+    -R and R, so a profile multiplied by it needs no boundary pass.
     Strictly positive at every interior node (R - |x|_inf >= h), so it also
     carries the positive seed floor."""
     return _smootherstep(0.5 * (g.R - _max_norm(g)))
@@ -253,13 +255,12 @@ def _resolve_geometry(config: SolverConfig, spec: PotentialSpec) -> WellGeometry
 def _seed_profile(g: Grid, ramp: np.ndarray, d2: np.ndarray,
                   width: float) -> np.ndarray:
     """ramp * (A exp(-b d2/2) + floor), A = e^((N+1)/2), zero on the
-    boundary, with d2 the squared distance to the centre: the seed of width
-    b before its Nehari projection."""
+    boundary through the ramp, with d2 the squared distance to the centre:
+    the seed of width b before its Nehari projection."""
     u0 = np.exp(-0.5 * width * d2)
     u0 *= math.exp(0.5 * (g.dim + 1.0))
     u0 += _SEED_FLOOR
     u0 *= ramp
-    u0[~g.interior_mask] = 0.0
     return u0
 
 

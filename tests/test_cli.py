@@ -182,6 +182,25 @@ def test_history_dump(tmp_path):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_history_dump_cells_are_numbers(tmp_path, dim):
+    # the barycenter components are numpy floats, whose repr is not a number
+    cfg = json.loads(json.dumps(SINGLE_WELL))
+    cfg["outputs"].update(dump_fields=False, dump_history=True)
+    if dim == 2:
+        cfg["problem"].update(dim=2, eps=0.3, wells=[[0.0, 0.0]])
+        cfg["numerics"] = {"h": 0.2, "R_schedule": [8.0]}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    header, *rows = (out / "fields" / "history_well1.csv").read_text().splitlines()
+    assert header.split(",")[5:-1] == ["qx", "qy"][:dim]
+    assert rows
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_history_dump_without_field_dump(tmp_path):
     cfg = json.loads(json.dumps(SINGLE_WELL))
     cfg["outputs"].update(dump_fields=False, dump_history=True)
@@ -197,9 +216,10 @@ def test_history_dump_without_field_dump(tmp_path):
 def _run_python(*args, **env_vars):
     """Run ``python *args`` on the package imported here, so the
     subprocess tests this checkout whatever is installed or on PATH;
-    env_vars are set in the subprocess's environment."""
+    env_vars are set in the subprocess's environment, and those given as
+    None are removed from it."""
     src = str(Path(lognls.__file__).resolve().parent.parent)
-    env = dict(os.environ, **env_vars)
+    env = {k: v for k, v in dict(os.environ, **env_vars).items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args],
@@ -244,6 +264,39 @@ def test_entry_point_passes_exit_code(tmp_path):
     assert proc.returncode == 2, proc.stderr
 
 
+# the variables OpenBLAS reads its thread count from; None unsets them
+_NO_THREAD_VARS = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+# prints the thread count after the import and whether os.environ kept still
+_IMPORT_PROBE = ("import os\nbefore = dict(os.environ)\nimport {}\n"
+                 "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)")
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="needs /proc/self/task")
+
+
+@needs_proc_tasks
+def test_import_pins_openblas_to_one_thread():
+    proc = _run_python("-c", _IMPORT_PROBE.format("lognls"), **_NO_THREAD_VARS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("imports, env_vars", [
+    ("lognls", {"OPENBLAS_NUM_THREADS": "2"}),
+    ("lognls", {"OMP_NUM_THREADS": "2"}),
+    ("numpy, lognls", {}),
+])
+def test_import_leaves_blas_threads_alone(imports, env_vars):
+    # a thread count set by the user, or a numpy loaded first, wins
+    env_vars = dict(_NO_THREAD_VARS, **env_vars)
+    plain = _run_python("-c", _IMPORT_PROBE.format("numpy"), **env_vars)
+    proc = _run_python("-c", _IMPORT_PROBE.format(imports), **env_vars)
+    assert plain.returncode == 0 and proc.returncode == 0, plain.stderr + proc.stderr
+    assert proc.stdout == plain.stdout
+    assert proc.stdout.split()[1] == "True"
+
+
 def test_solve_outputs_independent_of_blas_threads(tmp_path):
     # 12,001 nodes: long enough that np.dot would run on OpenBLAS threads,
     # whose partial sums make the last digits depend on the thread count
@@ -252,13 +305,13 @@ def test_solve_outputs_independent_of_blas_threads(tmp_path):
     cfg["outputs"]["dump_fields"] = False
     path = _write(tmp_path, cfg)
     tables = []
-    for threads in ("1", "2"):
+    for threads in (None, "1", "2"):
         out = tmp_path / f"threads{threads}"
         proc = _run_module("solve", "--config", str(path), "--out", str(out),
-                           OPENBLAS_NUM_THREADS=threads)
+                           **dict(_NO_THREAD_VARS, OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         tables.append((out / "levels.csv").read_bytes())
-    assert tables[0] == tables[1]
+    assert tables[0] == tables[1] == tables[2]
 
 
 def test_sweep_smoke_and_csv(tmp_path):

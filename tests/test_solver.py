@@ -169,6 +169,18 @@ def test_ritz_seed_width_of_a_flat_well_is_one(dim, R, h):
     assert abs(b - 1.0) <= 0.05
 
 
+@pytest.mark.parametrize("dim, R, h", [(1, 30.0, 0.01), (1, 60.0, 0.01), (1, 13.3, 0.07),
+                                       (2, 12.0, 0.1), (2, 8.0, 0.1), (2, 9.1, 0.13)])
+def test_boundary_ramp_is_zero_exactly_on_the_boundary(dim, R, h):
+    # _seed_profile relies on this for its Dirichlet values
+    g = build_grid(dim, R, h)
+    ramp = _boundary_ramp(g)
+    assert np.all(ramp[~g.interior_mask] == 0.0)
+    assert np.all(ramp[g.interior_mask] > 0.0)
+    phi = _seed_profile(g, ramp, _sq_distance(g, np.zeros(dim)), 1.0)
+    assert np.all(phi[~g.interior_mask] == 0.0)
+
+
 def test_seed_well_returns_its_ritz_width(dw_spec):
     g = build_grid(1, 30.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
