@@ -27,7 +27,6 @@ from .energy import (
     EnergyBreakdown,
     EnergyParams,
     Evaluation,
-    energy,
     evaluate,
     gradient,
     log_sobolev_gap,
@@ -46,12 +45,10 @@ from .grid import (
 )
 from .potential import (
     PotentialSpec,
-    ValidationReport,
     WellGeometry,
     default_geometry,
     eval_scaled,
     make_multiwell,
-    validate,
 )
 from .solver import (
     MultiplicityOutcome,

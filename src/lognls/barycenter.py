@@ -46,9 +46,6 @@ class Region:
     def is_interior(self, well: int | None = None) -> bool:
         return self.kind == "interior" and (well is None or self.well == well)
 
-    def is_core(self, well: int | None = None) -> bool:
-        return self.core and (well is None or self.well == well)
-
 
 def chi_map(points: np.ndarray, R0: float) -> np.ndarray:
     """chi(x): identity on |x| <= R0, radial clamp R0 x/|x| beyond."""

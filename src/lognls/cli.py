@@ -25,8 +25,8 @@ import numpy as np
 from . import verify as verify_mod
 from .energy import EnergyParams, energy, gradient, nehari_residual, nehari_scale
 from .errors import ConfigError, LogNLSError
-from .grid import build_grid, conforming_radius, save_field
-from .potential import PotentialSpec, WellGeometry, make_multiwell, validate
+from .grid import build_grid, save_field
+from .potential import PotentialSpec, WellGeometry, make_multiwell
 from .solver import (
     SolverConfig,
     gausson,
@@ -258,20 +258,11 @@ def _write_history(path, result):
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    g_probe = build_grid(cfg.potential.dim, conforming_radius(
-        max(cfg.solver.R_schedule[0], 10.0), cfg.solver.h), cfg.solver.h)
-    pot_report = validate(cfg.potential, g_probe, cfg.solver.localization)
-    if not pot_report.passed and cfg.verbosity:
-        print(f"warning: potential validation flags: {pot_report}")
-
+    cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
     try:
         outcome = solve_multiplicity(cfg.eps, cfg.potential, cfg.solver)
+    except ConfigError:   # found at solve start; `main` exits 2 on it
+        raise
     except LogNLSError as exc:
         print(f"solve failed outright: {exc}", file=sys.stderr)
         return 1
@@ -281,8 +272,7 @@ def cmd_solve(args) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
-    if outcome.results or outcome.failures:
-        _write_levels(out / "levels.csv", outcome, cfg.potential)
+    _write_levels(out / "levels.csv", outcome, cfg.potential)
     if cfg.dump_fields or cfg.dump_history:
         fields = out / "fields"
         fields.mkdir(exist_ok=True)
@@ -342,7 +332,7 @@ def cmd_verify(args) -> int:
     _check("gausson: level within 0.5% of e^2 sqrt(pi)/2",
            abs(lvl - target) <= 5e-3 * target, f"level={lvl!r}", verbose, lines)
 
-    wr = verify_mod.weak_residual(ug, 1.0, params, gf, probes=50, seed=args.seed)
+    wr = verify_mod.weak_residual(ug, params, gf, probes=50, seed=args.seed)
     _check("gausson: weak residual <= 1e-3", wr <= 1e-3, f"res={wr:.3e}", verbose, lines)
 
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
@@ -382,19 +372,16 @@ def cmd_sweep(args) -> int:
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         print("sweep: eps list must be strictly decreasing", file=sys.stderr)
         return 2
-    try:
-        cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = 0
     onset = None
     for eps in eps_list:
         try:
             outcome = solve_multiplicity(eps, cfg.potential, cfg.solver)
+        except ConfigError:
+            raise
         except LogNLSError as exc:
             print(f"eps={eps}: solve failed: {exc}", file=sys.stderr)
             worst = max(worst, 1)
@@ -416,6 +403,7 @@ def cmd_sweep(args) -> int:
         if cfg.verbosity:
             print(f"eps={eps}: {'all converged' if all_ok else 'failures present'}")
 
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with open(cfg.out_dir / "sweep.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "well", "level", "dist_to_well", "status", "iterations"])

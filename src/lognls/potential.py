@@ -11,7 +11,7 @@ which attains min V = 1 exactly at the well centers z_i, satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,8 @@ from .grid import Grid
 __all__ = [
     "PotentialSpec",
     "WellGeometry",
-    "ValidationReport",
     "make_multiwell",
     "default_geometry",
-    "validate",
     "eval_scaled",
 ]
 
@@ -100,35 +98,6 @@ class WellGeometry:
         return problems
 
 
-@dataclass
-class ValidationReport:
-    """Numerical audit of the potential hypotheses on a grid."""
-
-    min_value: float
-    min_ok: bool
-    wells_in_domain: bool
-    wells_resolved: bool
-    upper_ok: bool
-    tail_gap: float
-    tail_ok: bool
-    geometry_problems: list[str] = field(default_factory=list)
-
-    @property
-    def geometry_ok(self) -> bool:
-        return not self.geometry_problems
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.min_ok
-            and self.wells_in_domain
-            and self.wells_resolved
-            and self.upper_ok
-            and self.tail_ok
-            and self.geometry_ok
-        )
-
-
 def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
     """Construct the inverted-Gaussian potential with the given wells.
 
@@ -159,49 +128,6 @@ def default_geometry(spec: PotentialSpec) -> WellGeometry:
     rho0 = 1.0 if spec.l == 1 else 0.25 * _closest_pair(W)[0]
     R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))
     return WellGeometry(rho0=rho0, R0=R0)
-
-
-def validate(
-    spec: PotentialSpec, g: Grid, geometry: WellGeometry | None = None
-) -> ValidationReport:
-    """Audit (V1)/(V2) on the grid: unit minimum at resolved wells, strict
-    upper bound, and near-limit behaviour at the domain boundary."""
-    if geometry is None:
-        geometry = default_geometry(spec)
-    vals = spec(g.nodes)
-
-    min_value = float(vals.min())
-    min_ok = min_value >= 1.0 - 1e-12
-
-    wells_in_domain = bool(np.all(np.abs(spec.wells) <= g.R + 1e-12))
-    # each well center must have a node within h and V there ~ 1
-    wells_resolved = True
-    for z in spec.wells:
-        d = np.linalg.norm(g.nodes - z[None, :], axis=1)
-        near = d <= g.h * np.sqrt(g.dim) + 1e-12
-        if not near.any() or vals[near].min() > 1.0 + (spec.v_inf - 1.0) * g.dim * (
-            g.h**2
-        ) / spec.width + 1e-12:
-            wells_resolved = False
-
-    # strict V < v_inf holds in exact arithmetic; in floats the Gaussian
-    # deficit underflows far from the wells, saturating V at v_inf exactly
-    upper_ok = bool(np.all(vals <= spec.v_inf))
-
-    boundary = ~g.interior_mask
-    tail_gap = float(np.abs(vals[boundary] - spec.v_inf).max())
-    tail_ok = tail_gap < 0.01 * (spec.v_inf - 1.0)
-
-    return ValidationReport(
-        min_value=min_value,
-        min_ok=min_ok,
-        wells_in_domain=wells_in_domain,
-        wells_resolved=wells_resolved,
-        upper_ok=upper_ok,
-        tail_gap=tail_gap,
-        tail_ok=tail_ok,
-        geometry_problems=geometry.check(spec.wells),
-    )
 
 
 def eval_scaled(spec: PotentialSpec, eps: float, g: Grid) -> np.ndarray:

@@ -303,24 +303,17 @@ def _ritz_seed(params: EnergyParams, g: Grid,
     return _seed_profile(g, ramp, d2, width), width
 
 
-def seed_well(
-    i: int,
-    eps: float,
-    params: EnergyParams,
-    config: SolverConfig,
-    g: Grid,
-) -> tuple[np.ndarray, float]:
+def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]:
     """Translated Gausson at z_i/eps, ramped to zero at the domain boundary,
     floored to stay strictly positive, and Nehari-projected, with the width
     b of least Nehari level (`_ritz_seed`); returns the seed and b. The
     centre, ramp and floor do not depend on where the well sits, and
-    neither does b."""
+    neither does b. Its barycenter is checked where it is minimized
+    (`minimize_localized`)."""
     spec = params.potential
     if not isinstance(spec, PotentialSpec):
         raise ConfigError("seed_well needs a multi-well PotentialSpec")
-    geometry = _resolve_geometry(config, spec)
-    z = spec.wells[i]
-    center = z / eps
+    center = spec.wells[i] / params.eps
     margin = g.R - float(np.linalg.norm(center))
     if margin < 5.0:
         raise DomainTooSmall(
@@ -328,15 +321,7 @@ def seed_well(
             f"inside R = {g.R}"
         )
     u0, width = _ritz_seed(params, g, center)
-    u = nehari_scale(u0, params, g) * u0
-    q = q_eps(u, eps, BarycenterParams(R0=geometry.R0), g)
-    reg = region_of(q, geometry, spec.wells)
-    if not reg.is_interior(i):
-        raise SeedOutsideRegion(
-            f"seed barycenter {q} is {reg.kind}, not within rho0 = "
-            f"{geometry.rho0} of well {i + 1} at z = {z}"
-        )
-    return u, width
+    return nehari_scale(u0, params, g) * u0, width
 
 
 @lru_cache(maxsize=64)
@@ -546,7 +531,7 @@ def minimize_localized(
         if not reg.is_interior(i):
             raise SeedOutsideRegion(
                 f"minimizer seed has barycenter {q} ({reg.kind}), not within "
-                f"rho0 = {geometry.rho0} of well {i + 1}"
+                f"rho0 = {geometry.rho0} of well {i + 1} at z = {spec.wells[i]}"
             )
     else:
         q = None
@@ -664,7 +649,6 @@ def minimize_localized(
 def continue_in_R(
     result: SolveResult,
     i: int | None,
-    eps: float,
     params: EnergyParams,
     config: SolverConfig,
 ) -> SolveResult:
@@ -684,7 +668,7 @@ def continue_in_R(
         g_new = build_grid(res.grid.dim, R_next, config.h)
         u_ext = zero_extend(res.u, res.grid, g_new)
         u_ext += _SEED_FLOOR * _boundary_ramp(g_new)
-        new_res = minimize_localized(u_ext, i, eps, params, config, g_new)
+        new_res = minimize_localized(u_ext, i, params.eps, params, config, g_new)
         gap = abs(new_res.level - res.level)
         q_gap = 0.0
         if res.barycenter is not None and new_res.barycenter is not None:
@@ -788,14 +772,13 @@ def solve_multiplicity(
     failures: list[WellFailure] = []
     for i in range(potential.l):
         try:
-            seed, width = seed_well(i, eps, params, config, g0)
+            seed, width = seed_well(i, params, g0)
             res = minimize_localized(seed, i, eps, params, config, g0)
             if res.status == SolveStatus.CONVERGED:
-                res = continue_in_R(res, i, eps, params, config)
+                res = continue_in_R(res, i, params, config)
             res.seed_width = width
             res.weak_res = weak_residual(
-                res.u, eps, params, res.grid,
-                probes=config.probes, seed=config.probe_seed,
+                res.u, params, res.grid, probes=config.probes, seed=config.probe_seed,
             )
             results.append(res)
         except LogNLSError as exc:

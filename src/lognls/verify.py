@@ -107,7 +107,6 @@ def _factored_probe(
 
 def weak_residual(
     u: np.ndarray,
-    eps: float,
     params: EnergyParams,
     g: Grid,
     probes: int = 50,
@@ -124,8 +123,6 @@ def weak_residual(
     support inside the domain; it is paired and normalized through its 1d
     factors (`_factored_probe`).
     """
-    if eps != params.eps:
-        raise ValueError(f"eps mismatch: got {eps}, params carry {params.eps}")
     eb = energy(u, params, g)
     if eb.mass <= 0.0:
         raise ZeroField("weak residual undefined for the zero field")

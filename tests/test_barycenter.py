@@ -108,7 +108,7 @@ def test_region_classification():
     wells = np.array([[0.0], [2.0]])
     geom = WellGeometry(rho0=0.5, R0=4.0)
     at_center = region_of(np.array([2.0]), geom, wells)
-    assert at_center.is_interior(1) and at_center.is_core(1)
+    assert at_center.is_interior(1) and at_center.core and at_center.well == 1
     on_edge = region_of(np.array([0.5]), geom, wells)
     assert on_edge.kind == "boundary" and on_edge.well == 0
     nowhere = region_of(np.array([1.0]), geom, wells)

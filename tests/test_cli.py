@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -259,6 +260,16 @@ def test_console_script_maps_to_cli_main():
     assert getattr(importlib.import_module(module), attr) is main
 
 
+def test_package_attributes_are_its_submodules():
+    # a name re-exported by the package must not hide the submodule of that
+    # name: `import lognls.energy as m` binds the package attribute
+    for info in pkgutil.iter_modules(lognls.__path__):
+        if info.name == "__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lognls.{info.name}")
+        assert getattr(lognls, info.name) is module, info.name
+
+
 def test_entry_point_passes_exit_code(tmp_path):
     proc = _run_module("solve", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 2, proc.stderr
@@ -324,6 +335,27 @@ def test_sweep_smoke_and_csv(tmp_path):
     assert rows[0] == "eps,well,level,dist_to_well,status,iterations"
     assert len(rows) == 3
     assert all(int(row.rsplit(",", 1)[1]) > 0 for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("solver", [{"gamma": 100.0}, {"rho0": 1.5, "R0": 8.0}],
+                         ids=["gamma-too-large", "overlapping-balls"])
+def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, solver):
+    # gamma outside (0, (c_inf - c0)/2) and balls B_rho0 that overlap are
+    # found only when the solve starts; they are config errors all the same
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
+    bad = json.loads(shipped.read_text())
+    bad["solver"].update(solver)
+    path = _write(tmp_path, bad)
+    out = tmp_path / "run"
+    args = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        args += ["--eps", "0.4", "0.2"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "solve failed" not in err
+    assert not (out / "report.json").exists()
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):

@@ -11,11 +11,9 @@ from lognls.errors import (
 )
 from lognls.grid import build_grid
 from lognls.potential import (
-    WellGeometry,
     default_geometry,
     eval_scaled,
     make_multiwell,
-    validate,
 )
 
 
@@ -80,31 +78,6 @@ def test_monotone_tails():
     ray = np.linspace(start, start + 20.0, 500)[:, None]
     vals = spec(ray)
     assert np.all(np.diff(vals) >= 0.0)
-
-
-def test_validate_single_well_passes():
-    spec = make_multiwell([[0.0]], 2.0, 1.0)
-    g = build_grid(1, 10.0, 0.01)
-    rep = validate(spec, g)
-    assert rep.passed
-    assert rep.min_value >= 1.0 - 1e-12
-
-
-def test_validate_flags_overlapping_geometry():
-    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
-    g = build_grid(1, 10.0, 0.01)
-    bad = WellGeometry(rho0=2.0, R0=8.0)
-    rep = validate(spec, g, geometry=bad)
-    assert not rep.geometry_ok
-    assert not rep.passed
-
-
-def test_validate_flags_well_outside_domain():
-    spec = make_multiwell([[0.0], [15.0]], 2.0, 0.25)
-    g = build_grid(1, 10.0, 0.01)
-    rep = validate(spec, g)
-    assert not rep.wells_in_domain
-    assert not rep.passed
 
 
 def test_default_geometry_satisfies_invariants():

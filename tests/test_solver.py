@@ -123,9 +123,8 @@ def dw_spec():
 
 def test_seed_center_well(dw_spec):
     g = build_grid(1, 30.0, 0.05)
-    cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed, _ = seed_well(0, 0.1, params, cfg, g)
+    seed, _ = seed_well(0, params, g)
     geom = default_geometry(dw_spec)
     q = q_eps(seed, 0.1, BarycenterParams(R0=geom.R0), g)
     assert np.abs(q).max() <= 1e-6
@@ -135,9 +134,8 @@ def test_seed_center_well(dw_spec):
 
 def test_seed_translated_well(dw_spec):
     g = build_grid(1, 40.0, 0.05)
-    cfg = SolverConfig(h=0.05, R_schedule=(40.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed, _ = seed_well(1, 0.1, params, cfg, g)
+    seed, _ = seed_well(1, params, g)
     peak = g.nodes[np.argmax(seed), 0]
     assert abs(peak - 20.0) <= g.h
     geom = default_geometry(dw_spec)
@@ -147,18 +145,22 @@ def test_seed_translated_well(dw_spec):
 
 def test_seed_needs_margin(dw_spec):
     g = build_grid(1, 10.0, 0.05)
-    cfg = SolverConfig(h=0.05, R_schedule=(10.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
     with pytest.raises(DomainTooSmall):
-        seed_well(1, 0.1, params, cfg, g)  # center 20 is off-grid
+        seed_well(1, params, g)  # center 20 is off-grid
 
 
 def test_seed_out_of_regime_barycenter(dw_spec):
     g = build_grid(1, 30.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
     params = EnergyParams(eps=5.0, potential=dw_spec)
-    with pytest.raises(SeedOutsideRegion):
-        seed_well(1, 5.0, params, cfg, g)
+    seed, _ = seed_well(1, params, g)
+    # the seed's barycenter is checked at the entry of the descent
+    with pytest.raises(SeedOutsideRegion, match="of well 2 at z = "):
+        minimize_localized(seed, 1, 5.0, params, cfg, g)
+    # and a solve records it as that well's failure
+    outcome = solve_multiplicity(5.0, dw_spec, cfg)
+    assert [(f.well_index, f.error) for f in outcome.failures] == [(1, "SeedOutsideRegion")]
 
 
 @pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
@@ -183,9 +185,8 @@ def test_boundary_ramp_is_zero_exactly_on_the_boundary(dim, R, h):
 
 def test_seed_well_returns_its_ritz_width(dw_spec):
     g = build_grid(1, 30.0, 0.05)
-    cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed, b = seed_well(0, 0.1, params, cfg, g)
+    seed, b = seed_well(0, params, g)
     assert 1.0 < b < 4.0   # the well's curvature narrows the Gausson
     # no nearby width seeds a lower Nehari level
     ramp, d2 = _boundary_ramp(g), _sq_distance(g, dw_spec.wells[0] / 0.1)
@@ -203,7 +204,7 @@ def test_translated_well_same_level_and_iterations(z):
     g = build_grid(1, 30.0, 0.02)
     cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=spec)
-    runs = [minimize_localized(seed_well(i, 0.1, params, cfg, g)[0], i, 0.1,
+    runs = [minimize_localized(seed_well(i, params, g)[0], i, 0.1,
                                params, cfg, g) for i in (0, 1)]
     assert all(r.status == SolveStatus.CONVERGED for r in runs)
     assert abs(runs[1].level - runs[0].level) <= 1e-10 * abs(runs[0].level)
@@ -345,7 +346,7 @@ def test_minimize_confined_iterates(dw_spec):
     g = build_grid(1, 30.0, 0.02)
     cfg = SolverConfig(h=0.02, R_schedule=(30.0,))
     params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed, _ = seed_well(1, 0.1, params, cfg, g)
+    seed, _ = seed_well(1, params, g)
     res = minimize_localized(seed, 1, 0.1, params, cfg, g)
     assert res.status == SolveStatus.CONVERGED
     geom = default_geometry(dw_spec)
@@ -518,7 +519,7 @@ def test_continuation_constant_potential_level_stable():
     params = EnergyParams(eps=1.0, potential=1.0)
     g = build_grid(1, 10.0, 0.05)
     res = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
-    res = continue_in_R(res, None, 1.0, params, cfg)
+    res = continue_in_R(res, None, params, cfg)
     assert res.R_final == 20.0
     (r1, l1), (r2, l2) = res.level_history_R
     assert abs(l2 - l1) <= 1e-8
@@ -543,7 +544,7 @@ def test_stabilization_gap_bounded_by_level_tolerance(monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "minimize_localized", shifted)
-    res = continue_in_R(first, None, 1.0, params, cfg)
+    res = continue_in_R(first, None, params, cfg)
     assert res.status == SolveStatus.CONVERGED
     assert bound < res.continuation_gap < cfg.grad_tol
     assert not res.r_stabilized
@@ -554,7 +555,7 @@ def test_continuation_keeps_every_stage_history():
     params = EnergyParams(eps=1.0, potential=1.0)
     g = build_grid(1, 10.0, 0.05)
     first = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
-    res = continue_in_R(first, None, 1.0, params, cfg)
+    res = continue_in_R(first, None, params, cfg)
     stages = len(res.level_history_R)
     assert stages == 2
     assert len(res.history) == res.iterations + stages

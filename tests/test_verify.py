@@ -32,7 +32,7 @@ def const_params():
 
 def test_weak_residual_of_exact_gausson(fine_grid, const_params):
     u = gausson(fine_grid, 1.0)
-    res = weak_residual(u, 1.0, const_params, fine_grid)
+    res = weak_residual(u, const_params, fine_grid)
     assert res <= 1e-3
 
 
@@ -40,24 +40,24 @@ def test_weak_residual_orders_random_vs_converged(fine_grid, const_params,
                                                   gausson_run):
     rng = np.random.default_rng(12)
     u = smooth_random_field(fine_grid, rng, positive=True)
-    res_random = weak_residual(u, 1.0, const_params, fine_grid)
+    res_random = weak_residual(u, const_params, fine_grid)
     res_converged = gausson_run["weak_res"]
     assert res_random >= 10.0 * res_converged
     assert res_random >= 10.0 * weak_residual(
-        gausson(fine_grid, 1.0), 1.0, const_params, fine_grid)
+        gausson(fine_grid, 1.0), const_params, fine_grid)
 
 
 def test_weak_residual_second_order_in_h(const_params):
     coarse = build_grid(1, 10.0, 0.02)
     fine = build_grid(1, 10.0, 0.01)
-    r_coarse = weak_residual(gausson(coarse, 1.0), 1.0, const_params, coarse)
-    r_fine = weak_residual(gausson(fine, 1.0), 1.0, const_params, fine)
+    r_coarse = weak_residual(gausson(coarse, 1.0), const_params, coarse)
+    r_fine = weak_residual(gausson(fine, 1.0), const_params, fine)
     assert r_coarse / r_fine >= 3.5
 
 
 def test_weak_residual_zero_field(fine_grid, const_params):
     with pytest.raises(ZeroField):
-        weak_residual(np.zeros(fine_grid.num_nodes), 1.0, const_params, fine_grid)
+        weak_residual(np.zeros(fine_grid.num_nodes), const_params, fine_grid)
 
 
 # one grid per dimension for the probe tests
