@@ -6,9 +6,10 @@ width of least Nehari level, project onto the Nehari set, then run
 monotone projected descent that rejects any step whose barycenter leaves
 the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
 Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
-S where the Hessian's multiplication part exceeds c. Converged solutions
-are continued through an increasing schedule of truncation radii until
-the level and barycenter stabilize.
+S where the Hessian's multiplication part exceeds c. Each trial is the
+fraction-to-boundary point max(u - tau d, theta u), so every iterate stays
+nonnegative. Converged solutions are continued through an increasing
+schedule of truncation radii until the level and barycenter stabilize.
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -75,6 +76,14 @@ _LBFGS_MEMORY = 5
 # 16: 37 / 30 / 129, 24: 34 / 31 / 162, 32: 46 / 33 / 164. 12 and 16 differ
 # by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
+# theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
+# Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
+# Well iterations on the 1d double well, the 1d sweep at eps = 0.4 and 0.2
+# and the 2d double well: 17+17 / 28+28 / 17+17 / 15+14, against 18+19 /
+# 29+29 / 17+17 / 15+15 for u - tau d rectified near convergence and 18+18 /
+# 29+29 / 17+17 / 15+14 for theta = 0.5; theta = 0, a projection, ends every
+# well but those at eps = 0.2 `line_search_failed`
+_BOUNDARY_FRACTION = 0.1
 # keeps the seed and the zero-extended continuation start strictly positive
 _SEED_FLOOR = 1e-200
 # the Gausson widths b searched by `_ritz_seed`, and its evaluations: the
@@ -101,14 +110,16 @@ class HistoryRow(NamedTuple):
 
 
 class StageRecord(NamedTuple):
-    """Counts of one `minimize_localized` call (one R stage of one well).
+    """One R stage of one well (one `minimize_localized` call).
 
-    trials counts the evaluated trial steps, backtracks the rejected ones
-    (each shrinks the step by `backtrack`), region_blocked the rejected ones
-    that kept J from rising but moved the barycenter out of its ball.
+    level is its reported level, trials counts the evaluated trial steps,
+    backtracks the rejected ones (each shrinks the step by `backtrack`),
+    region_blocked the rejected ones that kept J from rising but moved the
+    barycenter out of its ball.
     """
 
     R: float
+    level: float
     iterations: int
     trials: int
     backtracks: int
@@ -169,7 +180,6 @@ class SolveResult:
     weak_res: float = math.nan  # set by solve_multiplicity on each well's result
     seed_width: float = math.nan  # likewise: the Gausson width b of its seed
     history: list[HistoryRow] = field(default_factory=list)
-    level_history_R: list[tuple[float, float]] = field(default_factory=list)
     r_stabilized: bool = True
     continuation_gap: float = 0.0
     stages: list[StageRecord] = field(default_factory=list)
@@ -473,13 +483,6 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid) -> float:
     return math.sqrt(max(0.0, integrate(g, np.multiply(r, r, out=tmp))))
 
 
-def _rectified(rec: Evaluation, params: EnergyParams, g: Grid) -> Evaluation:
-    """Record of |u|, Nehari-rescaled."""
-    rec = evaluate(np.abs(rec.u), params, g)
-    s = nehari_scale(rec, params, g)
-    return rec.scaled(s) if math.isfinite(s) else rec
-
-
 def minimize_localized(
     seed: np.ndarray,
     i: int | None,
@@ -491,24 +494,18 @@ def minimize_localized(
     """Monotone projected descent on the Nehari set, confined to the
     barycenter ball of well i (unconstrained when i is None).
 
-    Each accepted step is u <- s* (u - tau d) with the closed-form Nehari
-    rescale s*; the direction d is the L-BFGS direction in the H^1 metric
+    Each accepted step is u <- s* max(u - tau d, theta u), theta =
+    _BOUNDARY_FRACTION, with the closed-form Nehari rescale s* > 0; the
+    direction d is the L-BFGS direction in the H^1 metric
     (`_LBFGS`), which starts as the Euler-Lagrange residual smoothed by
     (-L + c)^{-1}, c = _H1_SHIFT. tau starts at `step_init` in every
     iteration and is shrunk by `backtrack` until J does not increase and
     the barycenter stays interior.
 
-    The returned field is the nonnegative representative |u| (re-projected
-    and re-measured, `_rectified`): taking the absolute value never raises
-    J (exact for the discrete Dirichlet form) and realizes the sign
-    argument by which ground states are nonnegative. The smoothed direction
-    leaves sign dust in the far tail, and rectifying every step pumps that
-    dust into a slow plateau, so an iterate is rectified only once its
-    gradient norm is within half of `grad_tol`. The dust's residual is of
-    order u log u^2, not rounding, so the rectified field is measured
-    again: the descent converges only if it meets both `grad_tol` and
-    `nehari_tol`, and otherwise goes on from it with an empty L-BFGS
-    memory. A field that ends in another status is rectified at the end.
+    The descent starts from |seed|, and both the trial and the rescale keep
+    the sign of every node, so every iterate, the returned field included,
+    is nonnegative: the sign argument by which ground states are
+    nonnegative holds by construction.
     """
     constrained = i is not None
     if constrained:
@@ -545,15 +542,6 @@ def minimize_localized(
 
     for it in range(config.max_iters + 1):
         gnorm = _projected_grad_norm(rec.u, resid, g)
-        converging = gnorm <= 0.5 * config.grad_tol
-        if converging and bool(np.any(rec.u < 0.0)):
-            rec = _rectified(rec, params, g)
-            resid = rec.residual()
-            gnorm = _projected_grad_norm(rec.u, resid, g)
-            if constrained:
-                q, _ = classify(rec.u)
-            # the stored pairs lead to the field before rectification
-            lbfgs = _LBFGS(g)
         J = rec.level
         nres = rec.nehari_residual().value
         history.append(HistoryRow(
@@ -565,8 +553,8 @@ def minimize_localized(
             barycenter=tuple(q) if q is not None else (),
             step=tau,
         ))
-        if (converging and gnorm <= config.grad_tol
-                and nres <= config.nehari_tol):
+        # half of grad_tol, the bar a nonnegative iterate always had; grad_tol would loosen it
+        if gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol:
             status = SolveStatus.CONVERGED
             break
         if it == config.max_iters:
@@ -580,7 +568,9 @@ def minimize_localized(
         for _ in range(_MAX_HALVINGS + 1):
             trials += 1
             step = np.multiply(dirn, tau)
-            trial = evaluate(np.subtract(rec.u, step, out=step), params, g)
+            np.subtract(rec.u, step, out=step)
+            trial = evaluate(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
+                             params, g)
             try:
                 s = nehari_scale(trial, params, g)
             except ZeroField:
@@ -610,7 +600,7 @@ def minimize_localized(
                       else SolveStatus.LINE_SEARCH_FAILED)
             break
 
-        if np.abs(trial.u - rec.u).max() <= _STALL * np.abs(rec.u).max():
+        if np.abs(trial.u - rec.u).max() <= _STALL * rec.u.max():
             # the step moved no node beyond the rounding of the field: the
             # descent has stalled at the floating-point floor
             status = SolveStatus.LINE_SEARCH_FAILED
@@ -619,29 +609,21 @@ def minimize_localized(
         lbfgs.update(rec, trial, resid, new_resid)
         rec, q, resid = trial, qt, new_resid
 
-    if bool(np.any(rec.u < 0.0)):
-        rec = _rectified(rec, params, g)
-        resid = rec.residual()
-    gnorm_final = _projected_grad_norm(rec.u, resid, g)
-    if constrained:
-        q, _ = classify(rec.u)
-    nres = rec.nehari_residual().value
-    # the reported level is measured by `energy` on the returned field
+    # gnorm, nres and q are rec's, from the last iteration; the level is energy's
     level = energy(rec.u, params, g).total
     return SolveResult(
         u=rec.u,
         grid=g,
         level=level,
-        barycenter=q if constrained else None,
+        barycenter=q,
         well_index=i,
         nehari_res=nres,
-        grad_norm=gnorm_final,
+        grad_norm=gnorm,
         R_final=g.R,
         iterations=it,
         status=status,
         history=history,
-        level_history_R=[(g.R, level)],
-        stages=[StageRecord(R=g.R, iterations=it, trials=trials,
+        stages=[StageRecord(R=g.R, level=level, iterations=it, trials=trials,
                             backtracks=backtracks, region_blocked=blocked)],
     )
 
@@ -657,7 +639,6 @@ def continue_in_R(
     gap within nehari_tol * max(1, |J|), the bound by which the audit
     characterizes a level, and the barycenter shift within 1e-4."""
     res = result
-    level_hist = list(res.level_history_R)
     history = list(res.history)
     stages = list(res.stages)
     iters = res.iterations
@@ -676,14 +657,12 @@ def continue_in_R(
         iters += new_res.iterations
         history += new_res.history
         stages += new_res.stages
-        level_hist.append((R_next, new_res.level))
         res = new_res
         if res.status != SolveStatus.CONVERGED:
             break
         if gap <= config.nehari_tol * max(1.0, abs(res.level)) and q_gap <= 1e-4:
             stabilized = True
             break
-    res.level_history_R = level_hist
     res.history = history
     res.stages = stages
     res.iterations = iters

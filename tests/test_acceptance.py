@@ -143,7 +143,7 @@ def test_criterion_6_continuation_stability(double_well_run):
     gaps = []
     ok = True
     for res in out.results:
-        levels = [lvl for _, lvl in res.level_history_R]
+        levels = [st.level for st in res.stages]
         assert len(levels) >= 2
         gaps.append(abs(levels[-1] - levels[-2]))
         slack = 64.0 * np.finfo(float).eps * max(1.0, abs(levels[0]))
