@@ -6,10 +6,13 @@ width of least Nehari level, project onto the Nehari set, then run
 monotone projected descent that rejects any step whose barycenter leaves
 the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
 Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
-S where the Hessian's multiplication part exceeds c. Each trial is the
-fraction-to-boundary point max(u - tau d, theta u), so every iterate stays
-nonnegative. Converged solutions are continued through an increasing
-schedule of truncation radii until the level and barycenter stabilize.
+S where the Hessian's multiplication part exceeds c. (-L + c)^{-1} is
+applied on a box (`_precond_box`) that holds every node where the starting
+field exceeds _BOX_FLOOR times its peak, and is 0 outside it. Each trial
+is the fraction-to-boundary point max(u - tau d, theta u), so every
+iterate stays nonnegative. Converged solutions are continued through an
+increasing schedule of truncation radii until the level and barycenter
+stabilize.
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -76,6 +79,15 @@ _LBFGS_MEMORY = 5
 # 16: 37 / 30 / 129, 24: 34 / 31 / 162, 32: 46 / 33 / 164. 12 and 16 differ
 # by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
+# the box of the H^1 solve spans, on each axis, the nodes where
+# u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a Gausson's
+# centre. Well iterations on the 1d double well, the 1d sweep at eps = 0.4,
+# 0.2, 0.1 and the 2d double well stay those of the whole-grid solve, 17+17 /
+# 28+28 / 17+17 / 17+17 / 15+14, for every floor from 1e-24 to 1e-14; at
+# 1e-12 (|y| <= 7.4) both wells at eps = 0.4 end `line_search_failed`, and
+# at 1e-8 (|y| <= 6.1) every well does, the 2d double well's after 48+261
+# iterations
+_BOX_FLOOR = 1e-20
 # theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
 # Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
 # Well iterations on the 1d double well, the 1d sweep at eps = 0.4 and 0.2
@@ -115,7 +127,8 @@ class StageRecord(NamedTuple):
     level is its reported level, trials counts the evaluated trial steps,
     backtracks the rejected ones (each shrinks the step by `backtrack`),
     region_blocked the rejected ones that kept J from rising but moved the
-    barycenter out of its ball.
+    barycenter out of its ball, precond_box the interior node count per
+    axis of the box of its H^1 solve (`_precond_box`).
     """
 
     R: float
@@ -124,6 +137,7 @@ class StageRecord(NamedTuple):
     trials: int
     backtracks: int
     region_blocked: int
+    precond_box: list[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,17 +349,43 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
 
 
 @lru_cache(maxsize=64)
-def _helmholtz_eigenvalues(g: Grid, shift: float) -> np.ndarray:
-    """Eigenvalues of (-L + shift) on the interior lattice in the sine basis."""
-    ni = g.n_axis - 2
-    k = np.arange(1, ni + 1)
-    lam = (2.0 - 2.0 * np.cos(k * math.pi / (ni + 1))) / (g.h * g.h)
-    if g.dim == 1:
-        denom = lam + shift
-    else:
-        denom = lam[:, None] + lam[None, :] + shift
+def _helmholtz_eigenvalues(shape: tuple[int, ...], h: float, shift: float) -> np.ndarray:
+    """Eigenvalues of (-L + shift) in the sine basis of a box of interior
+    nodes of this shape and spacing h, Dirichlet on its edges."""
+    lam = [(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))) / (h * h)
+           for n in shape]
+    denom = sum(np.ix_(*lam)) + shift
     denom.setflags(write=False)
     return denom
+
+
+def _five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _precond_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
+    """The box of the H^1 solve around the field u, one slice of node
+    indices per axis: the interior nodes where u >= _BOX_FLOOR max u, grown
+    about its centre, inside the interior, to the least length L whose FFT
+    length 2(L+1) has no prime factor above 5; the whole interior where no
+    such L fits. A length with a large prime factor would cost more than
+    the box saves: one rfft of 3,746 = 2*1873 points takes 9 times one of
+    3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
+    ni = g.n_axis - 2
+    live = u.reshape(g.shape)[(slice(1, -1),) * g.dim] >= _BOX_FLOOR * u.max()
+    box = []
+    for axis in range(g.dim):
+        on = np.flatnonzero(live.any(axis=tuple(a for a in range(g.dim) if a != axis)))
+        lo, hi = (on[0], on[-1] + 1) if on.size else (0, ni)
+        length = hi - lo
+        while length < ni and not _five_smooth(2 * (length + 1)):
+            length += 1
+        start = min(max(lo - (length - (hi - lo)) // 2, 0), ni - length)
+        box.append(slice(int(start) + 1, int(start + length) + 1))
+    return tuple(box)
 
 
 @lru_cache(maxsize=64)
@@ -369,20 +409,23 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return rfft(z, norm="ortho")[..., 1:n + 1].imag
 
 
-def _h1_direction(g: Grid, r: np.ndarray) -> np.ndarray:
-    """Solve (-L + c) d = r on interior nodes (Dirichlet), via DST-I, with
-    c = _H1_SHIFT."""
-    denom = _helmholtz_eigenvalues(g, _H1_SHIFT)
+def _h1_direction(g: Grid, r: np.ndarray,
+                  box: tuple[slice, ...] | None = None) -> np.ndarray:
+    """Solve (-L + c) d = r, c = _H1_SHIFT, via DST-I on the nodes of box
+    (`_precond_box`; the whole interior if None), Dirichlet on its edges,
+    and d = 0 off the box."""
+    if box is None:
+        box = (slice(1, g.n_axis - 1),) * g.dim
+    rr = r.reshape(g.shape)[box]
+    denom = _helmholtz_eigenvalues(rr.shape, g.h, _H1_SHIFT)
+    out = np.zeros(g.shape)
     if g.dim == 1:
-        out = np.zeros_like(r)
-        out[1:-1] = _dst1(_dst1(r[1:-1]) / denom)
+        out[box] = _dst1(_dst1(rr) / denom)
         return out
     # the 2d transform runs along the rows, then along the rows of a
     # contiguous transposed copy, so its result comes out transposed
-    rr = r.reshape(g.n_axis, g.n_axis)[1:-1, 1:-1]
     coeff_t = _dst1(np.ascontiguousarray(_dst1(rr).T)) / denom.T
-    out = np.zeros((g.n_axis, g.n_axis))
-    out[1:-1, 1:-1] = _dst1(np.ascontiguousarray(_dst1(coeff_t).T))
+    out[box] = _dst1(np.ascontiguousarray(_dst1(coeff_t).T))
     return out.ravel()
 
 
@@ -413,7 +456,13 @@ class _LBFGS:
     """L-BFGS direction in the damped H^1 metric (Liu & Nocedal, Math.
     Program. 45, 1989), with the initial inverse Hessian
     gamma S(-L + c)^{-1}S, c = _H1_SHIFT and S = `_tail_damping` of the
-    current record.
+    current record. (-L + c) is solved on `box` (the whole interior if None)
+    with Dirichlet data on its edges, so the initial inverse Hessian maps
+    to 0 off the box; the pairs, their dot products and vector updates act
+    on the whole grid. S (-L + c)^{-1} S is the kinetic/potential sandwich
+    P_V^{1/2} P_Delta P_V^{1/2} of Antoine, Levitt & Tang (J. Comput. Phys.
+    343, 2017), and the box restricts only its kinetic part, to where the
+    field exceeds _BOX_FLOOR times its peak; beyond it S already damps.
 
     (-L + c) matches the Hessian -L + V - 2 - log u^2 of the level where
     the multiplication part is near c, in the core; in the tail that part
@@ -428,8 +477,9 @@ class _LBFGS:
     H^1 gradient S(-L + c)^{-1}S r itself.
     """
 
-    def __init__(self, g: Grid):
+    def __init__(self, g: Grid, box: tuple[slice, ...] | None = None):
         self.g = g
+        self.box = box
         self.pairs: deque = deque(maxlen=_LBFGS_MEMORY)   # (s, y, 1/(s.y))
         self.gamma = 1.0
 
@@ -445,7 +495,7 @@ class _LBFGS:
             alphas.append(a)
         damping = _tail_damping(rec, tmp)
         q *= damping
-        z = _h1_direction(self.g, q)
+        z = _h1_direction(self.g, q, self.box)
         z *= damping
         z *= self.gamma
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
@@ -498,9 +548,10 @@ def minimize_localized(
     _BOUNDARY_FRACTION, with the closed-form Nehari rescale s* > 0; the
     direction d is the L-BFGS direction in the H^1 metric
     (`_LBFGS`), which starts as the Euler-Lagrange residual smoothed by
-    (-L + c)^{-1}, c = _H1_SHIFT. tau starts at `step_init` in every
-    iteration and is shrunk by `backtrack` until J does not increase and
-    the barycenter stays interior.
+    (-L + c)^{-1}, c = _H1_SHIFT, solved on the box that `_precond_box`
+    draws once around the Nehari-scaled start. tau starts at `step_init`
+    in every iteration and is shrunk by `backtrack` until J does not
+    increase and the barycenter stays interior.
 
     The descent starts from |seed|, and both the trial and the rescale keep
     the sign of every node, so every iterate, the returned field included,
@@ -534,7 +585,8 @@ def minimize_localized(
         q = None
 
     resid = rec.residual()
-    lbfgs = _LBFGS(g)
+    box = _precond_box(rec.u, g)
+    lbfgs = _LBFGS(g, box)
     tau = config.step_init
     history: list[HistoryRow] = []
     status = SolveStatus.ITERATION_CAP
@@ -624,7 +676,8 @@ def minimize_localized(
         status=status,
         history=history,
         stages=[StageRecord(R=g.R, level=level, iterations=it, trials=trials,
-                            backtracks=backtracks, region_blocked=blocked)],
+                            backtracks=backtracks, region_blocked=blocked,
+                            precond_box=[b.stop - b.start for b in box])],
     )
 
 

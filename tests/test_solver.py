@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lognls.barycenter import BarycenterParams, q_eps, region_of
 from lognls.energy import EnergyParams, energy, log_sobolev_gap
-from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion
+from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion, SolverFailure
 from lognls.grid import build_grid, integrate, laplacian_apply, load_field, save_field
 from lognls.potential import default_geometry, make_multiwell
 import lognls.solver as solver_mod
@@ -18,6 +18,9 @@ from lognls.solver import (
     _h1_direction,
     _LBFGS,
     _boundary_ramp,
+    _five_smooth,
+    _helmholtz_eigenvalues,
+    _precond_box,
     _ritz_seed,
     _seed_profile,
     _sq_distance,
@@ -54,20 +57,113 @@ def test_dst1_matches_dense_sine_matrix(shape):
 
 @pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
 def test_h1_direction_solves_the_helmholtz_system(dim, R, h):
+    """(-L + c)d = r on the interior, and on an off-centre box inside it
+    with d = 0 on the box's edges and off it."""
     g = build_grid(dim, R, h)
     r = np.random.default_rng(dim).standard_normal(g.num_nodes)
     r[~g.interior_mask] = 0.0
-    d = _h1_direction(g, r)
-    assert np.all(d[~g.interior_mask] == 0.0)
-    res = (laplacian_apply(g, d) + solver_mod._H1_SHIFT * d - r)[g.interior_mask]
-    assert np.abs(res).max() <= 1e-10 * np.abs(r).max()
+    n = g.n_axis
+    inner = (slice(n // 7, 3 * n // 4), slice(n // 3, n - 10))[:dim]
+    on_inner = np.zeros(g.shape, dtype=bool)
+    on_inner[inner] = True
+    for box, nodes in ((None, g.interior_mask), (inner, on_inner.ravel())):
+        d = _h1_direction(g, r, box)
+        assert np.all(d[~nodes] == 0.0)
+        res = (laplacian_apply(g, d) + solver_mod._H1_SHIFT * d - r)[nodes]
+        assert np.abs(res).max() <= 1e-10 * np.abs(r).max()
+
+
+def _whole_interior_h1(g, r):
+    """The whole-interior DST-I solve of (-L + c)d = r as it stood before
+    the box, kept as the reference of the bit-for-bit test."""
+    ni = g.n_axis - 2
+    k = np.arange(1, ni + 1)
+    lam = (2.0 - 2.0 * np.cos(k * math.pi / (ni + 1))) / (g.h * g.h)
+    if g.dim == 1:
+        out = np.zeros_like(r)
+        out[1:-1] = _dst1(_dst1(r[1:-1]) / (lam + solver_mod._H1_SHIFT))
+        return out
+    denom = lam[:, None] + lam[None, :] + solver_mod._H1_SHIFT
+    rr = r.reshape(g.n_axis, g.n_axis)[1:-1, 1:-1]
+    coeff_t = _dst1(np.ascontiguousarray(_dst1(rr).T)) / denom.T
+    out = np.zeros((g.n_axis, g.n_axis))
+    out[1:-1, 1:-1] = _dst1(np.ascontiguousarray(_dst1(coeff_t).T))
+    return out.ravel()
+
+
+@pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
+def test_whole_interior_box_reproduces_the_whole_grid_solve(dim, R, h):
+    """A field above the floor at every interior node draws the whole
+    interior as its box, and the solve on it is the whole-grid solve, bit
+    for bit."""
+    g = build_grid(dim, R, h)
+    r = np.random.default_rng(dim).standard_normal(g.num_nodes)
+    r[~g.interior_mask] = 0.0
+    box = _precond_box(g.interior_mask.astype(float), g)
+    assert box == (slice(1, g.n_axis - 1),) * dim
+    ref = _whole_interior_h1(g, r)
+    assert np.array_equal(_h1_direction(g, r, box), ref)
+    assert np.array_equal(_h1_direction(g, r), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), half=st.integers(8, 150),
+       center=st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=2),
+       width=st.floats(0.01, 0.6), floor=st.sampled_from([1e-20, 1e-8, 0.5]))
+def test_precond_box_rule(dim, half, center, width, floor):
+    """The box lies in the interior, holds every node where
+    u >= floor max u, and each of its lengths L has an FFT length 2(L+1)
+    with no prime factor above 5 or is the whole interior."""
+    if dim == 2:   # at most 45 nodes per half axis, so 2d examples stay small
+        half = 8 + half // 4
+    g = build_grid(dim, 1.0, 1.0 / half)
+    u = np.exp(-0.5 * _sq_distance(g, np.array(center[:dim])) / width ** 2)
+    u[~g.interior_mask] = 0.0
+    orig = solver_mod._BOX_FLOOR
+    solver_mod._BOX_FLOOR = floor
+    try:
+        box = _precond_box(u, g)
+    finally:
+        solver_mod._BOX_FLOOR = orig
+    ni = g.n_axis - 2
+    assert len(box) == dim
+    for sl in box:
+        assert 1 <= sl.start < sl.stop <= g.n_axis - 1
+        length = sl.stop - sl.start
+        assert _five_smooth(2 * (length + 1)) or length == ni
+    inside = np.zeros(g.shape, dtype=bool)
+    inside[box] = True
+    assert np.all(inside.ravel()[u >= floor * u.max()])
+
+
+def test_eigenvalue_cache_hits_across_new_grids():
+    """The eigenvalues are cached per (box shape, h, shift), so a sweep,
+    which builds new grids at every eps and R stage, computes them once per
+    box shape and holds no grid."""
+    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
+    cfg = SolverConfig(h=0.05, R_schedule=(12.0, 16.0))
+    _helmholtz_eigenvalues.cache_clear()
+    shapes = set()
+    for eps in (0.4, 0.5, 0.4):
+        out = solve_multiplicity(eps, spec, cfg)
+        assert out.all_converged
+        shapes |= {tuple(st.precond_box) for res in out.results
+                   for st in res.stages if st.iterations > 0}
+    g_ref = solver_mod._reference_grid(1, cfg.h)
+    shapes.add(tuple(sl.stop - sl.start for sl in _precond_box(gausson(g_ref, 0.0), g_ref)))
+    info = _helmholtz_eigenvalues.cache_info()
+    assert info.misses == info.currsize == len(shapes)
+    assert info.hits > 10 * info.misses
 
 
 @pytest.mark.parametrize("n", [159, 1999, 5999, 11999])
 def test_dst1_bit_identical_to_scipy_in_1d(n):
-    """At the interior sizes of the shipped configs' 1d grids (the 2d run's
-    ground-level axis, R = 10, 30 and 60 at h = 0.01); at some other sizes
-    the two FFT libraries round differently in the last bit."""
+    """At the whole-interior sizes of the shipped configs' 1d grids (the 2d
+    run's ground-level axis, R = 10, 30 and 60 at h = 0.01). The descent
+    transforms the lengths of its boxes, which `_precond_box` picks with a
+    5-smooth FFT length, and the two FFT libraries agree bit for bit at
+    some of them but not at all: with scipy 1.17 at 1727 and 1874 but not
+    at 1919, where they round differently in the last bit."""
     sfft = pytest.importorskip("scipy.fft")
     x = np.random.default_rng(n).standard_normal(n)
     assert np.array_equal(_dst1(x), sfft.dst(x, type=1, norm="ortho"))
@@ -342,6 +438,30 @@ def test_failed_line_search_has_own_status():
     assert res.iterations < cfg.max_iters
 
 
+@pytest.mark.parametrize("floor, ground_status", [
+    (1e-8, SolveStatus.LINE_SEARCH_FAILED),
+    (1.0, SolveStatus.ITERATION_CAP),
+])
+def test_box_cut_below_the_rule_ends_in_a_named_status(monkeypatch, dw_spec,
+                                                        floor, ground_status):
+    """A box cut inside the field's shoulder (1e-8: |y| <= 6.1) or down to
+    its peak spoils the metric, not the program: the ground-level solve
+    raises SolverFailure and a well's descent returns a named status, never
+    an IndexError or another crash."""
+    monkeypatch.setattr(solver_mod, "_BOX_FLOOR", floor)
+    cfg = SolverConfig(h=0.05, R_schedule=(12.0, 16.0), max_iters=200)
+    with pytest.raises(SolverFailure) as failure:
+        solve_multiplicity(0.4, dw_spec, cfg)
+    ground = failure.value.result
+    assert ground.status == ground_status
+    assert ground.stages[0].precond_box[0] < 0.7 * (2 * 10.0 / cfg.h)
+    g = build_grid(1, 12.0, cfg.h)
+    params = EnergyParams(eps=0.4, potential=dw_spec)
+    res = minimize_localized(seed_well(0, params, g)[0], 0, 0.4, params, cfg, g)
+    assert res.status in (SolveStatus.LINE_SEARCH_FAILED, SolveStatus.ITERATION_CAP)
+    assert np.all(res.u >= 0.0)
+
+
 def test_minimize_confined_iterates(dw_spec):
     # every accepted iterate keeps its barycenter inside the well ball
     g = build_grid(1, 30.0, 0.02)
@@ -389,12 +509,18 @@ def _lbfgs_fields(g, k):
 
 
 def test_lbfgs_without_pairs_is_h1_gradient():
-    # the first step of every descent is the damped H^1 gradient S(-L + c)^{-1}S r
+    # the first step of every descent is the damped H^1 gradient S(-L + c)^{-1}S r,
+    # solved on the box of the field and 0 off it
     g = build_grid(1, 10.0, 0.05)
     recs, resids = _lbfgs_fields(g, 0)
-    d = _LBFGS(g).direction(recs[0], resids[0])
+    box = _precond_box(recs[0].u, g)
+    d = _LBFGS(g, box).direction(recs[0], resids[0])
     damping = _tail_damping(recs[0], np.empty(g.num_nodes))
-    assert np.array_equal(d, damping * _h1_direction(g, damping * resids[0]))
+    assert np.array_equal(d, damping * _h1_direction(g, damping * resids[0], box))
+    assert box[0].stop - box[0].start < g.n_axis - 2
+    off_box = np.ones(g.num_nodes, dtype=bool)
+    off_box[box] = False
+    assert np.all(d[off_box] == 0.0)
 
 
 def test_tail_damping_is_one_in_the_core_and_zero_off_the_field():
@@ -480,6 +606,9 @@ def test_stage_records_count_every_stage(double_well_run):
             assert st.trials >= st.iterations
             assert st.backtracks <= st.trials
             assert 0 <= st.region_blocked <= st.backtracks
+            # the H^1 box: one interior node count per axis, within the interior
+            assert len(st.precond_box) == 1
+            assert 0 < st.precond_box[0] <= round(2 * st.R / 0.01) - 1
 
 
 # --- ground levels -----------------------------------------------------------
