@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonPositiveEpsilon, ZeroField
-from .grid import Grid
+from .grid import Grid, GridBox
 from .potential import WellGeometry
 
 __all__ = ["BarycenterParams", "Region", "q_eps", "region_of", "chi_map", "g_weight"]
@@ -65,6 +65,8 @@ def g_weight(points: np.ndarray, R0: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _tables(R0: float, eps: float, g: Grid):
+    """chi of the scaled nodes and the weighted quadrature weights of a
+    whole grid; a box restricts them."""
     scaled = eps * g.nodes
     # (dim, n): each coordinate contiguous, contracted by einsum in q_eps
     chi = np.ascontiguousarray(chi_map(scaled, R0).T)
@@ -75,12 +77,14 @@ def _tables(R0: float, eps: float, g: Grid):
     return chi, wq
 
 
-def q_eps(u: np.ndarray, eps: float, params: BarycenterParams, g: Grid) -> np.ndarray:
-    """Barycenter of u^2 under the chi/g truncation; |result| <= R0."""
+def q_eps(u: np.ndarray, eps: float, params: BarycenterParams,
+          g: Grid | GridBox) -> np.ndarray:
+    """Barycenter of u^2 under the chi/g truncation; |result| <= R0. On a
+    box it covers the box's nodes, its frame included."""
     if eps <= 0.0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     u = g.check_field(u)
-    chi, wq = _tables(params.R0, float(eps), g)
+    chi, wq = (g.restrict(t) for t in _tables(params.R0, float(eps), g.whole))
     density = wq * u * u
     denom = density.sum()
     if denom <= 0.0:

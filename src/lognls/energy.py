@@ -20,7 +20,7 @@ Every quantity above is read from one evaluation record per field
 (`evaluate`): the stencil Lu, the log term u log u^2 and the integrals
 K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2), so that
 J = (K + M - E)/2 and J'(u)u = K - E. The record of s*u follows from the
-record of u without a new stencil or log (`Evaluation.scaled`).
+record of u without a new stencil, log or integral (`Evaluation.scaled`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import NonPositiveEpsilon, ZeroField
-from .grid import Grid, integrate, laplacian_apply
+from .grid import Grid, GridBox, integrate, laplacian_apply
 from .potential import PotentialSpec, eval_scaled
 
 __all__ = [
@@ -82,21 +82,14 @@ class NehariResidual(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _potential_table(params: EnergyParams, g: Grid) -> np.ndarray:
-    """Per-node potential values V(eps * x_j); cached per (params, grid)."""
+    """Per-node potential values V(eps * x_j); cached per (params, whole
+    grid) and restricted to a box by the box."""
     if isinstance(params.potential, PotentialSpec):
         vals = eval_scaled(params.potential, params.eps, g)
     else:
         vals = np.full(g.num_nodes, float(params.potential))
     vals.setflags(write=False)
     return vals
-
-
-@lru_cache(maxsize=64)
-def _boundary_nodes(g: Grid) -> np.ndarray:
-    """Indices of the boundary nodes, where residuals are zeroed."""
-    idx = np.flatnonzero(~g.interior_mask)
-    idx.setflags(write=False)
-    return idx
 
 
 def _log_abs(u: np.ndarray) -> np.ndarray:
@@ -130,7 +123,8 @@ class Evaluation:
     the Nehari scale and the Nehari residual share.
 
     K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2). v is the
-    potential table the record was taken with; the arrays are not copied.
+    potential table the record was taken with, and grid a grid or a box of
+    one; the arrays are not copied.
     """
 
     u: np.ndarray
@@ -140,7 +134,7 @@ class Evaluation:
     E: float
     M: float
     v: np.ndarray
-    grid: Grid
+    grid: Grid | GridBox
 
     @property
     def level(self) -> float:
@@ -149,19 +143,30 @@ class Evaluation:
 
     def scaled(self, s: float) -> "Evaluation":
         """The record of s*u (s > 0), from L(su) = s Lu and
-        (su) log (su)^2 = s (u log u^2 + u log s^2); K, E and M are
-        integrated again on the scaled arrays."""
-        u_log_u2 = self.u * (2.0 * math.log(s))
+        (su) log (su)^2 = s (u log u^2 + u log s^2), with K, E and M in
+        closed form: s^2 K, s^2 (E + M log s^2) and s^2 M."""
+        log_s2 = 2.0 * math.log(s)
+        u_log_u2 = self.u * log_s2
         u_log_u2 += self.u_log_u2
         u_log_u2 *= s
-        return _record(s * self.u, s * self.Lu, u_log_u2, self.v, self.grid)
+        s2 = s * s
+        return Evaluation(
+            u=s * self.u,
+            Lu=s * self.Lu,
+            u_log_u2=u_log_u2,
+            K=s2 * self.K,
+            E=s2 * (self.E + self.M * log_s2),
+            M=s2 * self.M,
+            v=self.v,
+            grid=self.grid,
+        )
 
     def residual(self) -> np.ndarray:
         """Euler-Lagrange residual Lu + V u - u log u^2, zero on boundary rows."""
         res = self.v * self.u
         res += self.Lu
         res -= self.u_log_u2
-        res[_boundary_nodes(self.grid)] = 0.0
+        res[self.grid.boundary_nodes] = 0.0
         return res
 
     def gradient(self) -> np.ndarray:
@@ -173,7 +178,12 @@ class Evaluation:
         return _nehari_residual(self.level, self.M, self.K + self.M)
 
 
-def _record(u, Lu, u_log_u2, v, g) -> Evaluation:
+def evaluate(u: np.ndarray, params: EnergyParams, g: Grid | GridBox) -> Evaluation:
+    """One stencil, one log and the integrals K, E, M of a field on a grid
+    or a box of one."""
+    u = g.check_field(u)
+    v = g.restrict(_potential_table(params, g.whole))
+    Lu, u_log_u2 = laplacian_apply(g, u), _u_log_u2(u)
     uu = u * u
     tmp = u * Lu
     k_grad = integrate(g, tmp)
@@ -186,14 +196,6 @@ def _record(u, Lu, u_log_u2, v, g) -> Evaluation:
         M=integrate(g, uu),
         v=v,
         grid=g,
-    )
-
-
-def evaluate(u: np.ndarray, params: EnergyParams, g: Grid) -> Evaluation:
-    """One stencil, one log and the integrals K, E, M of a field."""
-    u = g.check_field(u)
-    return _record(
-        u, laplacian_apply(g, u), _u_log_u2(u), _potential_table(params, g), g
     )
 
 

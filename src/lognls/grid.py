@@ -10,6 +10,10 @@ weight h^dim, halved once per boundary-touching axis. The discrete gradient
 energy used elsewhere is ``integrate(g, u * laplacian_apply(g, u))`` so that
 stationarity of the discrete energy coincides with the discrete
 Euler-Lagrange equation.
+
+A `GridBox` is the box of nodes of a grid read as a grid of its own, whose
+outermost nodes are its boundary; `laplacian_apply` and `integrate` take
+either.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .errors import (
 
 __all__ = [
     "Grid",
+    "GridBox",
     "build_grid",
     "conforming_radius",
     "laplacian_apply",
@@ -101,6 +107,95 @@ class Grid:
         """Euclidean distance of every node from the origin."""
         return np.linalg.norm(self.nodes, axis=1)
 
+    @cached_property
+    def boundary_nodes(self) -> np.ndarray:
+        """Indices of the boundary nodes, where residuals are zeroed."""
+        idx = np.flatnonzero(~self.interior_mask)
+        idx.setflags(write=False)
+        return idx
+
+    @property
+    def whole(self) -> "Grid":
+        """The grid whose node tables this one reads: itself."""
+        return self
+
+    def restrict(self, table: np.ndarray) -> np.ndarray:
+        """A table of `whole` (nodes along its last axis) on this grid's
+        nodes: the table itself."""
+        return table
+
+
+class GridBox:
+    """The nodes of a box of the grid `whole`, one slice of node indices per
+    axis in `index`, read as a grid of their own.
+
+    The box's outermost nodes, its frame, are its boundary: quadrature
+    weight 0 and residual 0, while the stencil reads their values as
+    Dirichlet data. `restrict` slices a table of the whole grid to the box
+    once per table and holds the slice, so a box, which lives as long as
+    one descent, adds no entry to a module cache.
+    """
+
+    check_field = Grid.check_field
+
+    def __init__(self, whole: Grid, index: tuple[slice, ...]):
+        self.whole = whole
+        self.index = index
+        self._restricted: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return self.whole.dim
+
+    @property
+    def h(self) -> float:
+        return self.whole.h
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(sl.stop - sl.start for sl in self.index)
+
+    @property
+    def num_nodes(self) -> int:
+        return math.prod(self.shape)
+
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        inner = np.zeros(self.shape, dtype=bool)
+        inner[(slice(1, -1),) * self.dim] = True
+        return inner.ravel()
+
+    @cached_property
+    def boundary_nodes(self) -> np.ndarray:
+        return np.flatnonzero(~self.interior_mask)
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        return self.take(self.whole.quad_weights) * self.interior_mask
+
+    def take(self, u: np.ndarray) -> np.ndarray:
+        """A copy of the box's values of a field on the whole grid."""
+        return self.whole.check_field(u).reshape(self.whole.shape)[self.index].flatten()
+
+    def embed(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write a field on the box into the box's nodes of the whole-grid
+        field out, and return out."""
+        out.reshape(self.whole.shape)[self.index] = values.reshape(self.shape)
+        return out
+
+    def restrict(self, table: np.ndarray) -> np.ndarray:
+        """A read-only table of the whole grid (nodes along its last axis)
+        on the box's nodes, sliced once per table."""
+        hit = self._restricted.get(id(table))
+        if hit is None:
+            lead = table.shape[:-1]
+            part = table.reshape(lead + self.whole.shape)[(Ellipsis,) + self.index]
+            part = np.ascontiguousarray(part).reshape(lead + (-1,))
+            part.setflags(write=False)
+            # the table is held with its slice, so its id is not reused
+            hit = self._restricted[id(table)] = (table, part)
+        return hit[1]
+
 
 def build_grid(dim: int, R: float, h: float) -> Grid:
     """Build the uniform grid covering [-R, R]^dim with spacing h.
@@ -146,11 +241,12 @@ def build_grid(dim: int, R: float, h: float) -> Grid:
     )
 
 
-def laplacian_apply(g: Grid, u: np.ndarray) -> np.ndarray:
+def laplacian_apply(g: Grid | GridBox, u: np.ndarray) -> np.ndarray:
     """Apply the negative discrete Laplacian, (-Δ_h u)_j, second order.
 
     Central five-point (three-point in 1d) stencil at interior nodes;
-    boundary rows are returned as 0.
+    boundary rows are returned as 0. On a box the frame's values are the
+    stencil's Dirichlet data.
 
     Each axis is taken as a difference of neighbour differences,
     (u_i - u_{i-1}) - (u_{i+1} - u_i). For a smooth field the neighbour
@@ -165,8 +261,7 @@ def laplacian_apply(g: Grid, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
         out[1:-1] = (d[:-1] - d[1:]) / h2
         return out
-    n = g.n_axis
-    U = u.reshape(n, n)
+    U = u.reshape(g.shape)
     dx = np.diff(U[:, 1:-1], axis=0)
     dy = np.diff(U[1:-1, :], axis=1)
     out = np.zeros_like(U)
@@ -174,7 +269,7 @@ def laplacian_apply(g: Grid, u: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def integrate(g: Grid, values: np.ndarray) -> float:
+def integrate(g: Grid | GridBox, values: np.ndarray) -> float:
     """Trapezoid quadrature of per-node values over the domain.
 
     einsum keeps the sum in numpy's own loop: np.dot hands long vectors to

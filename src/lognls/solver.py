@@ -6,13 +6,15 @@ width of least Nehari level, project onto the Nehari set, then run
 monotone projected descent that rejects any step whose barycenter leaves
 the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
 Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
-S where the Hessian's multiplication part exceeds c. (-L + c)^{-1} is
-applied on a box (`_precond_box`) that holds every node where the starting
-field exceeds _BOX_FLOOR times its peak, and is 0 outside it. Each trial
-is the fraction-to-boundary point max(u - tau d, theta u), so every
-iterate stays nonnegative. Converged solutions are continued through an
-increasing schedule of truncation radii until the level and barycenter
-stabilize.
+S where the Hessian's multiplication part exceeds c. Each trial is the
+fraction-to-boundary point max(u - tau d, theta u), so every iterate stays
+nonnegative. The descent runs on a box of the grid (`_precond_box`) that
+holds every node where the starting field exceeds _BOX_FLOOR times its
+peak, plus a one-node frame whose values are its Dirichlet data; off the
+box every iterate stays one multiple of the start. The result is measured
+once on the whole grid, and a stage converges only if that measurement
+does. Converged solutions are continued through an increasing schedule of
+truncation radii until the level and barycenter stabilize.
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -41,7 +43,14 @@ from .errors import (
     SolverFailure,
     ZeroField,
 )
-from .grid import Grid, build_grid, conforming_radius, integrate, zero_extend
+from .grid import (
+    Grid,
+    GridBox,
+    build_grid,
+    conforming_radius,
+    integrate,
+    zero_extend,
+)
 from .potential import PotentialSpec, WellGeometry, default_geometry
 from .verify import weak_residual
 
@@ -79,14 +88,13 @@ _LBFGS_MEMORY = 5
 # 16: 37 / 30 / 129, 24: 34 / 31 / 162, 32: 46 / 33 / 164. 12 and 16 differ
 # by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
-# the box of the H^1 solve spans, on each axis, the nodes where
+# the box of the descent spans, on each axis, the nodes where
 # u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a Gausson's
 # centre. Well iterations on the 1d double well, the 1d sweep at eps = 0.4,
-# 0.2, 0.1 and the 2d double well stay those of the whole-grid solve, 17+17 /
-# 28+28 / 17+17 / 17+17 / 15+14, for every floor from 1e-24 to 1e-14; at
-# 1e-12 (|y| <= 7.4) both wells at eps = 0.4 end `line_search_failed`, and
-# at 1e-8 (|y| <= 6.1) every well does, the 2d double well's after 48+261
-# iterations
+# 0.2, 0.1 and the 2d double well stay those of the whole-grid descent,
+# 17+17 / 28+28 / 17+17 / 17+17 / 15+14, for every floor from 1e-24 to
+# 1e-14; at 1e-12 (|y| <= 7.4) both wells at eps = 0.4 end `box_too_small`,
+# and at 1e-8 (|y| <= 6.1) every well does
 _BOX_FLOOR = 1e-20
 # theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
 # Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
@@ -109,6 +117,8 @@ class SolveStatus(str, enum.Enum):
     BOUNDARY_HIT = "boundary_hit"
     ITERATION_CAP = "iteration_cap"
     LINE_SEARCH_FAILED = "line_search_failed"
+    # converged on its box, but not when measured on the whole grid
+    BOX_TOO_SMALL = "box_too_small"
 
 
 class HistoryRow(NamedTuple):
@@ -128,7 +138,8 @@ class StageRecord(NamedTuple):
     backtracks the rejected ones (each shrinks the step by `backtrack`),
     region_blocked the rejected ones that kept J from rising but moved the
     barycenter out of its ball, precond_box the interior node count per
-    axis of the box of its H^1 solve (`_precond_box`).
+    axis of the box its descent ran on (`_precond_box`; the frame around
+    it not counted), which is also the box of its H^1 solve.
     """
 
     R: float
@@ -367,7 +378,7 @@ def _five_smooth(n: int) -> bool:
 
 
 def _precond_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
-    """The box of the H^1 solve around the field u, one slice of node
+    """The box of the descent around the field u, one slice of node
     indices per axis: the interior nodes where u >= _BOX_FLOOR max u, grown
     about its centre, inside the interior, to the least length L whose FFT
     length 2(L+1) has no prime factor above 5; the whole interior where no
@@ -409,13 +420,10 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return rfft(z, norm="ortho")[..., 1:n + 1].imag
 
 
-def _h1_direction(g: Grid, r: np.ndarray,
-                  box: tuple[slice, ...] | None = None) -> np.ndarray:
-    """Solve (-L + c) d = r, c = _H1_SHIFT, via DST-I on the nodes of box
-    (`_precond_box`; the whole interior if None), Dirichlet on its edges,
-    and d = 0 off the box."""
-    if box is None:
-        box = (slice(1, g.n_axis - 1),) * g.dim
+def _h1_direction(g: Grid | GridBox, r: np.ndarray) -> np.ndarray:
+    """Solve (-L + c) d = r, c = _H1_SHIFT, via DST-I on the interior
+    nodes of g, a grid or a box of one, with d = 0 on its boundary."""
+    box = (slice(1, -1),) * g.dim
     rr = r.reshape(g.shape)[box]
     denom = _helmholtz_eigenvalues(rr.shape, g.h, _H1_SHIFT)
     out = np.zeros(g.shape)
@@ -456,13 +464,12 @@ class _LBFGS:
     """L-BFGS direction in the damped H^1 metric (Liu & Nocedal, Math.
     Program. 45, 1989), with the initial inverse Hessian
     gamma S(-L + c)^{-1}S, c = _H1_SHIFT and S = `_tail_damping` of the
-    current record. (-L + c) is solved on `box` (the whole interior if None)
-    with Dirichlet data on its edges, so the initial inverse Hessian maps
-    to 0 off the box; the pairs, their dot products and vector updates act
-    on the whole grid. S (-L + c)^{-1} S is the kinetic/potential sandwich
-    P_V^{1/2} P_Delta P_V^{1/2} of Antoine, Levitt & Tang (J. Comput. Phys.
-    343, 2017), and the box restricts only its kinetic part, to where the
-    field exceeds _BOX_FLOOR times its peak; beyond it S already damps.
+    current record. (-L + c) is solved on the interior of the grid g, with
+    Dirichlet data on its boundary; the descent passes the box it runs on,
+    so the initial inverse Hessian maps to 0 on the box's frame, and the
+    pairs are box fields. S (-L + c)^{-1} S is the kinetic/potential
+    sandwich P_V^{1/2} P_Delta P_V^{1/2} of Antoine, Levitt & Tang (J.
+    Comput. Phys. 343, 2017).
 
     (-L + c) matches the Hessian -L + V - 2 - log u^2 of the level where
     the multiplication part is near c, in the core; in the tail that part
@@ -477,9 +484,8 @@ class _LBFGS:
     H^1 gradient S(-L + c)^{-1}S r itself.
     """
 
-    def __init__(self, g: Grid, box: tuple[slice, ...] | None = None):
+    def __init__(self, g: Grid | GridBox):
         self.g = g
-        self.box = box
         self.pairs: deque = deque(maxlen=_LBFGS_MEMORY)   # (s, y, 1/(s.y))
         self.gamma = 1.0
 
@@ -495,19 +501,19 @@ class _LBFGS:
             alphas.append(a)
         damping = _tail_damping(rec, tmp)
         q *= damping
-        z = _h1_direction(self.g, q, self.box)
+        z = _h1_direction(self.g, q)
         z *= damping
         z *= self.gamma
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             z += np.multiply(s, a - rho * _dot(y, z), out=tmp)
         return z
 
-    def update(self, old: Evaluation, new: Evaluation,
+    def update(self, s: np.ndarray, old: Evaluation, new: Evaluation,
                old_resid: np.ndarray, new_resid: np.ndarray) -> None:
-        """Store the pair of two accepted iterates unless s.y <= 0 (the
-        curvature condition fails and the pair would spoil the positive
-        definiteness of the inverse Hessian); gamma = s.(-L + c)s / s.y."""
-        s = new.u - old.u
+        """Store the pair of two accepted iterates, s = new.u - old.u,
+        unless s.y <= 0 (the curvature condition fails and the pair would
+        spoil the positive definiteness of the inverse Hessian);
+        gamma = s.(-L + c)s / s.y."""
         y = new_resid - old_resid
         sy = _dot(s, y)
         if not sy > 0.0:
@@ -518,7 +524,7 @@ class _LBFGS:
         self.pairs.append((s, y, 1.0 / sy))
 
 
-def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid) -> float:
+def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid | GridBox) -> float:
     """L2 norm of the Euler-Lagrange residual r (zero on boundary rows) with
     its component along the Nehari-normal direction removed; vanishes
     exactly at constrained stationary points (which are free critical
@@ -531,6 +537,25 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid) -> float:
         n *= integrate(g, np.multiply(r, n, out=tmp)) / nn
         r = np.subtract(r, n, out=n)
     return math.sqrt(max(0.0, integrate(g, np.multiply(r, r, out=tmp))))
+
+
+def _descent_box(u: np.ndarray, g: Grid) -> GridBox:
+    """The box of the descent from the field u: `_precond_box` and a
+    one-node frame around it, inside the grid."""
+    return GridBox(g, tuple(slice(sl.start - 1, sl.stop + 1) for sl in _precond_box(u, g)))
+
+
+def _whole_field(gb: GridBox, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The whole-grid field that is u on the box gb and, off it, the start
+    field times the multiple of it that the frame carries, read at the
+    frame node where the start is largest (0 where the start is 0 on the
+    whole frame, which then lies on the grid's boundary or cuts the field
+    off)."""
+    frame = gb.boundary_nodes
+    u0 = gb.take(start)[frame]
+    k = int(np.argmax(u0))
+    multiple = u[frame[k]] / u0[k] if u0[k] > 0.0 else 0.0
+    return gb.embed(u, np.multiply(start, multiple))
 
 
 def minimize_localized(
@@ -548,10 +573,21 @@ def minimize_localized(
     _BOUNDARY_FRACTION, with the closed-form Nehari rescale s* > 0; the
     direction d is the L-BFGS direction in the H^1 metric
     (`_LBFGS`), which starts as the Euler-Lagrange residual smoothed by
-    (-L + c)^{-1}, c = _H1_SHIFT, solved on the box that `_precond_box`
-    draws once around the Nehari-scaled start. tau starts at `step_init`
-    in every iteration and is shrunk by `backtrack` until J does not
-    increase and the barycenter stays interior.
+    (-L + c)^{-1}, c = _H1_SHIFT. tau starts at `step_init` in every
+    iteration and is shrunk by `backtrack` until the level 1/2 s*^2 int(w^2)
+    of the trial w does not increase and the barycenter of w, which s* does
+    not move, stays interior.
+
+    The descent runs on the box that `_descent_box` draws once around
+    |seed|. Off the box, the whole-grid descent would keep every iterate
+    one multiple of |seed|: its initial inverse Hessian is 0 there, its
+    L-BFGS steps are sums of earlier steps, and the trial and the rescale
+    keep that form. So the box's frame carries the multiple, and the field
+    beyond it adds about _BOX_FLOOR^2 relative to every integral. The
+    returned field is the box's on the box and that multiple of |seed| off
+    it; its level, gradient norm, Nehari residual and barycenter are
+    measured on the whole grid, and a box-converged stage whose measurement
+    misses a tolerance ends BOX_TOO_SMALL.
 
     The descent starts from |seed|, and both the trial and the rescale keep
     the sign of every node, so every iterate, the returned field included,
@@ -564,18 +600,20 @@ def minimize_localized(
         geometry = _resolve_geometry(config, spec)
         bp = BarycenterParams(R0=geometry.R0)
 
+    start = np.abs(g.check_field(seed))
+    gb = _descent_box(start, g)
     # one evaluation record per field: the current iterate and the trial
-    rec = evaluate(np.abs(g.check_field(seed)), params, g)
-    s0 = nehari_scale(rec, params, g)
+    rec = evaluate(gb.take(start), params, gb)
+    s0 = nehari_scale(rec, params, gb)
     if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
         rec = rec.scaled(s0)
 
-    def classify(v: np.ndarray) -> tuple[np.ndarray, Region]:
-        q = q_eps(v, eps, bp, g)
+    def classify(v: np.ndarray, grid: Grid | GridBox) -> tuple[np.ndarray, Region]:
+        q = q_eps(v, eps, bp, grid)
         return q, region_of(q, geometry, spec.wells)
 
     if constrained:
-        q, reg = classify(rec.u)
+        q, reg = classify(rec.u, gb)
         if not reg.is_interior(i):
             raise SeedOutsideRegion(
                 f"minimizer seed has barycenter {q} ({reg.kind}), not within "
@@ -585,15 +623,14 @@ def minimize_localized(
         q = None
 
     resid = rec.residual()
-    box = _precond_box(rec.u, g)
-    lbfgs = _LBFGS(g, box)
+    lbfgs = _LBFGS(gb)
     tau = config.step_init
     history: list[HistoryRow] = []
     status = SolveStatus.ITERATION_CAP
     it = trials = backtracks = blocked = 0
 
     for it in range(config.max_iters + 1):
-        gnorm = _projected_grad_norm(rec.u, resid, g)
+        gnorm = _projected_grad_norm(rec.u, resid, gb)
         J = rec.level
         nres = rec.nehari_residual().value
         history.append(HistoryRow(
@@ -622,20 +659,20 @@ def minimize_localized(
             step = np.multiply(dirn, tau)
             np.subtract(rec.u, step, out=step)
             trial = evaluate(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
-                             params, g)
+                             params, gb)
             try:
-                s = nehari_scale(trial, params, g)
+                s = nehari_scale(trial, params, gb)
             except ZeroField:
                 s = math.inf
             if not math.isfinite(s):
                 tau *= config.backtrack
                 backtracks += 1
                 continue
-            trial = trial.scaled(s)
-            Jt = trial.level
+            # the level of s w on the Nehari set, J = 1/2 int (s w)^2
+            Jt = 0.5 * s * s * trial.M
             ok_j = math.isfinite(Jt) and Jt <= J + j_slack
             if constrained:
-                qt, regt = classify(trial.u)
+                qt, regt = classify(trial.u, gb)
                 ok_region = regt.is_interior(i)
             else:
                 qt, ok_region = None, True
@@ -652,19 +689,29 @@ def minimize_localized(
                       else SolveStatus.LINE_SEARCH_FAILED)
             break
 
-        if np.abs(trial.u - rec.u).max() <= _STALL * rec.u.max():
+        trial = trial.scaled(s)
+        du = trial.u - rec.u
+        if np.abs(du).max() <= _STALL * rec.u.max():
             # the step moved no node beyond the rounding of the field: the
             # descent has stalled at the floating-point floor
             status = SolveStatus.LINE_SEARCH_FAILED
             break
         new_resid = trial.residual()
-        lbfgs.update(rec, trial, resid, new_resid)
+        lbfgs.update(du, rec, trial, resid, new_resid)
         rec, q, resid = trial, qt, new_resid
 
-    # gnorm, nres and q are rec's, from the last iteration; the level is energy's
-    level = energy(rec.u, params, g).total
+    # the reported values are measured once, on the whole grid
+    u = _whole_field(gb, start, rec.u)
+    level = energy(u, params, g).total
+    whole = evaluate(u, params, g)
+    gnorm = _projected_grad_norm(u, whole.residual(), g)
+    nres = whole.nehari_residual().value
+    q = classify(u, g)[0] if constrained else None
+    if status == SolveStatus.CONVERGED and not (
+            gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
+        status = SolveStatus.BOX_TOO_SMALL
     return SolveResult(
-        u=rec.u,
+        u=u,
         grid=g,
         level=level,
         barycenter=q,
@@ -677,7 +724,7 @@ def minimize_localized(
         history=history,
         stages=[StageRecord(R=g.R, level=level, iterations=it, trials=trials,
                             backtracks=backtracks, region_blocked=blocked,
-                            precond_box=[b.stop - b.start for b in box])],
+                            precond_box=[n - 2 for n in gb.shape])],
     )
 
 

@@ -245,6 +245,27 @@ def test_cli_import_loads_numpy_alone():
     assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
+def test_solve_and_audit_import_nothing_beyond_the_cli():
+    """A 1d and a 2d solve and their audits load no module that
+    `import lognls.cli` has not loaded, so no first solve pays for a lazy
+    numpy import (np.median, for one, loads numpy.ma)."""
+    proc = _run_python("-c", (
+        "import sys, lognls.cli\n"
+        "loaded = set(sys.modules)\n"
+        "from lognls.potential import make_multiwell\n"
+        "from lognls.solver import SolverConfig, solve_multiplicity\n"
+        "from lognls.verify import audit\n"
+        "for wells, eps, h, R in (([[0.0], [2.0]], 0.4, 0.05, 12.0),\n"
+        "                         ([[0.0, 0.0], [2.0, 0.0]], 0.3, 0.2, 12.0)):\n"
+        "    cfg = SolverConfig(h=h, R_schedule=(R,), grad_tol=1e-6)\n"
+        "    out = solve_multiplicity(eps, make_multiwell(wells, 2.0, 0.25), cfg)\n"
+        "    assert audit(out.results, out).status == 0\n"
+        "print(sorted(set(sys.modules) - loaded))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 def test_entry_point_help():
     proc = _run_module("--help")
     assert proc.returncode == 0, proc.stderr

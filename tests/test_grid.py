@@ -13,6 +13,7 @@ from lognls.errors import (
     SpacingMismatch,
 )
 from lognls.grid import (
+    GridBox,
     build_grid,
     integrate,
     laplacian_apply,
@@ -82,6 +83,36 @@ def test_laplacian_grid_mismatch():
     g = build_grid(1, 10.0, 0.1)
     with pytest.raises(GridMismatch):
         laplacian_apply(g, np.zeros(7))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_is_a_grid_of_its_nodes_with_the_frame_as_boundary(dim):
+    """On a rectangular box the stencil is the whole grid's at the box's
+    interior nodes, reading the frame's values as Dirichlet data; the frame
+    carries no quadrature weight, and tables and fields are sliced by node."""
+    g = build_grid(dim, 4.0, 0.25)
+    u = np.random.default_rng(dim).standard_normal(g.num_nodes)
+    u[~g.interior_mask] = 0.0
+    index = (slice(3, 20), slice(5, 14))[:dim]
+    box = GridBox(g, index)
+    assert box.shape == (17, 9)[:dim]
+    on_box = np.zeros(g.shape, dtype=bool)
+    on_box[index] = True
+    inner = np.zeros(g.shape, dtype=bool)
+    inner[tuple(slice(sl.start + 1, sl.stop - 1) for sl in index)] = True
+    ub = box.take(u)
+    assert np.array_equal(ub, u[on_box.ravel()])
+    assert np.array_equal(laplacian_apply(box, ub)[box.interior_mask],
+                          laplacian_apply(g, u)[inner.ravel()])
+    assert np.all(laplacian_apply(box, ub)[box.boundary_nodes] == 0.0)
+    assert integrate(box, ub) == pytest.approx(
+        float(np.sum(g.quad_weights[inner.ravel()] * u[inner.ravel()])), rel=1e-13)
+    table = np.stack([g.nodes[:, 0], 2.0 * g.nodes[:, 0]])
+    part = box.restrict(table)
+    assert part is box.restrict(table) and not part.flags.writeable
+    assert np.array_equal(part, table[:, on_box.ravel()])
+    out = box.embed(2.0 * ub, np.zeros(g.num_nodes))
+    assert np.array_equal(out, np.where(on_box.ravel(), 2.0 * u, 0.0))
 
 
 def test_integrate_constant():

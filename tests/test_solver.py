@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from lognls.barycenter import BarycenterParams, q_eps, region_of
 from lognls.energy import EnergyParams, energy, log_sobolev_gap
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion, SolverFailure
-from lognls.grid import build_grid, integrate, laplacian_apply, load_field, save_field
+from lognls.grid import (
+    GridBox,
+    build_grid,
+    integrate,
+    laplacian_apply,
+    load_field,
+    save_field,
+)
 from lognls.potential import default_geometry, make_multiwell
 import lognls.solver as solver_mod
 from lognls.energy import evaluate, nehari_scale
@@ -18,9 +25,11 @@ from lognls.solver import (
     _h1_direction,
     _LBFGS,
     _boundary_ramp,
+    _descent_box,
     _five_smooth,
     _helmholtz_eigenvalues,
     _precond_box,
+    _projected_grad_norm,
     _ritz_seed,
     _seed_profile,
     _sq_distance,
@@ -57,20 +66,20 @@ def test_dst1_matches_dense_sine_matrix(shape):
 
 @pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
 def test_h1_direction_solves_the_helmholtz_system(dim, R, h):
-    """(-L + c)d = r on the interior, and on an off-centre box inside it
-    with d = 0 on the box's edges and off it."""
+    """(-L + c)d = r on the interior, and on an off-centre box of the grid
+    with d = 0 on the box's frame."""
     g = build_grid(dim, R, h)
     r = np.random.default_rng(dim).standard_normal(g.num_nodes)
     r[~g.interior_mask] = 0.0
     n = g.n_axis
-    inner = (slice(n // 7, 3 * n // 4), slice(n // 3, n - 10))[:dim]
-    on_inner = np.zeros(g.shape, dtype=bool)
-    on_inner[inner] = True
-    for box, nodes in ((None, g.interior_mask), (inner, on_inner.ravel())):
-        d = _h1_direction(g, r, box)
+    box = GridBox(g, (slice(n // 7, 3 * n // 4), slice(n // 3, n - 10))[:dim])
+    for grid in (g, box):
+        rr = grid.restrict(r)
+        d = _h1_direction(grid, rr)
+        nodes = grid.interior_mask
         assert np.all(d[~nodes] == 0.0)
-        res = (laplacian_apply(g, d) + solver_mod._H1_SHIFT * d - r)[nodes]
-        assert np.abs(res).max() <= 1e-10 * np.abs(r).max()
+        res = (laplacian_apply(grid, d) + solver_mod._H1_SHIFT * d - rr)[nodes]
+        assert np.abs(res).max() <= 1e-10 * np.abs(rr).max()
 
 
 def _whole_interior_h1(g, r):
@@ -102,7 +111,9 @@ def test_whole_interior_box_reproduces_the_whole_grid_solve(dim, R, h):
     box = _precond_box(g.interior_mask.astype(float), g)
     assert box == (slice(1, g.n_axis - 1),) * dim
     ref = _whole_interior_h1(g, r)
-    assert np.array_equal(_h1_direction(g, r, box), ref)
+    view = _descent_box(g.interior_mask.astype(float), g)
+    assert view.shape == g.shape
+    assert np.array_equal(_h1_direction(view, r), ref)
     assert np.array_equal(_h1_direction(g, r), ref)
 
 
@@ -427,6 +438,87 @@ def test_descent_invariants_on_perturbed_gausson(amp, center, width):
     assert np.array_equal(res.u, again.u)
 
 
+_G_OFF = build_grid(1, 16.0, 0.05)
+_CFG_OFF = SolverConfig(h=0.05, R_schedule=(16.0,))
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    amp=st.floats(-0.3, 0.3),
+    center=st.floats(-2.0, 2.0),
+    width=st.floats(0.3, 2.0),
+)
+def test_field_off_the_box_is_one_multiple_of_the_start(amp, center, width):
+    # off the box the whole-grid descent would only rescale |seed|: the
+    # returned field is |seed| times one positive factor there, and the
+    # box's frame, where the descent ran, carries that factor to rounding
+    g = _G_OFF
+    bump = np.exp(-((g.nodes[:, 0] - center) ** 2) / width)
+    bump[~g.interior_mask] = 0.0
+    seed = gausson(g, 1.0) * (1.0 + amp * bump)
+    res = minimize_localized(seed, None, 1.0, _PARAMS_PROP, _CFG_OFF, g)
+    assert res.status == SolveStatus.CONVERGED
+    box = _descent_box(np.abs(seed), g)
+    on_box = np.zeros(g.shape, dtype=bool)
+    on_box[box.index] = True
+    off = ~on_box.ravel() & (seed != 0.0)
+    assert off.sum() >= 10
+    factor = res.u[off] / np.abs(seed[off])
+    assert factor[0] > 0.0
+    assert np.all(np.abs(factor - factor[0]) <= 4 * np.finfo(float).eps * factor[0])
+    frame = box.boundary_nodes
+    start = box.take(np.abs(seed))[frame]
+    frame_factor = box.take(res.u)[frame][start > 0.0] / start[start > 0.0]
+    assert np.all(np.abs(frame_factor - factor[0]) <= 1e-12 * factor[0])
+
+
+def test_reported_values_are_a_whole_grid_measurement(double_well_run):
+    # each well's last stage ran on a box; what it reports is measured on
+    # the returned field over the whole grid
+    out = double_well_run["outcome"]
+    bp = BarycenterParams(R0=out.geometry.R0)
+    for res in out.results:
+        g = res.grid
+        assert res.stages[-1].precond_box[0] < g.n_axis - 2
+        rec = evaluate(res.u, out.params, g)
+        assert res.level == energy(res.u, out.params, g).total
+        assert res.grad_norm == _projected_grad_norm(res.u, rec.residual(), g)
+        assert res.nehari_res == rec.nehari_residual().value
+        assert np.array_equal(res.barycenter, q_eps(res.u, out.eps, bp, g))
+
+
+@pytest.mark.parametrize("wells, eps, h, schedule, grad_tol", [
+    ([[0.0], [2.0]], 0.1, 0.01, (30.0, 60.0), 1e-8),
+    ([[0.0, 0.0], [2.0, 0.0]], 0.3, 0.2, (12.0,), 1e-6),
+])
+def test_box_descent_matches_whole_interior_descent(monkeypatch, wells, eps, h,
+                                                    schedule, grad_tol):
+    """With the floor at 0 every box is the whole interior, so the descent
+    runs on the whole grid; the shipped floor's boxes give the same
+    iteration and trial counts, and the same levels to 1e-14 relative."""
+    spec = make_multiwell(wells, 2.0, 0.25)
+    shipped = solver_mod._BOX_FLOOR
+
+    def run(floor):
+        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", floor)
+        # a new config misses the ground-level cache, so c0 is solved again
+        cfg = SolverConfig(h=h, R_schedule=schedule, grad_tol=grad_tol)
+        out = solve_multiplicity(eps, spec, cfg)
+        assert out.all_converged
+        return out
+
+    whole, boxed = run(0.0), run(shipped)
+    for a, b in zip(whole.results, boxed.results):
+        assert [st.iterations for st in a.stages] == [st.iterations for st in b.stages]
+        assert [st.trials for st in a.stages] == [st.trials for st in b.stages]
+        assert abs(a.level - b.level) <= 1e-14 * abs(a.level)
+        interior = round(2 * a.R_final / h) - 1
+        assert a.stages[-1].precond_box == [interior] * len(wells[0])
+        assert b.stages[-1].precond_box[0] < interior
+    for ref in ("c0", "c_inf"):
+        assert abs(getattr(whole, ref) - getattr(boxed, ref)) <= 1e-14 * getattr(whole, ref)
+
+
 def test_failed_line_search_has_own_status():
     # grad_tol below rounding: the line search runs out of halvings long
     # before the iteration cap
@@ -439,15 +531,17 @@ def test_failed_line_search_has_own_status():
 
 
 @pytest.mark.parametrize("floor, ground_status", [
-    (1e-8, SolveStatus.LINE_SEARCH_FAILED),
-    (1.0, SolveStatus.ITERATION_CAP),
+    (1e-8, SolveStatus.BOX_TOO_SMALL),
+    (1.0, SolveStatus.BOX_TOO_SMALL),
 ])
 def test_box_cut_below_the_rule_ends_in_a_named_status(monkeypatch, dw_spec,
                                                         floor, ground_status):
     """A box cut inside the field's shoulder (1e-8: |y| <= 6.1) or down to
-    its peak spoils the metric, not the program: the ground-level solve
-    raises SolverFailure and a well's descent returns a named status, never
-    an IndexError or another crash."""
+    its peak spoils the result, not the program: the descent converges on
+    its box (at once on a one-node box), the whole-grid measurement misses
+    the tolerances, the ground-level solve raises SolverFailure and a well's
+    descent returns that named status, never an IndexError or another
+    crash."""
     monkeypatch.setattr(solver_mod, "_BOX_FLOOR", floor)
     cfg = SolverConfig(h=0.05, R_schedule=(12.0, 16.0), max_iters=200)
     with pytest.raises(SolverFailure) as failure:
@@ -458,7 +552,7 @@ def test_box_cut_below_the_rule_ends_in_a_named_status(monkeypatch, dw_spec,
     g = build_grid(1, 12.0, cfg.h)
     params = EnergyParams(eps=0.4, potential=dw_spec)
     res = minimize_localized(seed_well(0, params, g)[0], 0, 0.4, params, cfg, g)
-    assert res.status in (SolveStatus.LINE_SEARCH_FAILED, SolveStatus.ITERATION_CAP)
+    assert res.status == SolveStatus.BOX_TOO_SMALL
     assert np.all(res.u >= 0.0)
 
 
@@ -510,17 +604,17 @@ def _lbfgs_fields(g, k):
 
 def test_lbfgs_without_pairs_is_h1_gradient():
     # the first step of every descent is the damped H^1 gradient S(-L + c)^{-1}S r,
-    # solved on the box of the field and 0 off it
+    # solved on the box the descent runs on and 0 on its frame
     g = build_grid(1, 10.0, 0.05)
-    recs, resids = _lbfgs_fields(g, 0)
-    box = _precond_box(recs[0].u, g)
-    d = _LBFGS(g, box).direction(recs[0], resids[0])
-    damping = _tail_damping(recs[0], np.empty(g.num_nodes))
-    assert np.array_equal(d, damping * _h1_direction(g, damping * resids[0], box))
-    assert box[0].stop - box[0].start < g.n_axis - 2
-    off_box = np.ones(g.num_nodes, dtype=bool)
-    off_box[box] = False
-    assert np.all(d[off_box] == 0.0)
+    recs, _ = _lbfgs_fields(g, 0)
+    box = _descent_box(recs[0].u, g)
+    rec = evaluate(box.take(recs[0].u), EnergyParams(eps=1.0, potential=1.0), box)
+    resid = rec.residual()
+    d = _LBFGS(box).direction(rec, resid)
+    damping = _tail_damping(rec, np.empty(box.num_nodes))
+    assert np.array_equal(d, damping * _h1_direction(box, damping * resid))
+    assert box.num_nodes < g.n_axis
+    assert np.all(d[box.boundary_nodes] == 0.0)
 
 
 def test_tail_damping_is_one_in_the_core_and_zero_off_the_field():
@@ -552,10 +646,10 @@ def test_lbfgs_skips_pairs_without_positive_curvature():
     recs, resids = _lbfgs_fields(g, 1)
     lb = _LBFGS(g)
     s = recs[1].u - recs[0].u
-    lb.update(recs[0], recs[1], resids[0], resids[0] - s)   # s.y = -|s|^2
-    lb.update(recs[0], recs[1], resids[0], resids[0])       # s.y = 0
+    lb.update(s, recs[0], recs[1], resids[0], resids[0] - s)   # s.y = -|s|^2
+    lb.update(s, recs[0], recs[1], resids[0], resids[0])       # s.y = 0
     assert len(lb.pairs) == 0 and lb.gamma == 1.0
-    lb.update(recs[0], recs[1], resids[0], resids[0] + s)   # s.y = |s|^2
+    lb.update(s, recs[0], recs[1], resids[0], resids[0] + s)   # s.y = |s|^2
     assert len(lb.pairs) == 1
     # gamma = s.(-L + c)s / s.y, (-L + c)s read from the records' stencils
     hs = float(s @ (recs[1].Lu - recs[0].Lu + solver_mod._H1_SHIFT * s))
@@ -567,7 +661,8 @@ def test_lbfgs_memory_is_bounded():
     recs, resids = _lbfgs_fields(g, 8)
     lb = _LBFGS(g)
     for a in range(8):
-        lb.update(recs[a], recs[a + 1], resids[a], resids[a + 1])
+        s = recs[a + 1].u - recs[a].u
+        lb.update(s, recs[a], recs[a + 1], resids[a], resids[a + 1])
         assert len(lb.pairs) <= 5
     assert len(lb.pairs) == 5
     # the kept pairs are the last five, and the direction still descends
