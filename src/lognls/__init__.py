@@ -24,11 +24,8 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VAR
 
 from .barycenter import BarycenterParams, Region, q_eps, region_of
 from .energy import (
-    EnergyBreakdown,
     EnergyParams,
     Evaluation,
-    evaluate,
-    gradient,
     log_sobolev_gap,
     nehari_residual,
     nehari_scale,

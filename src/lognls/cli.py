@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .energy import EnergyParams, energy, gradient, nehari_residual, nehari_scale
+from .energy import EnergyParams, energy, nehari_residual, nehari_scale
 from .errors import ConfigError, LogNLSError
 from .grid import build_grid, save_field
 from .potential import PotentialSpec, WellGeometry, make_multiwell
@@ -318,7 +318,8 @@ def cmd_verify(args) -> int:
     gf = build_grid(1, 10.0, 0.01)
     params = EnergyParams(eps=1.0, potential=1.0)
     ug = gausson(gf, 1.0)
-    grad_sup = float(np.abs(gradient(ug, params, gf)).max())
+    rec = energy(ug, params, gf)
+    grad_sup = float(np.abs(rec.gradient()).max())
     _check("gausson: interior gradient sup <= 1e-3", grad_sup <= 1e-3,
            f"sup={grad_sup:.3e}", verbose, lines)
     sstar = nehari_scale(ug, params, gf)
@@ -327,7 +328,7 @@ def cmd_verify(args) -> int:
     nres = nehari_residual(sstar * ug, params, gf).value
     _check("gausson: Nehari residual of s*u <= 1e-10", nres <= 1e-10,
            f"res={nres:.3e}", verbose, lines)
-    lvl = energy(ug, params, gf).total
+    lvl = rec.level
     target = 0.5 * math.e**2 * math.sqrt(math.pi)
     _check("gausson: level within 0.5% of e^2 sqrt(pi)/2",
            abs(lvl - target) <= 5e-3 * target, f"level={lvl!r}", verbose, lines)

@@ -6,9 +6,10 @@ For a field u on a grid with tabulated potential values V_j = V(eps * x_j),
 
 with the convention 0 * log 0 = 0 node by node (the continuum integrand
 extends continuously by 0, and in the discrete setting this is what makes
-J smooth). The gradient carries the quadrature weights, so the plain dot
-product <gradient(u), v> is the directional derivative of J at u along v,
-and stationarity of the discrete J is exactly the discrete weak form.
+J smooth). The gradient (`Evaluation.gradient`) carries the quadrature
+weights, so its plain dot product with v is the directional derivative of
+J at u along v, and stationarity of the discrete J is exactly the discrete
+weak form.
 
 The ray scaling J(s u) = s^2 [J(u) - log(s) * int(u^2)] gives a closed-form
 projection onto the Nehari set {J'(u)u = 0}: every ray through a nonzero
@@ -17,7 +18,7 @@ field crosses it exactly once, at
     s* = exp( [int(|grad u|^2 + V u^2) - int(u^2 log u^2)] / (2 int(u^2)) ).
 
 Every quantity above is read from one evaluation record per field
-(`evaluate`): the stencil Lu, the log term u log u^2 and the integrals
+(`energy`): the stencil Lu, the log term u log u^2 and the integrals
 K = int(u Lu) + int(V u^2), E = int(u^2 log u^2), M = int(u^2), so that
 J = (K + M - E)/2 and J'(u)u = K - E. The record of s*u follows from the
 record of u without a new stencil, log or integral (`Evaluation.scaled`).
@@ -38,12 +39,9 @@ from .potential import PotentialSpec, eval_scaled
 
 __all__ = [
     "EnergyParams",
-    "EnergyBreakdown",
     "NehariResidual",
     "Evaluation",
-    "evaluate",
     "energy",
-    "gradient",
     "nehari_scale",
     "nehari_residual",
     "log_sobolev_gap",
@@ -63,16 +61,6 @@ class EnergyParams:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise NonPositiveEpsilon(f"eps must be positive, got {self.eps}")
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    total: float
-    kinetic: float
-    potential_term: float
-    entropy: float
-    mass: float
-    norm_eps: float
 
 
 class NehariResidual(NamedTuple):
@@ -104,15 +92,6 @@ def _u_log_u2(u: np.ndarray) -> np.ndarray:
     out = _log_abs(u)
     with np.errstate(under="ignore"):
         out *= u
-    out *= 2.0
-    return out
-
-
-def _u2_log_u2(u: np.ndarray) -> np.ndarray:
-    """u^2 log u^2 with 0 log 0 = 0, safe down to the smallest doubles."""
-    out = _log_abs(u)
-    with np.errstate(under="ignore"):
-        out *= u * u
     out *= 2.0
     return out
 
@@ -170,17 +149,27 @@ class Evaluation:
         return res
 
     def gradient(self) -> np.ndarray:
-        """Weighted gradient of J; see `gradient`."""
+        """Weighted gradient of J: w_j [(-L u)_j + V_j u_j - u_j log u_j^2].
+
+        Boundary rows are zero. The plain dot product against a direction v
+        is the directional derivative d/dt J(u + t v) at t = 0.
+        """
         return self.grid.quad_weights * self.residual()
 
     def nehari_residual(self) -> NehariResidual:
-        """See `nehari_residual`; read from the record."""
-        return _nehari_residual(self.level, self.M, self.K + self.M)
+        """Normalized |J'(u)u| = |2 J(u) - int(u^2)| / max(1, ||u||_eps^2)
+        and the level gap |J(u) - 1/2 int(u^2)|, with ||u||_eps^2 = K + M."""
+        if self.M <= 0.0:
+            raise ZeroField("Nehari residual undefined for the zero field")
+        # J'(u)u = 2 J(u) - int(u^2)
+        gap = abs(self.level - 0.5 * self.M)
+        return NehariResidual(value=2.0 * gap / max(1.0, self.K + self.M),
+                              level_gap=gap)
 
 
-def evaluate(u: np.ndarray, params: EnergyParams, g: Grid | GridBox) -> Evaluation:
-    """One stencil, one log and the integrals K, E, M of a field on a grid
-    or a box of one."""
+def energy(u: np.ndarray, params: EnergyParams, g: Grid | GridBox) -> Evaluation:
+    """The evaluation record of J at a Dirichlet-compliant field on a grid
+    or a box of one: one stencil, one log and the integrals K, E, M."""
     u = g.check_field(u)
     v = g.restrict(_potential_table(params, g.whole))
     Lu, u_log_u2 = laplacian_apply(g, u), _u_log_u2(u)
@@ -199,32 +188,8 @@ def evaluate(u: np.ndarray, params: EnergyParams, g: Grid | GridBox) -> Evaluati
     )
 
 
-def energy(u: np.ndarray, params: EnergyParams, g: Grid) -> EnergyBreakdown:
-    """Evaluate J and its pieces on a Dirichlet-compliant field."""
-    rec = evaluate(u, params, g)
-    kinetic = 0.5 * integrate(g, rec.u * rec.Lu)
-    potential_term = 0.5 * (rec.K + rec.M) - kinetic
-    entropy = 0.5 * rec.E
-    return EnergyBreakdown(
-        total=kinetic + potential_term - entropy,
-        kinetic=kinetic,
-        potential_term=potential_term,
-        entropy=entropy,
-        mass=rec.M,
-        norm_eps=math.sqrt(max(0.0, rec.K + rec.M)),
-    )
-
-
-def gradient(u: np.ndarray, params: EnergyParams, g: Grid) -> np.ndarray:
-    """Weighted gradient of J: w_j [(-L u)_j + V_j u_j - u_j log u_j^2].
-
-    Boundary rows are zero. The plain dot product against a direction v is
-    the directional derivative d/dt J(u + t v) at t = 0.
-    """
-    return evaluate(u, params, g).gradient()
-
-
-def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams, g: Grid) -> float:
+def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams,
+                 g: Grid | GridBox) -> float:
     """The unique s > 0 placing s*u on the Nehari set.
 
     J'(su)(su) = s^2 [K - E - log(s^2) M] with K = int(|grad u|^2 + V u^2),
@@ -234,7 +199,7 @@ def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams, g: Grid) -> f
     raises ZeroField when u is zero or s underflows to 0 (s*u would be the
     zero field, which is not on the Nehari set).
     """
-    rec = u if isinstance(u, Evaluation) else evaluate(u, params, g)
+    rec = u if isinstance(u, Evaluation) else energy(u, params, g)
     if rec.M <= 0.0:
         raise ZeroField("cannot project the zero field onto the Nehari set")
     arg = (rec.K - rec.E) / (2.0 * rec.M)
@@ -246,19 +211,9 @@ def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams, g: Grid) -> f
     return s
 
 
-def _nehari_residual(level: float, mass: float, norm_sq: float) -> NehariResidual:
-    if mass <= 0.0:
-        raise ZeroField("Nehari residual undefined for the zero field")
-    # J'(u)u = 2 J(u) - int(u^2)
-    gap = abs(level - 0.5 * mass)
-    return NehariResidual(value=2.0 * gap / max(1.0, norm_sq), level_gap=gap)
-
-
 def nehari_residual(u: np.ndarray, params: EnergyParams, g: Grid) -> NehariResidual:
-    """Normalized |J'(u)u| = |2 J(u) - int(u^2)| / max(1, ||u||_eps^2) and
-    the level gap |J(u) - 1/2 int(u^2)|, measured by `energy`."""
-    eb = energy(u, params, g)
-    return _nehari_residual(eb.total, eb.mass, eb.norm_eps**2)
+    """`Evaluation.nehari_residual` of the record of u."""
+    return energy(u, params, g).nehari_residual()
 
 
 # the log-Sobolev parameter a, with a^2/pi = 1/4
@@ -279,7 +234,7 @@ def log_sobolev_gap(u: np.ndarray, g: Grid) -> float:
     M = integrate(g, u * u)
     if M <= 0.0:
         raise ZeroField("log-Sobolev gap undefined for the zero field")
-    E = integrate(g, _u2_log_u2(u))
+    E = integrate(g, u * _u_log_u2(u))
     rhs = ((_LS_A * _LS_A / math.pi) * Kgrad
            + (math.log(M) - g.dim * (1.0 + math.log(_LS_A))) * M)
     return rhs - E

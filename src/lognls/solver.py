@@ -34,7 +34,7 @@ import numpy as np
 from numpy.fft import rfft
 
 from .barycenter import BarycenterParams, Region, q_eps, region_of
-from .energy import EnergyParams, Evaluation, energy, evaluate, nehari_scale
+from .energy import EnergyParams, Evaluation, energy, nehari_scale
 from .errors import (
     ConfigError,
     DomainTooSmall,
@@ -318,7 +318,7 @@ def _ritz_seed(params: EnergyParams, g: Grid,
     ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
 
     def log_level(b: float) -> float:
-        rec = evaluate(_seed_profile(g, ramp, d2, b), params, g)
+        rec = energy(_seed_profile(g, ramp, d2, b), params, g)
         return math.log(rec.M) + (rec.K - rec.E) / rec.M
 
     lo, hi = _SEED_WIDTHS
@@ -585,9 +585,10 @@ def minimize_localized(
     keep that form. So the box's frame carries the multiple, and the field
     beyond it adds about _BOX_FLOOR^2 relative to every integral. The
     returned field is the box's on the box and that multiple of |seed| off
-    it; its level, gradient norm, Nehari residual and barycenter are
-    measured on the whole grid, and a box-converged stage whose measurement
-    misses a tolerance ends BOX_TOO_SMALL.
+    it; its level, gradient norm and Nehari residual are read from one
+    evaluation record on the whole grid, its barycenter from one q_eps
+    there, and a box-converged stage whose measurement misses a tolerance
+    ends BOX_TOO_SMALL.
 
     The descent starts from |seed|, and both the trial and the rescale keep
     the sign of every node, so every iterate, the returned field included,
@@ -603,7 +604,7 @@ def minimize_localized(
     start = np.abs(g.check_field(seed))
     gb = _descent_box(start, g)
     # one evaluation record per field: the current iterate and the trial
-    rec = evaluate(gb.take(start), params, gb)
+    rec = energy(gb.take(start), params, gb)
     s0 = nehari_scale(rec, params, gb)
     if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
         rec = rec.scaled(s0)
@@ -658,8 +659,8 @@ def minimize_localized(
             trials += 1
             step = np.multiply(dirn, tau)
             np.subtract(rec.u, step, out=step)
-            trial = evaluate(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
-                             params, gb)
+            trial = energy(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
+                           params, gb)
             try:
                 s = nehari_scale(trial, params, gb)
             except ZeroField:
@@ -702,8 +703,8 @@ def minimize_localized(
 
     # the reported values are measured once, on the whole grid
     u = _whole_field(gb, start, rec.u)
-    level = energy(u, params, g).total
-    whole = evaluate(u, params, g)
+    whole = energy(u, params, g)
+    level = whole.level
     gnorm = _projected_grad_norm(u, whole.residual(), g)
     nres = whole.nehari_residual().value
     q = classify(u, g)[0] if constrained else None

@@ -25,7 +25,6 @@ from .barycenter import BarycenterParams, q_eps, region_of
 from .energy import (
     EnergyParams,
     energy,
-    evaluate,
     log_sobolev_gap,
     nehari_residual,
     nehari_scale,
@@ -121,13 +120,13 @@ def weak_residual(
     tensor product of 1d cubic B-splines of unit discrete H^1 norm, with
     log-uniform width in [max(3h, R/100), R/8] and a center keeping its
     support inside the domain; it is paired and normalized through its 1d
-    factors (`_factored_probe`).
+    factors (`_factored_probe`). The residual and ||u||_eps^2 = K + M come
+    from one evaluation record of u (`energy`).
     """
-    eb = energy(u, params, g)
-    if eb.mass <= 0.0:
+    rec = energy(u, params, g)
+    if rec.M <= 0.0:
         raise ZeroField("weak residual undefined for the zero field")
-    r = evaluate(u, params, g).residual()
-    wr = (g.quad_weights * r).reshape(g.shape)
+    wr = rec.gradient().reshape(g.shape)
     g1 = g if g.dim == 1 else build_grid(1, g.R, g.h)
 
     rng = np.random.default_rng(seed)
@@ -140,7 +139,7 @@ def weak_residual(
         center = rng.uniform(-span, span, size=g.dim)
         pairing, h1sq = _factored_probe(g1, wr, center, sigma)
         worst = max(worst, abs(pairing) / math.sqrt(h1sq))
-    return worst / eb.norm_eps
+    return worst / math.sqrt(max(0.0, rec.K + rec.M))
 
 
 def smooth_random_field(
@@ -204,10 +203,10 @@ def identity_suite(g: Grid, seed: int = 0, fields: int = 100) -> dict:
     scales = (0.5, math.e, 10.0)
     for _ in range(fields):
         u = smooth_random_field(g, rng)
-        eb = energy(u, params, g)
+        rec = energy(u, params, g)
         for sfac in scales:
-            lhs = energy(sfac * u, params, g).total
-            rhs = sfac * sfac * (eb.total - math.log(sfac) * eb.mass)
+            lhs = energy(sfac * u, params, g).level
+            rhs = sfac * sfac * (rec.level - math.log(sfac) * rec.M)
             if abs(lhs - rhs) <= tol_scale * max(1.0, abs(lhs)):
                 n_scale += 1
         star = nehari_scale(u, params, g)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lognls.cli import main
-from lognls.energy import EnergyParams, energy, gradient
+from lognls.energy import EnergyParams, energy
 from lognls.grid import build_grid
 from lognls.solver import SolverConfig, gausson, ground_level
 from lognls.verify import smooth_random_field
@@ -123,11 +123,11 @@ def test_criterion_5_gradient_consistency():
     for _ in range(20):
         u = smooth_random_field(g, rng, positive=True)
         v = smooth_random_field(g, rng)
-        pair = float(np.dot(gradient(u, params, g), v))
+        pair = float(np.dot(energy(u, params, g).gradient(), v))
         errs = []
         for t in ts:
-            jp = energy(u + t * v, params, g).total
-            jm = energy(u - t * v, params, g).total
+            jp = energy(u + t * v, params, g).level
+            jm = energy(u - t * v, params, g).level
             errs.append(abs(pair - (jp - jm) / (2.0 * t)))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         orders.append(slope)

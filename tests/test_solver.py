@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lognls.barycenter import BarycenterParams, q_eps, region_of
-from lognls.energy import EnergyParams, energy, log_sobolev_gap
+from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion, SolverFailure
 from lognls.grid import (
+    Grid,
     GridBox,
     build_grid,
     integrate,
@@ -16,8 +17,8 @@ from lognls.grid import (
     save_field,
 )
 from lognls.potential import default_geometry, make_multiwell
+import lognls.energy as energy_mod
 import lognls.solver as solver_mod
-from lognls.energy import evaluate, nehari_scale
 from lognls.solver import (
     SolveStatus,
     SolverConfig,
@@ -41,6 +42,7 @@ from lognls.solver import (
     seed_well,
     solve_multiplicity,
 )
+from lognls.verify import audit, weak_residual
 
 E = math.e
 SQPI = math.sqrt(math.pi)
@@ -194,7 +196,7 @@ def test_gausson_mass_and_level_1d():
     u = gausson(g, 1.0)
     assert integrate(g, u * u) == pytest.approx(E**2 * SQPI, abs=1e-6)
     params = EnergyParams(eps=1.0, potential=1.0)
-    assert energy(u, params, g).total == pytest.approx(0.5 * E**2 * SQPI, abs=5e-3)
+    assert energy(u, params, g).level == pytest.approx(0.5 * E**2 * SQPI, abs=5e-3)
 
 
 def test_gausson_2d_amplitude_and_level():
@@ -203,7 +205,7 @@ def test_gausson_2d_amplitude_and_level():
     assert u.max() == pytest.approx(E**2, rel=1e-12)
     params = EnergyParams(eps=1.0, potential=2.0)
     target = 0.5 * math.exp(4.0) * math.pi
-    assert energy(u, params, g).total == pytest.approx(target, rel=5e-3)
+    assert energy(u, params, g).level == pytest.approx(target, rel=5e-3)
 
 
 def test_gausson_domain_too_small():
@@ -300,7 +302,7 @@ def test_seed_well_returns_its_ritz_width(dw_spec):
     for other in (0.9 * b, 1.1 * b):
         phi = _seed_profile(g, ramp, d2, other)
         phi *= nehari_scale(phi, params, g)
-        assert energy(seed, params, g).total < energy(phi, params, g).total
+        assert energy(seed, params, g).level < energy(phi, params, g).level
 
 
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0])
@@ -353,14 +355,14 @@ def test_undamped_descent_evaluates_no_negative_field(monkeypatch):
     monkeypatch.setattr(solver_mod, "_H1_SHIFT", 12.0)
     monkeypatch.setattr(solver_mod, "_tail_damping",
                         lambda rec, out: np.ones_like(out))
-    real = solver_mod.evaluate
+    real = solver_mod.energy
     negative = []
 
     def spy(u, params, g):
         negative.append(int(np.count_nonzero(u < 0.0)))
         return real(u, params, g)
 
-    monkeypatch.setattr(solver_mod, "evaluate", spy)
+    monkeypatch.setattr(solver_mod, "energy", spy)
     g = build_grid(1, 10.0, 0.01)
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,), grad_tol=5e-5)
     params = EnergyParams(eps=1.0, potential=1.0)
@@ -378,7 +380,7 @@ def test_reported_level_is_energy_of_returned_field():
     bump = np.exp(-((g.nodes[:, 0] - 1.0) ** 2) / 0.5)
     bump[~g.interior_mask] = 0.0
     res = minimize_localized(gausson(g, 1.0) + 0.2 * bump, None, 1.0, params, cfg, g)
-    assert res.level == energy(res.u, params, g).total
+    assert res.level == energy(res.u, params, g).level
     assert [(st.R, st.level) for st in res.stages] == [(10.0, res.level)]
 
 
@@ -480,11 +482,40 @@ def test_reported_values_are_a_whole_grid_measurement(double_well_run):
     for res in out.results:
         g = res.grid
         assert res.stages[-1].precond_box[0] < g.n_axis - 2
-        rec = evaluate(res.u, out.params, g)
-        assert res.level == energy(res.u, out.params, g).total
+        rec = energy(res.u, out.params, g)
+        assert res.level == rec.level
         assert res.grad_norm == _projected_grad_norm(res.u, rec.residual(), g)
         assert res.nehari_res == rec.nehari_residual().value
         assert np.array_equal(res.barycenter, q_eps(res.u, out.eps, bp, g))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda u, params, cfg, g: minimize_localized(u, None, 1.0, params, cfg, g),
+    lambda u, params, cfg, g: weak_residual(u, params, g),
+], ids=["minimize_localized", "weak_residual"])
+def test_one_whole_grid_pass_per_measurement(monkeypatch, measure):
+    # a stage's end and a weak residual each read one evaluation record of
+    # the whole grid; the descent's own passes run on its box
+    stencil = energy_mod.laplacian_apply
+    whole = []
+
+    def spy(g, u):
+        if isinstance(g, Grid):
+            whole.append(g)
+        return stencil(g, u)
+
+    monkeypatch.setattr(energy_mod, "laplacian_apply", spy)
+    g = build_grid(1, 20.0, 0.02)
+    cfg = SolverConfig(h=0.02, R_schedule=(20.0,))
+    params = EnergyParams(eps=1.0, potential=1.0)
+    measure(gausson(g, 1.0), params, cfg, g)
+    assert whole == [g]
+
+
+def test_audit_nehari_residual_is_the_solver_s(double_well_run):
+    out = double_well_run["outcome"]
+    rep = audit(out.results, out)
+    assert [w["nehari_res"] for w in rep.wells] == [res.nehari_res for res in out.results]
 
 
 @pytest.mark.parametrize("wells, eps, h, schedule, grad_tol", [
@@ -595,7 +626,7 @@ def _lbfgs_fields(g, k):
     for j in range(k + 1):
         bump = np.exp(-((g.nodes[:, 0] - 0.3 * j) ** 2))
         bump[~g.interior_mask] = 0.0
-        recs.append(evaluate(base * (1.0 + 0.05 * j * bump), params, g))
+        recs.append(energy(base * (1.0 + 0.05 * j * bump), params, g))
     return recs, [r.residual() for r in recs]
 
 
@@ -605,7 +636,7 @@ def test_lbfgs_without_pairs_is_h1_gradient():
     g = build_grid(1, 10.0, 0.05)
     recs, _ = _lbfgs_fields(g, 0)
     box = _descent_box(recs[0].u, g)
-    rec = evaluate(box.take(recs[0].u), EnergyParams(eps=1.0, potential=1.0), box)
+    rec = energy(box.take(recs[0].u), EnergyParams(eps=1.0, potential=1.0), box)
     resid = rec.residual()
     d = _LBFGS(box).direction(rec, resid)
     damping = _tail_damping(rec, np.empty(box.num_nodes))
@@ -620,7 +651,7 @@ def test_tail_damping_is_one_in_the_core_and_zero_off_the_field():
     u = gausson(g, 1.0)
     u[np.argmin(np.abs(g.nodes[:, 0] - 3.0))] = 0.0   # an interior zero
     u[np.argmin(np.abs(g.nodes[:, 0] + 5.0))] *= -1.0  # a sign flip
-    rec = evaluate(u, params, g)
+    rec = energy(u, params, g)
     damping = _tail_damping(rec, np.empty(g.num_nodes))
     mult = np.full(g.num_nodes, np.inf)
     nz = u != 0.0
