@@ -52,7 +52,6 @@ from .grid import (
     zero_extend,
 )
 from .potential import PotentialSpec, WellGeometry, default_geometry
-from .verify import weak_residual
 
 __all__ = [
     "SolveStatus",
@@ -73,12 +72,13 @@ _STALL = 4.0 * np.finfo(float).eps
 # each trial step starts at `step_init` and is shrunk by `backtrack` at most
 # _MAX_HALVINGS times per iteration
 _MAX_HALVINGS = 40
-# L-BFGS pairs kept, two fields each. In the damped metric from the Ritz
-# seed, m = 10 takes 32 / 27 / 112 well iterations on the 1d double well, a
-# 58,081-node 2d double well and the 1d eps sweep against 37 / 30 / 129 for
-# m = 5, but its 10 more fields (4.6 MB on that 2d grid) would raise the
-# peak memory by more than 5%
-_LBFGS_MEMORY = 5
+# L-BFGS pairs kept, two box fields each. Well iterations on the 1d double
+# well, a 58,081-node 2d double well and the 1d eps sweep 0.4, 0.2, 0.1:
+# m = 5: 17+17 / 15+14 / 124, m = 7: 14+14 / 13+14 / 106, m = 8: 14+14 /
+# 13+13 / 100, and m = 10, 12 and 15 the same as 8, the least m of the
+# plateau. Its 6 more box fields raise the 2d run's own peak memory from
+# 52.5 to 53.7 MiB
+_LBFGS_MEMORY = 8
 # mass term c of the H^1 metric -L + c. Near a well solution the Hessian's
 # multiplication part V - 2 - log u^2 grows like |x - z_i/eps|^2, the
 # harmonic confinement of u log u^2, on a length scale of 1 in the rescaled
@@ -202,8 +202,8 @@ class SolveResult:
     R_final: float
     iterations: int
     status: SolveStatus
-    weak_res: float = math.nan  # set by solve_multiplicity on each well's result
-    seed_width: float = math.nan  # likewise: the Gausson width b of its seed
+    weak_res: float = math.nan  # measured by `lognls solve` (cli.cmd_solve) only
+    seed_width: float = math.nan  # the Gausson width b of its seed
     history: list[HistoryRow] = field(default_factory=list)
     r_stabilized: bool = True
     continuation_gap: float = 0.0
@@ -287,7 +287,7 @@ def _resolve_geometry(config: SolverConfig, spec: PotentialSpec) -> WellGeometry
     return geom
 
 
-def _seed_profile(g: Grid, ramp: np.ndarray, d2: np.ndarray,
+def _seed_profile(g: Grid | GridBox, ramp: np.ndarray, d2: np.ndarray,
                   width: float) -> np.ndarray:
     """ramp * (A exp(-b d2/2) + floor), A = e^((N+1)/2), zero on the
     boundary through the ramp, with d2 the squared distance to the centre:
@@ -297,6 +297,23 @@ def _seed_profile(g: Grid, ramp: np.ndarray, d2: np.ndarray,
     u0 += _SEED_FLOOR
     u0 *= ramp
     return u0
+
+
+def _ritz_box(g: Grid, center: np.ndarray, width: float) -> GridBox:
+    """The box of the grid on which `_ritz_seed` evaluates the profile of
+    width b: on each axis the nodes within sqrt(-2 log(_BOX_FLOOR)/b) of the
+    centre, where exp(-b y^2/2) >= _BOX_FLOOR, and a one-node frame, inside
+    the grid; the whole grid when _BOX_FLOOR is 0. Off the box the profile
+    adds about _BOX_FLOOR^2 relative to every integral."""
+    reach = math.inf
+    if _BOX_FLOOR > 0.0:
+        reach = math.sqrt(-2.0 * math.log(_BOX_FLOOR) / width)
+    index = []
+    for c in center:
+        lo = int(np.searchsorted(g.axis, c - reach, "left"))
+        hi = int(np.searchsorted(g.axis, c + reach, "right"))
+        index.append(slice(max(lo - 1, 0), min(hi + 1, g.n_axis)))
+    return GridBox(g, tuple(index))
 
 
 def _ritz_seed(params: EnergyParams, g: Grid,
@@ -314,11 +331,15 @@ def _ritz_seed(params: EnergyParams, g: Grid,
     closed-form b with a = eps^2 V''(z_i)/2 take 34 / 34 / 136 well
     iterations on the 1d double well, the 2d double well and the 1d eps
     sweep, against 37 / 30 / 129 from the Ritz b and 38 / 44 / 144 from b = 1.
+
+    Each width is evaluated on its own box (`_ritz_box`); the returned
+    profile is on the whole grid.
     """
     ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
 
     def log_level(b: float) -> float:
-        rec = energy(_seed_profile(g, ramp, d2, b), params, g)
+        gb = _ritz_box(g, center, b)
+        rec = energy(_seed_profile(gb, gb.take(ramp), gb.take(d2), b), params, gb)
         return math.log(rec.M) + (rec.K - rec.E) / rec.M
 
     lo, hi = _SEED_WIDTHS
@@ -823,7 +844,9 @@ def solve_multiplicity(
     """One localized solve per well, continued through the R schedule.
 
     Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf and the separation margin gamma.
+    the reference levels c0 < c_inf and the separation margin gamma. Each
+    result carries its seed width; its weak residual is left nan, since
+    only `lognls solve` reports it and measures it there.
     """
     geometry = _resolve_geometry(config, potential)
     if config.R_schedule[0] <= geometry.R0:
@@ -857,9 +880,6 @@ def solve_multiplicity(
             if res.status == SolveStatus.CONVERGED:
                 res = continue_in_R(res, i, params, config)
             res.seed_width = width
-            res.weak_res = weak_residual(
-                res.u, params, res.grid, probes=config.probes, seed=config.probe_seed,
-            )
             results.append(res)
         except LogNLSError as exc:
             failures.append(WellFailure(i, type(exc).__name__, str(exc)))

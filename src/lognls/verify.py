@@ -17,9 +17,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# numpy loads numpy.random lazily; import it with the package, not in the
-# first weak residual
-import numpy.random  # noqa: F401
 
 from .barycenter import BarycenterParams, q_eps, region_of
 from .energy import (

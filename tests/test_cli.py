@@ -1,5 +1,7 @@
+import csv
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lognls
@@ -233,16 +236,17 @@ def _run_module(*args, **env_vars):
 
 
 def test_cli_import_loads_numpy_alone():
-    """The package needs numpy only, and loads numpy.fft and numpy.random
-    (which numpy imports lazily) with itself rather than in the first
-    solve."""
+    """The package needs numpy only, and loads numpy.fft (which numpy
+    imports lazily) with itself rather than in the first solve. numpy.random,
+    which only the weak residual after the solve and the identity suite
+    draw from, is left to load when they first run."""
     proc = _run_python("-c", (
         "import sys, lognls.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print('numpy.fft' in sys.modules, 'numpy.random' in sys.modules)"
     ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "True False"]
 
 
 def test_solve_and_audit_import_nothing_beyond_the_cli():
@@ -377,6 +381,49 @@ def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, solver):
     assert err.startswith("config error: ") and "solve failed" not in err
     assert not (out / "report.json").exists()
     assert not (out / "sweep.csv").exists()
+
+
+def test_weak_residual_is_measured_by_solve_alone(tmp_path, monkeypatch):
+    """`lognls solve` measures the weak residual once per well, on the field
+    it writes, and writes a finite value; `sweep`, which does not report
+    it, measures none, and `solve_multiplicity` leaves it nan."""
+    import lognls.verify as verify_mod
+    from lognls.solver import solve_multiplicity
+
+    cfg = {
+        "problem": {"dim": 1, "eps": 0.4, "wells": [[0.0], [2.0]], "v_inf": 2.0,
+                    "width": 0.25},
+        "numerics": {"h": 0.05, "R_schedule": [12.0, 16.0]},
+        "outputs": {"verbosity": 0},
+    }
+    path = _write(tmp_path, cfg)
+    real = verify_mod.weak_residual
+    measured = []
+
+    def spy(u, *args, **kwargs):
+        measured.append(u.copy())
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "weak_residual", spy)
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert len(measured) == 2
+    for i, u in enumerate(measured):
+        assert np.array_equal(u, load_field(out / "fields" / f"u_well{i + 1}.npz")[2])
+    rows = list(csv.DictReader((out / "levels.csv").open()))
+    assert len(rows) == 2 and all(math.isfinite(float(row["weak_res"])) for row in rows)
+    report = json.loads((out / "report.json").read_text())
+    assert all(math.isfinite(w["weak_res"]) for w in report["wells"])
+
+    measured.clear()
+    assert main(["sweep", "--config", str(path), "--eps", "0.5", "0.4",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert measured == []
+    run = load_config(path)
+    outcome = solve_multiplicity(run.eps, run.potential, run.solver)
+    assert len(outcome.results) == 2
+    assert all(math.isnan(r.weak_res) for r in outcome.results)
+    assert measured == []
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):
