@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonPositiveEpsilon, ZeroField
-from .grid import Grid, GridBox
+from .grid import Grid, GridBox, sq_distance
 from .potential import WellGeometry
 
 __all__ = ["BarycenterParams", "Region", "q_eps", "region_of", "chi_map", "g_weight"]
@@ -66,12 +66,15 @@ def g_weight(points: np.ndarray, R0: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _tables(R0: float, eps: float, g: Grid):
     """chi of the scaled nodes and the weighted quadrature weights of a
-    whole grid; a box restricts them."""
-    scaled = eps * g.nodes
+    whole grid, as `chi_map` and `g_weight` give them at points, from the
+    radius on the open mesh of the axes; a box restricts them."""
+    scaled = eps * g.axis
+    # |eps x| raised to R0 inside B_R0, where chi is the identity and g is 1
+    r = np.maximum(np.sqrt(sq_distance(scaled, np.zeros(g.dim))), R0)
+    clamp = (R0 / r).reshape(g.shape)
     # (dim, n): each coordinate contiguous, contracted by einsum in q_eps
-    chi = np.ascontiguousarray(chi_map(scaled, R0).T)
-    weight = g_weight(scaled, R0)
-    wq = g.quad_weights * weight
+    chi = np.stack([(x * clamp).ravel() for x in np.ix_(*[scaled] * g.dim)])
+    wq = g.quad_weights * np.exp(R0 - r)
     wq.setflags(write=False)
     chi.setflags(write=False)
     return chi, wq

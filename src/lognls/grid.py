@@ -1,9 +1,11 @@
 """Uniform tensor grids on [-R, R]^dim with Dirichlet boundary.
 
-A field is a plain 1d numpy array with one value per node, in the row-major
-order produced by ``meshgrid(..., indexing="ij")``. Boundary nodes are meant
-to carry the value 0 (homogeneous Dirichlet); the operators here do not
-enforce that on their inputs but return 0 on boundary rows.
+A grid's only coordinate array is its 1d axis. A field is a plain 1d numpy
+array with one value per node, raveled row-major from the open mesh
+``np.ix_(axis, ..., axis)``, on which every whole-grid table is built (see
+`sq_distance`). Boundary nodes are meant to carry the value 0 (homogeneous
+Dirichlet); the operators here do not enforce that on their inputs but
+return 0 on boundary rows.
 
 Quadrature is the trapezoid rule induced by the uniform spacing: interior
 weight h^dim, halved once per boundary-touching axis. The discrete gradient
@@ -39,6 +41,7 @@ __all__ = [
     "GridBox",
     "build_grid",
     "conforming_radius",
+    "sq_distance",
     "laplacian_apply",
     "integrate",
     "zero_extend",
@@ -56,6 +59,9 @@ def conforming_radius(target: float, h: float) -> float:
 class Grid:
     """Uniform grid over [-R, R]^dim. Immutable after construction.
 
+    Its axis is its only coordinate array; node tables are built on the
+    open mesh of the axes (`sq_distance`).
+
     Attributes
     ----------
     dim : int
@@ -66,8 +72,6 @@ class Grid:
         Uniform spacing.
     axis : numpy.ndarray
         The shared 1d coordinate array, shape (n,), running -R..R.
-    nodes : numpy.ndarray
-        All node coordinates, shape (num_nodes, dim), row-major.
     interior_mask : numpy.ndarray
         Boolean per node, True iff strictly inside the domain.
     quad_weights : numpy.ndarray
@@ -78,7 +82,6 @@ class Grid:
     R: float
     h: float
     axis: np.ndarray
-    nodes: np.ndarray
     interior_mask: np.ndarray
     quad_weights: np.ndarray
 
@@ -102,10 +105,6 @@ class Grid:
                 f"field has shape {u.shape}, expected ({self.num_nodes},)"
             )
         return u
-
-    def radii(self) -> np.ndarray:
-        """Euclidean distance of every node from the origin."""
-        return np.linalg.norm(self.nodes, axis=1)
 
     @cached_property
     def boundary_nodes(self) -> np.ndarray:
@@ -220,25 +219,19 @@ def build_grid(dim: int, R: float, h: float) -> Grid:
     inner1 = np.zeros(m_int + 1, dtype=bool)
     inner1[1:-1] = True
 
-    if dim == 1:
-        nodes = axis[:, None]
-        weights = w1
-        interior = inner1
-    else:
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        weights = np.outer(w1, w1).ravel()
-        interior = np.outer(inner1, inner1).ravel()
+    weights, interior = w1, inner1
+    if dim == 2:
+        weights, interior = np.outer(w1, w1).ravel(), np.outer(inner1, inner1).ravel()
 
-    return Grid(
-        dim=dim,
-        R=float(R),
-        h=float(h),
-        axis=axis,
-        nodes=nodes,
-        interior_mask=interior,
-        quad_weights=weights,
-    )
+    return Grid(dim=dim, R=float(R), h=float(h), axis=axis,
+                interior_mask=interior, quad_weights=weights)
+
+
+def sq_distance(axis: np.ndarray, center) -> np.ndarray:
+    """|x - center|^2 at every node of the grid on the axis `axis`, one
+    dimension per coordinate of center, summed on the open mesh of the
+    axes; pass eps * g.axis for the scaled nodes."""
+    return sum(np.ix_(*((axis - c) ** 2 for c in center))).ravel()
 
 
 def laplacian_apply(g: Grid | GridBox, u: np.ndarray) -> np.ndarray:

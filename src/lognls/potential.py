@@ -21,7 +21,7 @@ from .errors import (
     MissingOriginWell,
     NonPositiveEpsilon,
 )
-from .grid import Grid
+from .grid import Grid, sq_distance
 
 __all__ = [
     "PotentialSpec",
@@ -131,7 +131,12 @@ def default_geometry(spec: PotentialSpec) -> WellGeometry:
 
 
 def eval_scaled(spec: PotentialSpec, eps: float, g: Grid) -> np.ndarray:
-    """Tabulate V(eps * x) at every grid node."""
+    """Tabulate V(eps * x) at every grid node, as `PotentialSpec.__call__`
+    does at points, one well at a time on the open mesh of the axes."""
     if eps <= 0.0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
-    return spec(eps * g.nodes)
+    scaled = eps * g.axis
+    bump = 0.0
+    for z in spec.wells:
+        bump = np.maximum(bump, np.exp(-sq_distance(scaled, z) / spec.width))
+    return spec.v_inf - (spec.v_inf - 1.0) * bump

@@ -27,7 +27,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,7 @@ from .grid import (
     build_grid,
     conforming_radius,
     integrate,
+    sq_distance,
     zero_extend,
 )
 from .potential import PotentialSpec, WellGeometry, default_geometry
@@ -242,10 +243,6 @@ def _smootherstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
-def _max_norm(g: Grid) -> np.ndarray:
-    return np.abs(g.nodes).max(axis=1)
-
-
 def _boundary_ramp(g: Grid) -> np.ndarray:
     """0 on the boundary of the square, 1 from distance 2 inward; unlike a
     cutoff centred on the origin it leaves a translated profile in place.
@@ -253,16 +250,12 @@ def _boundary_ramp(g: Grid) -> np.ndarray:
     -R and R, so a profile multiplied by it needs no boundary pass.
     Strictly positive at every interior node (R - |x|_inf >= h), so it also
     carries the positive seed floor."""
-    return _smootherstep(0.5 * (g.R - _max_norm(g)))
-
-
-def _sq_distance(g: Grid, center: np.ndarray) -> np.ndarray:
-    # summed from the squared axis offsets on the open mesh of the ij grid
-    return sum(np.ix_(*((g.axis - c) ** 2 for c in center))).ravel()
+    max_norm = reduce(np.maximum, np.ix_(*[np.abs(g.axis)] * g.dim)).ravel()
+    return _smootherstep(0.5 * (g.R - max_norm))
 
 
 def _gaussian_profile(g: Grid, amplitude: float, center: np.ndarray) -> np.ndarray:
-    return amplitude * np.exp(-0.5 * _sq_distance(g, center))
+    return amplitude * np.exp(-0.5 * sq_distance(g.axis, center))
 
 
 def gausson(g: Grid, omega: float) -> np.ndarray:
@@ -335,7 +328,7 @@ def _ritz_seed(params: EnergyParams, g: Grid,
     Each width is evaluated on its own box (`_ritz_box`); the returned
     profile is on the whole grid.
     """
-    ramp, d2 = _boundary_ramp(g), _sq_distance(g, center)
+    ramp, d2 = _boundary_ramp(g), sq_distance(g.axis, center)
 
     def log_level(b: float) -> float:
         gb = _ritz_box(g, center, b)

@@ -27,7 +27,7 @@ from .energy import (
     nehari_scale,
 )
 from .errors import ZeroField
-from .grid import Grid, build_grid, integrate, zero_extend
+from .grid import Grid, build_grid, integrate, sq_distance, zero_extend
 
 __all__ = [
     "VerificationReport",
@@ -151,13 +151,14 @@ def smooth_random_field(
     envelope (needed where third derivatives of the entropy term matter).
     """
     sigma = g.R / 4.0
-    env = np.exp(-((g.radii() / sigma) ** 2) / 2.0)
-    trig = np.zeros(g.num_nodes)
+    r = np.sqrt(sq_distance(g.axis, np.zeros(g.dim)))
+    env = np.exp(-((r / sigma) ** 2) / 2.0)
+    trig = np.zeros(g.shape)
     for k in range(1, modes + 1):
-        for d in range(g.dim):
-            phase = g.nodes[:, d] * (math.pi * k / (2.0 * g.R))
-            trig += rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
-    trig /= max(1.0, np.abs(trig).max())
+        phase = g.axis * (math.pi * k / (2.0 * g.R))
+        for x in np.ix_(*[phase] * g.dim):
+            trig += rng.normal() * np.cos(x) + rng.normal() * np.sin(x)
+    trig = trig.ravel() / max(1.0, np.abs(trig).max())
     u = env * (2.0 + 0.5 * trig) if positive else env * trig
     u[~g.interior_mask] = 0.0
     return u
@@ -175,8 +176,8 @@ def positivity_check(u: np.ndarray, g: Grid) -> dict:
     interior = g.interior_mask
     min_interior = float(u[interior].min()) if interior.any() else 0.0
     nonnegative = bool(np.all(u >= 0.0))
-    peak = g.nodes[int(np.argmax(u))]
-    dist = np.linalg.norm(g.nodes - peak[None, :], axis=1)
+    peak = g.axis[list(np.unravel_index(np.argmax(u), g.shape))]
+    dist = np.sqrt(sq_distance(g.axis, peak))
     core = interior & (dist <= POSITIVE_RADIUS)
     strict_core = bool(np.all(u[core] > 0.0)) if core.any() else False
     return {

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from lognls.energy import EnergyParams
@@ -7,6 +8,12 @@ from lognls.grid import build_grid
 from lognls.potential import make_multiwell
 from lognls.solver import SolverConfig, gausson, minimize_localized, solve_multiplicity
 from lognls.verify import weak_residual
+
+
+def node_list(g):
+    """The (num_nodes, dim) coordinates of g's nodes in field order: the
+    reference form of the tables that the package builds on the axes."""
+    return np.stack(np.meshgrid(*[g.axis] * g.dim, indexing="ij"), axis=-1).reshape(-1, g.dim)
 
 
 @pytest.fixture(scope="session")

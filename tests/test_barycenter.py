@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import node_list
 from lognls.barycenter import BarycenterParams, chi_map, g_weight, q_eps, region_of
 from lognls.errors import NonPositiveEpsilon, ZeroField
-from lognls.grid import build_grid
+from lognls.grid import build_grid, sq_distance
 from lognls.potential import WellGeometry
 from lognls.solver import gausson
 
 
 def _translated_gaussian(g, center):
-    d2 = ((g.nodes - np.atleast_1d(center)[None, :]) ** 2).sum(axis=1)
-    u = np.exp(-0.5 * d2)
+    u = np.exp(-0.5 * sq_distance(g.axis, np.atleast_1d(center)))
     u[~g.interior_mask] = 0.0
     return u
 
@@ -50,7 +50,7 @@ def test_translated_gausson_barycenter_near_well():
 
 def test_far_support_saturates_at_R0():
     g = build_grid(1, 20.0, 0.1)
-    u = _translated_gaussian(g, [10.0]) * (g.nodes[:, 0] > 6.0)
+    u = _translated_gaussian(g, [10.0]) * (g.axis > 6.0)
     q = q_eps(u, 1.0, BarycenterParams(R0=4.0), g)
     assert abs(q[0] - 4.0) <= 1e-6
 
@@ -72,7 +72,7 @@ def test_q_eps_matches_row_sum_reference(dim, h, eps):
     # the reference form: density-weighted rows of chi, summed over nodes
     g = build_grid(dim, 12.0, h)
     bp = BarycenterParams(R0=4.0)
-    scaled = eps * g.nodes
+    scaled = eps * node_list(g)
     chi = chi_map(scaled, bp.R0)
     wq = g.quad_weights * g_weight(scaled, bp.R0)
     rng = np.random.default_rng(dim)

@@ -4,6 +4,8 @@ import zipfile
 import numpy as np
 import pytest
 
+from conftest import node_list
+from lognls.barycenter import _tables, chi_map, g_weight
 from lognls.errors import (
     DomainTooCoarse,
     GridMismatch,
@@ -19,8 +21,12 @@ from lognls.grid import (
     laplacian_apply,
     load_field,
     save_field,
+    sq_distance,
     zero_extend,
 )
+from lognls.potential import eval_scaled, make_multiwell
+from lognls.solver import _boundary_ramp, _smootherstep
+from lognls.verify import POSITIVE_RADIUS, positivity_check
 
 
 def test_build_1d_node_count_and_weight_sum():
@@ -63,7 +69,7 @@ def test_laplacian_annihilates_constants_away_from_boundary():
     u = np.full(g.num_nodes, 3.7)
     u[~g.interior_mask] = 0.0
     lap = laplacian_apply(g, u)
-    dist = g.R - np.abs(g.nodes[:, 0])
+    dist = g.R - np.abs(g.axis)
     far = dist > g.h * 1.5
     assert np.all(lap[far] == 0.0)
     assert np.any(lap != 0.0)  # the Dirichlet ramp shows up next to the boundary
@@ -71,7 +77,7 @@ def test_laplacian_annihilates_constants_away_from_boundary():
 
 def test_laplacian_matches_analytic_second_derivative():
     g = build_grid(1, 1.0, 0.01)
-    x = g.nodes[:, 0]
+    x = g.axis
     u = np.sin(math.pi * x / g.R)
     lap = laplacian_apply(g, u)
     target = (math.pi / g.R) ** 2 * u
@@ -107,7 +113,7 @@ def test_box_is_a_grid_of_its_nodes_with_the_frame_as_boundary(dim):
     assert np.all(laplacian_apply(box, ub)[box.boundary_nodes] == 0.0)
     assert integrate(box, ub) == pytest.approx(
         float(np.sum(g.quad_weights[inner.ravel()] * u[inner.ravel()])), rel=1e-13)
-    table = np.stack([g.nodes[:, 0], 2.0 * g.nodes[:, 0]])
+    table = np.stack([u, 2.0 * u])
     part = box.restrict(table)
     assert part is box.restrict(table) and not part.flags.writeable
     assert np.array_equal(part, table[:, on_box.ravel()])
@@ -122,7 +128,7 @@ def test_integrate_constant():
 
 def test_integrate_gaussian_against_analytic():
     g = build_grid(1, 10.0, 0.01)
-    x = g.nodes[:, 0]
+    x = g.axis
     val = integrate(g, np.exp(-x * x))
     assert abs(val - math.sqrt(math.pi)) <= 1e-8
 
@@ -136,7 +142,7 @@ def test_integrate_grid_mismatch():
 def test_zero_extend_preserves_mass():
     g5 = build_grid(1, 5.0, 0.1)
     g10 = build_grid(1, 10.0, 0.1)
-    u = np.exp(-g5.nodes[:, 0] ** 2)
+    u = np.exp(-g5.axis ** 2)
     u[~g5.interior_mask] = 0.0
     ue = zero_extend(u, g5, g10)
     m0 = integrate(g5, u * u)
@@ -198,7 +204,7 @@ def test_dirichlet_form_positive(dim):
 
 
 def _laplacian_error(g):
-    x = g.nodes[:, 0]
+    x = g.axis
     u = np.cos(0.5 * math.pi * x / g.R) * np.exp(-x * x / 8.0)
     u[~g.interior_mask] = 0.0
     lap = laplacian_apply(g, u)
@@ -309,7 +315,7 @@ def test_dirichlet_energy_rounding_below_descent_slack(dim, h):
     # the rounding noise that the descent sees in J, which must stay below
     # its acceptance slack of 32 eps |J|
     g = build_grid(dim, 8.0, h)
-    u = np.exp(1.5 - 0.5 * (g.nodes ** 2).sum(axis=1))
+    u = np.exp(1.5 - 0.5 * sq_distance(g.axis, np.zeros(dim)))
     u[~g.interior_mask] = 0.0
     base = integrate(g, u * laplacian_apply(g, u))
     rng = np.random.default_rng(0)
@@ -319,3 +325,35 @@ def test_dirichlet_energy_rounding_below_descent_slack(dim, h):
         k = integrate(g, v * laplacian_apply(g, v)) / (s * s)
         worst = max(worst, abs(k - base))
     assert worst <= 32.0 * np.finfo(float).eps * base
+
+
+@pytest.mark.parametrize("wells, peak", [([[0.0], [1.5]], [-15.0]),
+                                         ([[0.0, 0.0], [1.5, -1.0]], [-15.0, 9.0])])
+def test_axis_built_tables_equal_their_node_list_forms(wells, peak):
+    """Each whole-grid table built on the open mesh of the axes equals, bit
+    for bit, its pointwise form at the node list, on an off-axis well, at
+    an eps and a spacing that round."""
+    spec = make_multiwell(wells, 2.0, 0.3)
+    g = build_grid(spec.dim, 24.0, 0.3)
+    points, eps, R0 = node_list(g), 0.3, 2.0
+    assert np.array_equal(eval_scaled(spec, eps, g), spec(eps * points))
+    assert np.array_equal(_boundary_ramp(g),
+                          _smootherstep(0.5 * (g.R - np.abs(points).max(axis=1))))
+    chi, wq = _tables(R0, eps, g)
+    assert np.array_equal(chi, chi_map(eps * points, R0).T)
+    assert np.array_equal(wq, g.quad_weights * g_weight(eps * points, R0))
+    assert np.sum(np.linalg.norm(eps * points, axis=1) > R0) > g.num_nodes // 2
+    # positivity_check's distance to the peak: zeros exactly at the interior
+    # nodes beyond POSITIVE_RADIUS pass, one more at the farthest node within
+    # it fails
+    u = np.exp(-sq_distance(g.axis, np.array(peak)) / 50.0)
+    u[~g.interior_mask] = 0.0
+    top = int(np.argmax(u))
+    dist = np.linalg.norm(points - points[top], axis=1)
+    assert np.array_equal(np.sqrt(sq_distance(g.axis, points[top])), dist)
+    far = dist > POSITIVE_RADIUS
+    assert far.any()
+    u[far] = 0.0
+    assert positivity_check(u, g)["ok"]
+    u[np.argmax(np.where(far | ~g.interior_mask, -1.0, dist))] = 0.0
+    assert not positivity_check(u, g)["ok"]

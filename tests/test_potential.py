@@ -96,7 +96,7 @@ def test_eval_scaled_at_origin_node():
     spec = make_multiwell([[0.0]], 2.0, 1.0)
     g = build_grid(1, 10.0, 0.1)
     vals = eval_scaled(spec, 0.37, g)
-    origin = np.argmin(np.abs(g.nodes[:, 0]))
+    origin = np.argmin(np.abs(g.axis))
     assert vals[origin] == 1.0
 
 
@@ -104,7 +104,7 @@ def test_eval_scaled_formula():
     spec = make_multiwell([[0.0]], 2.0, 1.0)
     g = build_grid(1, 10.0, 0.1)
     vals = eval_scaled(spec, 0.1, g)
-    node = np.argmin(np.abs(g.nodes[:, 0] - 10.0))
+    node = np.argmin(np.abs(g.axis - 10.0))
     assert abs(vals[node] - (2.0 - math.exp(-1.0))) <= 1e-14
     assert vals.min() >= 1.0 and vals.max() < 2.0
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import node_list
 from lognls.energy import EnergyParams
 from lognls.errors import ZeroField
 from lognls.grid import build_grid, conforming_radius, integrate, laplacian_apply
@@ -68,8 +69,8 @@ def _full_grid_probe(g, center, sigma):
     """Reference: the tensor B-spline bump built on every node of g, zeroed
     on the boundary, and its discrete H^1 norm^2 from the full stencil."""
     v = np.ones(g.num_nodes)
-    for k in range(g.dim):
-        v *= _cubic_bspline((g.nodes[:, k] - center[k]) / sigma)
+    for k, x in enumerate(node_list(g).T):
+        v *= _cubic_bspline((x - center[k]) / sigma)
     v[~g.interior_mask] = 0.0
     h1sq = integrate(g, v * laplacian_apply(g, v)) + integrate(g, v * v)
     return v, h1sq
@@ -121,7 +122,7 @@ def test_positivity_check_rejects_negative_dip(fine_grid):
 
 def test_positivity_check_allows_underflow_zeros_far_out():
     g = build_grid(1, 60.0, 0.05)
-    d = g.nodes[:, 0] - 20.0
+    d = g.axis - 20.0
     u = np.exp(1.0 - 0.5 * d * d)  # underflows to 0 beyond ~|d| > 38.6
     u[~g.interior_mask] = 0.0
     assert (u == 0.0).sum() > 2  # zeros really occur
@@ -130,7 +131,7 @@ def test_positivity_check_allows_underflow_zeros_far_out():
 
 def test_positivity_check_rejects_zero_hole_near_peak():
     g = build_grid(1, 60.0, 0.05)
-    d = g.nodes[:, 0] - 20.0
+    d = g.axis - 20.0
     u = np.exp(1.0 - 0.5 * d * d)
     u[~g.interior_mask] = 0.0
     u[np.argmin(np.abs(d - 5.0))] = 0.0
