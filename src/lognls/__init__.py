@@ -22,7 +22,7 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VAR
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .barycenter import BarycenterParams, Region, q_eps, region_of
+from .barycenter import Region, q_eps, region_of
 from .energy import (
     EnergyParams,
     Evaluation,

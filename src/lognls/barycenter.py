@@ -19,16 +19,9 @@ from .errors import NonPositiveEpsilon, ZeroField
 from .grid import Grid, GridBox, sq_distance
 from .potential import WellGeometry
 
-__all__ = ["BarycenterParams", "Region", "q_eps", "region_of", "chi_map", "g_weight"]
+__all__ = ["Region", "q_eps", "region_of", "chi_map", "g_weight"]
 
 BOUNDARY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BarycenterParams:
-    """Truncation radius of chi; also the plateau radius of the weight g."""
-
-    R0: float
 
 
 @dataclass(frozen=True)
@@ -80,14 +73,14 @@ def _tables(R0: float, eps: float, g: Grid):
     return chi, wq
 
 
-def q_eps(u: np.ndarray, eps: float, params: BarycenterParams,
-          g: Grid | GridBox) -> np.ndarray:
-    """Barycenter of u^2 under the chi/g truncation; |result| <= R0. On a
-    box it covers the box's nodes, its frame included."""
+def q_eps(u: np.ndarray, eps: float, R0: float, g: Grid | GridBox) -> np.ndarray:
+    """Barycenter of u^2 under the chi/g truncation at radius R0 (chi's
+    clamp, g's plateau); |result| <= R0. On a box it covers the box's
+    nodes, its frame included."""
     if eps <= 0.0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     u = g.check_field(u)
-    chi, wq = (g.restrict(t) for t in _tables(params.R0, float(eps), g.whole))
+    chi, wq = (g.restrict(t) for t in _tables(float(R0), float(eps), g.whole))
     density = wq * u * u
     denom = density.sum()
     if denom <= 0.0:

@@ -46,6 +46,7 @@ class RunConfig:
     dump_fields: bool
     dump_history: bool
     verbosity: int
+    seed: int   # of the weak-residual probes
 
 
 # every key load_config reads, per section; any other key is an error
@@ -53,8 +54,7 @@ _KEYS = {
     "config": {"problem", "numerics", "solver", "outputs", "rng_seed"},
     "problem": {"dim", "eps", "wells", "v_inf", "width"},
     "numerics": {"h", "R_schedule"},
-    "solver": {"grad_tol", "nehari_tol", "max_iters", "step_init", "backtrack",
-               "gamma", "rho0", "R0", "probes"},
+    "solver": {"grad_tol", "nehari_tol", "max_iters", "gamma", "rho0", "R0"},
     "outputs": {"out_dir", "dump_fields", "dump_history", "verbosity"},
 }
 
@@ -89,9 +89,9 @@ def _typed(section: dict, key: str, where: str, default, ok, kind: str):
     return value
 
 
-def _number(section: dict, key: str, where: str, default=_REQUIRED) -> float:
+def _number(section: dict, key: str, where: str) -> float:
     """A JSON number, not a bool, as a float."""
-    return float(_typed(section, key, where, default, _is_number, "a number"))
+    return float(_typed(section, key, where, _REQUIRED, _is_number, "a number"))
 
 
 def _integer(section: dict, key: str, where: str, default=_REQUIRED) -> int:
@@ -110,6 +110,13 @@ def _numbers(section: dict, key: str, where: str) -> list:
     return _typed(section, key, where, _REQUIRED,
                   lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
                   "a nonempty list of numbers")
+
+
+def _seed(seed: int, where: str) -> int:
+    """A seed of numpy's generators, which take no negative one."""
+    if seed < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {seed}")
+    return seed
 
 
 def _wells(problem: dict) -> list:
@@ -171,36 +178,29 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
 
     h = _number(numerics, "h", "numerics")
     schedule = _numbers(numerics, "R_schedule", "numerics")
-    gamma = solver.get("gamma")
-    if gamma is not None:
-        gamma = _number(solver, "gamma", "solver")
-    localization = None
+    # SolverConfig holds every default, so it gets only the settings the
+    # file holds; a null gamma, rho0 or R0 keeps the derived default
+    settings = {key: read(solver, key, "solver") for key, read in
+                (("grad_tol", _number), ("nehari_tol", _number), ("max_iters", _integer))
+                if key in solver}
+    if solver.get("gamma") is not None:
+        settings["gamma"] = _number(solver, "gamma", "solver")
     if solver.get("rho0") is not None or solver.get("R0") is not None:
         try:
-            localization = WellGeometry(
+            settings["localization"] = WellGeometry(
                 rho0=_number(solver, "rho0", "solver"),
                 R0=_number(solver, "R0", "solver"),
             )
         except LogNLSError as exc:
             raise ConfigError(f"solver.rho0/R0: {exc}") from exc
-    seed = _integer(raw, "rng_seed", "config", 0) if seed_override is None else int(seed_override)
-
     try:
-        solver_cfg = SolverConfig(
-            h=h,
-            R_schedule=tuple(float(r) for r in schedule),
-            grad_tol=_number(solver, "grad_tol", "solver", 1e-8),
-            nehari_tol=_number(solver, "nehari_tol", "solver", 1e-10),
-            max_iters=_integer(solver, "max_iters", "solver", 5000),
-            step_init=_number(solver, "step_init", "solver", 1.0),
-            backtrack=_number(solver, "backtrack", "solver", 0.5),
-            gamma=gamma,
-            localization=localization,
-            probes=_integer(solver, "probes", "solver", 50),
-            probe_seed=seed,
-        )
+        solver_cfg = SolverConfig(h=h, R_schedule=schedule, **settings)
     except LogNLSError as exc:
         raise ConfigError(f"numerics/solver: {exc}") from exc
+    if seed_override is None:
+        seed = _seed(_integer(raw, "rng_seed", "config", 0), "config.rng_seed")
+    else:
+        seed = _seed(int(seed_override), "--seed")
 
     out_dir = _typed(outputs, "out_dir", "outputs", "out",
                      lambda v: isinstance(v, str) and v, "a nonempty string")
@@ -212,6 +212,7 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         dump_fields=_flag(outputs, "dump_fields", "outputs", True),
         dump_history=_flag(outputs, "dump_history", "outputs", False),
         verbosity=_integer(outputs, "verbosity", "outputs", 1),
+        seed=seed,
     )
 
 
@@ -269,10 +270,7 @@ def cmd_solve(args) -> int:
 
     # only solve reports the weak residual, so only solve measures it
     for r in outcome.results:
-        r.weak_res = verify_mod.weak_residual(
-            r.u, outcome.params, r.grid,
-            probes=cfg.solver.probes, seed=cfg.solver.probe_seed,
-        )
+        r.weak_res = verify_mod.weak_residual(r.u, outcome.params, r.grid, seed=cfg.seed)
     report = verify_mod.audit(outcome.results, outcome)
 
     out = cfg.out_dir
@@ -308,12 +306,13 @@ def _check(name, ok, margin, verbose, lines):
 
 def cmd_verify(args) -> int:
     """Identity suite plus the Gausson and level-gap oracles; exit 0 iff all pass."""
+    seed = _seed(args.seed, "--seed")
     t_start = time.perf_counter()
     verbose = args.verbose
     lines = []
 
     g = build_grid(1, 10.0, 0.05)
-    ids = verify_mod.identity_suite(g, seed=args.seed, fields=100)
+    ids = verify_mod.identity_suite(g, seed=seed, fields=100)
     for name, entry in ids.items():
         margin = ", ".join(
             f"{k}={v}" for k, v in entry.items() if k not in ("pass", "total")
@@ -339,7 +338,7 @@ def cmd_verify(args) -> int:
     _check("gausson: level within 0.5% of e^2 sqrt(pi)/2",
            abs(lvl - target) <= 5e-3 * target, f"level={lvl!r}", verbose, lines)
 
-    wr = verify_mod.weak_residual(ug, params, gf, probes=50, seed=args.seed)
+    wr = verify_mod.weak_residual(ug, params, gf, seed=seed)
     _check("gausson: weak residual <= 1e-3", wr <= 1e-3, f"res={wr:.3e}", verbose, lines)
 
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))

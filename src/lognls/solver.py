@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.fft import rfft
 
-from .barycenter import BarycenterParams, Region, q_eps, region_of
+from .barycenter import Region, q_eps, region_of
 from .energy import EnergyParams, Evaluation, energy, nehari_scale
 from .errors import (
     ConfigError,
@@ -70,8 +70,10 @@ __all__ = [
 
 _J_SLACK = 32.0 * np.finfo(float).eps
 _STALL = 4.0 * np.finfo(float).eps
-# each trial step starts at `step_init` and is shrunk by `backtrack` at most
+# each trial step starts at _STEP_INIT and is shrunk by _BACKTRACK at most
 # _MAX_HALVINGS times per iteration
+_STEP_INIT = 1.0
+_BACKTRACK = 0.5
 _MAX_HALVINGS = 40
 # L-BFGS pairs kept, two box fields each. Well iterations on the 1d double
 # well, a 58,081-node 2d double well and the 1d eps sweep 0.4, 0.2, 0.1:
@@ -136,7 +138,7 @@ class StageRecord(NamedTuple):
     """One R stage of one well (one `minimize_localized` call).
 
     level is its reported level, trials counts the evaluated trial steps,
-    backtracks the rejected ones (each shrinks the step by `backtrack`),
+    backtracks the rejected ones (each shrinks the step by _BACKTRACK),
     region_blocked the rejected ones that kept J from rising but moved the
     barycenter out of its ball, precond_box the interior node count per
     axis of the box its descent ran on (`_precond_box`; the frame around
@@ -159,12 +161,8 @@ class SolverConfig:
     grad_tol: float = 1e-8
     nehari_tol: float = 1e-10
     max_iters: int = 5000
-    step_init: float = 1.0
-    backtrack: float = 0.5
     gamma: float | None = None            # None: (c_inf - c0)/4 at runtime
     localization: WellGeometry | None = None  # None: default_geometry(spec)
-    probes: int = 50
-    probe_seed: int = 0
 
     def __post_init__(self):
         sched = tuple(float(r) for r in self.R_schedule)
@@ -175,20 +173,23 @@ class SolverConfig:
             raise ConfigError(f"R_schedule must be strictly increasing: {sched}")
         if self.h <= 0.0:
             raise ConfigError(f"h must be positive, got {self.h}")
+        # with the tolerances of `build_grid`, which builds each stage's grid,
+        # and `zero_extend`, which carries a field from one stage to the next
+        widths = [2.0 * r / self.h for r in sched]
+        shifts = [(b - a) / self.h for a, b in zip(sched, sched[1:])]
+        if any(abs(m - round(m)) > 1e-9 * abs(m) for m in widths) or any(
+                abs(k - round(k)) > 1e-9 for k in shifts):
+            raise ConfigError(
+                f"R_schedule {sched}: h = {self.h} must divide every 2R and "
+                f"every step between radii"
+            )
         if self.grad_tol <= 0.0 or self.nehari_tol <= 0.0:
             raise ConfigError(
                 f"grad_tol/nehari_tol must be positive, got "
                 f"{self.grad_tol}/{self.nehari_tol}"
             )
-        if not (0.0 < self.backtrack < 1.0):
-            raise ConfigError(f"backtrack must lie in (0,1), got {self.backtrack}")
-        if not self.step_init > 0.0:
-            raise ConfigError(f"step_init must be positive, got {self.step_init}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        # with no probe the weak residual would read 0 without measuring
-        if self.probes < 1:
-            raise ConfigError(f"probes must be >= 1, got {self.probes}")
 
 
 @dataclass
@@ -228,7 +229,6 @@ class MultiplicityOutcome:
     geometry: WellGeometry
     params: EnergyParams
     config: SolverConfig
-    eps: float
 
     @property
     def all_converged(self) -> bool:
@@ -587,8 +587,8 @@ def minimize_localized(
     _BOUNDARY_FRACTION, with the closed-form Nehari rescale s* > 0; the
     direction d is the L-BFGS direction in the H^1 metric
     (`_LBFGS`), which starts as the Euler-Lagrange residual smoothed by
-    (-L + c)^{-1}, c = _H1_SHIFT. tau starts at `step_init` in every
-    iteration and is shrunk by `backtrack` until the level 1/2 s*^2 int(w^2)
+    (-L + c)^{-1}, c = _H1_SHIFT. tau starts at _STEP_INIT in every
+    iteration and is shrunk by _BACKTRACK until the level 1/2 s*^2 int(w^2)
     of the trial w does not increase and the barycenter of w, which s* does
     not move, stays interior.
 
@@ -613,7 +613,6 @@ def minimize_localized(
     if constrained:
         spec = params.potential
         geometry = _resolve_geometry(config, spec)
-        bp = BarycenterParams(R0=geometry.R0)
 
     start = np.abs(g.check_field(seed))
     gb = _descent_box(start, g)
@@ -624,7 +623,7 @@ def minimize_localized(
         rec = rec.scaled(s0)
 
     def classify(v: np.ndarray, grid: Grid | GridBox) -> tuple[np.ndarray, Region]:
-        q = q_eps(v, eps, bp, grid)
+        q = q_eps(v, eps, geometry.R0, grid)
         return q, region_of(q, geometry, spec.wells)
 
     if constrained:
@@ -639,7 +638,7 @@ def minimize_localized(
 
     resid = rec.residual()
     lbfgs = _LBFGS(gb)
-    tau = config.step_init
+    tau = _STEP_INIT
     history: list[HistoryRow] = []
     status = SolveStatus.ITERATION_CAP
     it = trials = backtracks = blocked = 0
@@ -665,7 +664,7 @@ def minimize_localized(
             break
 
         dirn = lbfgs.direction(rec, resid)
-        tau = config.step_init
+        tau = _STEP_INIT
         accepted = False
         region_blocked = False
         j_slack = _J_SLACK * max(1.0, abs(J))
@@ -680,7 +679,7 @@ def minimize_localized(
             except ZeroField:
                 s = math.inf
             if not math.isfinite(s):
-                tau *= config.backtrack
+                tau *= _BACKTRACK
                 backtracks += 1
                 continue
             # the level of s w on the Nehari set, J = 1/2 int (s w)^2
@@ -697,7 +696,7 @@ def minimize_localized(
             if ok_j and not ok_region:
                 region_blocked = True
                 blocked += 1
-            tau *= config.backtrack
+            tau *= _BACKTRACK
             backtracks += 1
         if not accepted:
             status = (SolveStatus.BOUNDARY_HIT if region_blocked
@@ -886,6 +885,5 @@ def solve_multiplicity(
         geometry=geometry,
         params=params,
         config=config,
-        eps=eps,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .barycenter import BarycenterParams, q_eps, region_of
+from .barycenter import q_eps, region_of
 from .energy import (
     EnergyParams,
     energy,
@@ -42,6 +42,8 @@ __all__ = [
 # Gaussian-decay solution can only be certified strictly positive within
 # this distance of its peak, beyond it zeros are float artifacts
 POSITIVE_RADIUS = 36.0
+# bumps per weak residual; each costs one pairing over its support
+_PROBES = 50
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:
@@ -105,10 +107,9 @@ def weak_residual(
     u: np.ndarray,
     params: EnergyParams,
     g: Grid,
-    probes: int = 50,
     seed: int = 0,
 ) -> float:
-    """Max over a probe family of |int(grad u . grad v + V u v - u v log u^2)|,
+    """Max over _PROBES probes of |int(grad u . grad v + V u v - u v log u^2)|,
     normalized by ||u||_eps.
 
     The gradient pairing is realized through the discrete Laplacian
@@ -130,7 +131,7 @@ def weak_residual(
     sigma_hi = g.R / 8.0
     sigma_lo = min(max(3.0 * g.h, g.R / 100.0), sigma_hi)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(_PROBES):
         sigma = math.exp(rng.uniform(math.log(sigma_lo), math.log(sigma_hi)))
         span = g.R - 2.0 * sigma - g.h
         center = rng.uniform(-span, span, size=g.dim)
@@ -266,14 +267,13 @@ def audit(results, ctx) -> VerificationReport:
     """Full verification of a multiplicity run.
 
     ctx is the MultiplicityOutcome (or anything carrying params, config,
-    geometry, eps, c0, c_inf, gamma, failures). Pure: identical inputs give
+    geometry, c0, c_inf, gamma, failures). Pure: identical inputs give
     an identical report.
     """
     params: EnergyParams = ctx.params
     config = ctx.config
     geometry = ctx.geometry
     spec = params.potential
-    bp = BarycenterParams(R0=geometry.R0)
 
     tolerances = {
         "nehari_res": config.nehari_tol,
@@ -319,7 +319,7 @@ def audit(results, ctx) -> VerificationReport:
 
         region_ok = True
         if res.well_index is not None:
-            q = q_eps(res.u, ctx.eps, bp, res.grid)
+            q = q_eps(res.u, params.eps, geometry.R0, res.grid)
             reg = region_of(q, geometry, spec.wells)
             region_ok = reg.is_interior(res.well_index)
             entry["barycenter"] = [float(c) for c in q]
@@ -374,7 +374,7 @@ def audit(results, ctx) -> VerificationReport:
     return VerificationReport(
         schema_version=2,
         status=0 if all_ok else 1,
-        eps=ctx.eps,
+        eps=params.eps,
         c0=ctx.c0,
         c_inf=ctx.c_inf,
         gamma=ctx.gamma,

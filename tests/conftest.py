@@ -26,8 +26,7 @@ def gausson_run():
     t0 = time.perf_counter()
     result = minimize_localized(seed, None, 1.0, params, cfg, g)
     elapsed = time.perf_counter() - t0
-    weak = weak_residual(result.u, params, g,
-                         probes=cfg.probes, seed=cfg.probe_seed)
+    weak = weak_residual(result.u, params, g)
     return {"result": result, "weak_res": weak, "elapsed": elapsed, "grid": g,
             "params": params, "config": cfg}
 

@@ -37,7 +37,7 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.potential.dim == 1 and cfg.eps == 0.1
     assert cfg.solver.R_schedule == (10.0,)
-    assert cfg.solver.probe_seed == 7
+    assert cfg.seed == 7
 
 
 def test_load_config_missing_key(tmp_path):
@@ -55,7 +55,8 @@ def test_load_config_bad_json_line_number(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["config.rng_sed", "numerics.delta", "solver.grad_tl",
-                                  "solver.precondition"])
+                                  "solver.precondition", "solver.step_init",
+                                  "solver.backtrack", "solver.probes"])
 def test_load_config_rejects_unknown_keys(tmp_path, name):
     bad = json.loads(json.dumps(SINGLE_WELL))
     section, key = name.split(".")
@@ -71,8 +72,7 @@ def test_load_config_rejects_other_preconditioner(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
-@pytest.mark.parametrize("key, value", [("probes", 0), ("step_init", 0.0),
-                                        ("max_iters", -1)])
+@pytest.mark.parametrize("key, value", [("max_iters", -1)])
 def test_load_config_rejects_settings_that_skip_work(tmp_path, key, value):
     bad = json.loads(json.dumps(SINGLE_WELL))
     bad["solver"][key] = value
@@ -82,7 +82,7 @@ def test_load_config_rejects_settings_that_skip_work(tmp_path, key, value):
 
 @pytest.mark.parametrize("section, key, value", [
     ("outputs", "dump_fields", "false"),
-    ("solver", "probes", 2.7),
+    ("solver", "max_iters", 2.7),
     ("solver", "max_iters", True),
     ("problem", "dim", 1.5),
     ("problem", "eps", "abc"),
@@ -108,6 +108,65 @@ def test_load_config_rejects_mismatched_dim(tmp_path):
     bad["problem"]["wells"] = [[0.0, 0.0]]
     with pytest.raises(ConfigError, match="problem.wells"):
         load_config(_write(tmp_path, bad))
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted([*REPO.glob("configs/*.json"),
+                                         *REPO.glob("perfbench/configs/*.json")]),
+                         ids=lambda p: str(p.relative_to(REPO)))
+def test_every_shipped_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.solver.R_schedule and cfg.potential.l >= 1
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a config error must end the run before any solve")
+
+
+@pytest.mark.parametrize("h, schedule", [(0.03, [30.01, 60.01]), (0.02, [30.01, 60.0])],
+                         ids=["2R-not-whole", "step-not-whole"])
+def test_radius_schedule_that_h_does_not_fit_is_a_config_error(tmp_path, h, schedule,
+                                                               monkeypatch):
+    bad = json.loads((REPO / "configs" / "double_well.json").read_text())
+    bad["numerics"] = {"h": h, "R_schedule": schedule}
+    path = _write(tmp_path, bad)
+    with pytest.raises(ConfigError, match="R_schedule"):
+        load_config(path)
+    monkeypatch.setattr("lognls.cli.solve_multiplicity", _no_solve)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_rng_seed_is_a_config_error(tmp_path, monkeypatch):
+    bad = json.loads(json.dumps(SINGLE_WELL))
+    bad["rng_seed"] = -1
+    path = _write(tmp_path, bad)
+    with pytest.raises(ConfigError, match="config.rng_seed: must be >= 0"):
+        load_config(path)
+    monkeypatch.setattr("lognls.cli.solve_multiplicity", _no_solve)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    path = _write(tmp_path, SINGLE_WELL)
+    monkeypatch.setattr("lognls.cli.solve_multiplicity", _no_solve)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "run"), "--seed", "-3"]
+    assert main(argv + (["--eps", "0.1"] if command == "sweep" else [])) == 2
+    assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_negative_seed_is_a_usage_error(monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a usage error must end verify before any check")
+
+    monkeypatch.setattr("lognls.verify.identity_suite", no_suite)
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_solve_single_well_end_to_end(tmp_path):
