@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,6 +76,9 @@ class Grid:
         Boolean per node, True iff strictly inside the domain.
     quad_weights : numpy.ndarray
         Trapezoid weight per node; sums to (2R)^dim.
+
+    `build_grid` marks the three arrays read-only, since it hands one grid
+    to every caller with the same (dim, R, h).
     """
 
     dim: int
@@ -89,11 +92,11 @@ class Grid:
     def n_axis(self) -> int:
         return self.axis.size
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n_axis,) * self.dim
 
-    @property
+    @cached_property
     def num_nodes(self) -> int:
         return self.n_axis**self.dim
 
@@ -132,7 +135,9 @@ class GridBox:
     weight 0 and residual 0, while the stencil reads their values as
     Dirichlet data. `restrict` slices a table of the whole grid to the box
     once per table and holds the slice, so a box, which lives as long as
-    one descent, adds no entry to a module cache.
+    one descent, adds no entry to a module cache. Its geometry (`dim`, `h`,
+    `shape`, `num_nodes`) is fixed when it is built and held as plain
+    attributes, which every `check_field` and `integrate` reads.
     """
 
     check_field = Grid.check_field
@@ -140,23 +145,11 @@ class GridBox:
     def __init__(self, whole: Grid, index: tuple[slice, ...]):
         self.whole = whole
         self.index = index
+        self.dim = whole.dim
+        self.h = whole.h
+        self.shape = tuple(sl.stop - sl.start for sl in index)
+        self.num_nodes = math.prod(self.shape)
         self._restricted: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return self.whole.dim
-
-    @property
-    def h(self) -> float:
-        return self.whole.h
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(sl.stop - sl.start for sl in self.index)
-
-    @property
-    def num_nodes(self) -> int:
-        return math.prod(self.shape)
 
     @cached_property
     def interior_mask(self) -> np.ndarray:
@@ -196,10 +189,15 @@ class GridBox:
         return hit[1]
 
 
+@lru_cache(maxsize=32)
 def build_grid(dim: int, R: float, h: float) -> Grid:
-    """Build the uniform grid covering [-R, R]^dim with spacing h.
+    """The uniform grid covering [-R, R]^dim with spacing h.
 
-    Requires R/h >= 8 and that h divides 2R to within 1e-9 relative.
+    Requires R/h >= 8 and that h divides 2R to within 1e-9 relative. Built
+    once per (dim, R, h) and process: every call with equal arguments
+    returns the same grid, whose arrays are read-only, so every well, R
+    stage and eps of a run shares one grid per radius and, with it, every
+    table cached on that grid.
     """
     if dim not in (1, 2):
         raise GridMismatch(f"dim must be 1 or 2, got {dim}")
@@ -222,6 +220,8 @@ def build_grid(dim: int, R: float, h: float) -> Grid:
     weights, interior = w1, inner1
     if dim == 2:
         weights, interior = np.outer(w1, w1).ravel(), np.outer(inner1, inner1).ravel()
+    for arr in (axis, weights, interior):
+        arr.setflags(write=False)
 
     return Grid(dim=dim, R=float(R), h=float(h), axis=axis,
                 interior_mask=interior, quad_weights=weights)
@@ -250,9 +250,10 @@ def laplacian_apply(g: Grid | GridBox, u: np.ndarray) -> np.ndarray:
     u = g.check_field(u)
     h2 = g.h * g.h
     if g.dim == 1:
-        d = np.diff(u)
+        d = u[1:] - u[:-1]
         out = np.zeros_like(u)
-        out[1:-1] = (d[:-1] - d[1:]) / h2
+        inner = np.subtract(d[:-1], d[1:], out=out[1:-1])
+        inner /= h2
         return out
     U = u.reshape(g.shape)
     dx = np.diff(U[:, 1:-1], axis=0)

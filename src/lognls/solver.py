@@ -243,15 +243,18 @@ def _smootherstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
+@lru_cache(maxsize=32)
 def _boundary_ramp(g: Grid) -> np.ndarray:
     """0 on the boundary of the square, 1 from distance 2 inward; unlike a
     cutoff centred on the origin it leaves a translated profile in place.
     Exactly 0 at every boundary node, since the grid axis ends at exactly
     -R and R, so a profile multiplied by it needs no boundary pass.
     Strictly positive at every interior node (R - |x|_inf >= h), so it also
-    carries the positive seed floor."""
+    carries the positive seed floor. Built once per grid, read-only."""
     max_norm = reduce(np.maximum, np.ix_(*[np.abs(g.axis)] * g.dim)).ravel()
-    return _smootherstep(0.5 * (g.R - max_norm))
+    ramp = _smootherstep(0.5 * (g.R - max_norm))
+    ramp.setflags(write=False)
+    return ramp
 
 
 def _gaussian_profile(g: Grid, amplitude: float, center: np.ndarray) -> np.ndarray:
@@ -294,13 +297,20 @@ def _seed_profile(g: Grid | GridBox, ramp: np.ndarray, d2: np.ndarray,
 
 def _ritz_box(g: Grid, center: np.ndarray, width: float) -> GridBox:
     """The box of the grid on which `_ritz_seed` evaluates the profile of
-    width b: on each axis the nodes within sqrt(-2 log(_BOX_FLOOR)/b) of the
-    centre, where exp(-b y^2/2) >= _BOX_FLOOR, and a one-node frame, inside
-    the grid; the whole grid when _BOX_FLOOR is 0. Off the box the profile
-    adds about _BOX_FLOOR^2 relative to every integral."""
+    width b: on each axis the nodes within sqrt(-log(_BOX_FLOOR)/b) of the
+    centre, where the squared profile exp(-b y^2) >= _BOX_FLOOR, and a
+    one-node frame, inside the grid; the whole grid when _BOX_FLOOR is 0.
+
+    Every integral of the level (K, E, M) is quadratic in the profile, up
+    to a log factor, so off the box each integrand is below about
+    _BOX_FLOOR = 1e-20 relative to its total: four orders under double
+    rounding, while the golden section compares levels about 1e-5 apart,
+    so the search picks the width of the whole-grid search. The reach of
+    the profile itself, sqrt(-2 log(_BOX_FLOOR)/b), would hold twice the
+    nodes in 2d for no change in any width."""
     reach = math.inf
     if _BOX_FLOOR > 0.0:
-        reach = math.sqrt(-2.0 * math.log(_BOX_FLOOR) / width)
+        reach = math.sqrt(-math.log(_BOX_FLOOR) / width)
     index = []
     for c in center:
         lo = int(np.searchsorted(g.axis, c - reach, "left"))

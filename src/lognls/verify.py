@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -119,7 +120,9 @@ def weak_residual(
     log-uniform width in [max(3h, R/100), R/8] and a center keeping its
     support inside the domain; it is paired and normalized through its 1d
     factors (`_factored_probe`). The residual and ||u||_eps^2 = K + M come
-    from one evaluation record of u (`energy`).
+    from one evaluation record of u (`energy`). The probes are drawn from
+    the standard library's generator `random.Random(seed)`, which numpy
+    has loaded already, so a solve never imports numpy.random.
     """
     rec = energy(u, params, g)
     if rec.M <= 0.0:
@@ -127,14 +130,14 @@ def weak_residual(
     wr = rec.gradient().reshape(g.shape)
     g1 = g if g.dim == 1 else build_grid(1, g.R, g.h)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     sigma_hi = g.R / 8.0
     sigma_lo = min(max(3.0 * g.h, g.R / 100.0), sigma_hi)
     worst = 0.0
     for _ in range(_PROBES):
         sigma = math.exp(rng.uniform(math.log(sigma_lo), math.log(sigma_hi)))
         span = g.R - 2.0 * sigma - g.h
-        center = rng.uniform(-span, span, size=g.dim)
+        center = [rng.uniform(-span, span) for _ in range(g.dim)]
         pairing, h1sq = _factored_probe(g1, wr, center, sigma)
         worst = max(worst, abs(pairing) / math.sqrt(h1sq))
     return worst / math.sqrt(max(0.0, rec.K + rec.M))

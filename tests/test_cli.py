@@ -297,8 +297,9 @@ def _run_module(*args, **env_vars):
 def test_cli_import_loads_numpy_alone():
     """The package needs numpy only, and loads numpy.fft (which numpy
     imports lazily) with itself rather than in the first solve. numpy.random,
-    which only the weak residual after the solve and the identity suite
-    draw from, is left to load when they first run."""
+    which only the identity suite draws from, is left to load when it first
+    runs; the weak residual draws its probes from the standard library's
+    generator (see `test_solve_leaves_numpy_random_unloaded`)."""
     proc = _run_python("-c", (
         "import sys, lognls.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -306,6 +307,22 @@ def test_cli_import_loads_numpy_alone():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True False"]
+
+
+def test_solve_leaves_numpy_random_unloaded(tmp_path):
+    """`lognls solve`, its weak residual included, never imports
+    numpy.random, which would pull in hashlib, hmac and secrets."""
+    path = _write(tmp_path, SINGLE_WELL)
+    proc = _run_python("-c", (
+        "import sys, lognls.cli\n"
+        f"code = lognls.cli.main(['solve', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    rows = list(csv.DictReader((tmp_path / "run" / "levels.csv").open()))
+    assert rows and all(math.isfinite(float(r["weak_res"])) for r in rows)
 
 
 def test_solve_and_audit_import_nothing_beyond_the_cli():
@@ -419,6 +436,30 @@ def test_sweep_smoke_and_csv(tmp_path):
     assert rows[0] == "eps,well,level,dist_to_well,status,iterations"
     assert len(rows) == 3
     assert all(int(row.rsplit(",", 1)[1]) > 0 for row in rows[1:])
+
+
+def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeypatch):
+    """Both wells at one eps read one potential table per radius: the grid
+    of each radius is built once, and the table is cached on it."""
+    import lognls.energy as energy_mod
+
+    calls = []
+    eval_scaled = energy_mod.eval_scaled
+
+    def spy(spec, eps, g):
+        calls.append((eps, g.R))
+        return eval_scaled(spec, eps, g)
+
+    monkeypatch.setattr(energy_mod, "eval_scaled", spy)
+    cfg = json.loads(json.dumps(SINGLE_WELL))
+    cfg["problem"]["wells"] = [[0.0], [2.0]]
+    cfg["numerics"] = {"h": 0.05, "R_schedule": [30.0, 40.0]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(out),
+                 "--eps", "0.4", "0.2", "0.1"]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert len(rows) == 6 and all(r["status"] == "converged" for r in rows)
+    assert sorted(calls) == sorted((eps, R) for eps in (0.4, 0.2, 0.1) for R in (30.0, 40.0))
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

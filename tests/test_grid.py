@@ -3,6 +3,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import node_list
 from lognls.barycenter import _tables, chi_map, g_weight
@@ -56,6 +58,19 @@ def test_build_rejects_nonpositive_spacing():
 def test_build_rejects_coarse_domain():
     with pytest.raises(DomainTooCoarse):
         build_grid(1, 1.0, 0.5)
+
+
+def test_build_grid_returns_one_read_only_grid_per_arguments():
+    """Every call with equal (dim, R, h) returns the same grid, so the
+    tables cached on a grid are built once; no caller can write to it."""
+    for dim in (1, 2):
+        g = build_grid(dim, 6.0, 0.25)
+        assert build_grid(dim, 6.0, 0.25) is g
+        assert build_grid(dim, 6, 0.25) is g
+        assert build_grid(dim, 6.5, 0.25) is not g
+        for arr in (g.axis, g.interior_mask, g.quad_weights, g.boundary_nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
 
 
 def test_nodes_cover_domain():
@@ -119,6 +134,46 @@ def test_box_is_a_grid_of_its_nodes_with_the_frame_as_boundary(dim):
     assert np.array_equal(part, table[:, on_box.ravel()])
     out = box.embed(2.0 * ub, np.zeros(g.num_nodes))
     assert np.array_equal(out, np.where(on_box.ravel(), 2.0 * u, 0.0))
+
+
+def _diff_laplacian(g, u):
+    """The stencil of `laplacian_apply` written with np.diff: the reference
+    form it must equal bit for bit."""
+    h2 = g.h * g.h
+    if g.dim == 1:
+        d = np.diff(u)
+        out = np.zeros_like(u)
+        out[1:-1] = (d[:-1] - d[1:]) / h2
+        return out
+    U = u.reshape(g.shape)
+    dx = np.diff(U[:, 1:-1], axis=0)
+    dy = np.diff(U[1:-1, :], axis=1)
+    out = np.zeros_like(U)
+    out[1:-1, 1:-1] = ((dx[:-1] - dx[1:]) + (dy[:, :-1] - dy[:, 1:])) / h2
+    return out.ravel()
+
+
+@st.composite
+def _grid_or_box_and_field(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 1.0]))
+    g = build_grid(dim, 0.5 * h * draw(st.integers(16, 40)), h)
+    if draw(st.booleans()):
+        index = []
+        for _ in range(dim):
+            lo = draw(st.integers(0, g.n_axis - 3))
+            index.append(slice(lo, draw(st.integers(lo + 3, g.n_axis))))
+        g = GridBox(g, tuple(index))
+    u = draw(arrays(np.float64, g.num_nodes,
+                    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)))
+    return g, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_or_box_and_field())
+def test_laplacian_equals_its_diff_form_bit_for_bit(case):
+    g, u = case
+    assert np.array_equal(laplacian_apply(g, u), _diff_laplacian(g, u))
 
 
 def test_integrate_constant():

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lognls.barycenter import q_eps, region_of
+from lognls.cli import load_config
 from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
 from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion, SolverFailure
 from lognls.grid import (
@@ -318,12 +320,30 @@ def test_ritz_search_on_boxes_matches_the_whole_grid_search(monkeypatch, wells, 
         assert np.array_equal(boxed, whole)
         box = _ritz_box(g, center, b_boxed)
         assert box.shape[-1] < g.n_axis
-        reach = math.sqrt(-2.0 * math.log(shipped) / b_boxed)
+        reach = math.sqrt(-math.log(shipped) / b_boxed)
         for c, sl in zip(center, box.index):
             held = np.flatnonzero(np.abs(g.axis - c) <= reach)
             assert sl.start == max(held[0] - 1, 0) and sl.stop == min(held[-1] + 2, g.n_axis)
     if g.dim == 2:
         assert box.index[0].stop == g.n_axis
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
+def test_ritz_seed_on_boxes_matches_the_whole_grid_on_the_double_well(monkeypatch, eps):
+    """The shipped configuration's wells at each eps of the sweep: the seed
+    and its width on the boxes (`_ritz_box`) are those of the whole-grid
+    search, bit for bit."""
+    run = load_config(Path(__file__).resolve().parent.parent / "configs" / "double_well.json")
+    params = EnergyParams(eps=eps, potential=run.potential)
+    g = build_grid(run.potential.dim, run.solver.R_schedule[0], run.solver.h)
+    shipped = solver_mod._BOX_FLOOR
+    for z in run.potential.wells:
+        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", 0.0)
+        whole, b_whole = _ritz_seed(params, g, z / eps)
+        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", shipped)
+        boxed, b_boxed = _ritz_seed(params, g, z / eps)
+        assert b_boxed == b_whole
+        assert np.array_equal(boxed, whole)
 
 
 def test_seed_well_returns_its_ritz_width(dw_spec):
@@ -543,6 +563,16 @@ def test_one_whole_grid_pass_per_measurement(monkeypatch, measure):
     params = EnergyParams(eps=1.0, potential=1.0)
     measure(gausson(g, 1.0), params, cfg, g)
     assert whole == [g]
+
+
+def test_wells_of_a_run_share_one_grid_per_radius(double_well_run):
+    """Every well of a two-radius run is continued onto the one grid of
+    the last radius, and so shares its cached tables."""
+    out = double_well_run["outcome"]
+    cfg = double_well_run["config"]
+    grids = [r.grid for r in out.results]
+    assert len(grids) == 2 and grids[0] is grids[1]
+    assert grids[0].R == cfg.R_schedule[-1]
 
 
 def test_audit_nehari_residual_is_the_solver_s(double_well_run):
