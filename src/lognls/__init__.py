@@ -60,6 +60,5 @@ from .solver import (
     seed_well,
     solve_multiplicity,
 )
-from .verify import VerificationReport, audit, identity_suite, weak_residual
 
 __version__ = "0.1.0"

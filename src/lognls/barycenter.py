@@ -10,8 +10,8 @@ the well centers z_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ __all__ = ["Region", "q_eps", "region_of", "chi_map", "g_weight"]
 BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Classification of a barycenter against the well balls.
 
     kind is "interior", "boundary" or "outside"; well is the (0-based)

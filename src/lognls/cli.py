@@ -17,12 +17,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import verify as verify_mod
 from .energy import EnergyParams, energy, nehari_residual, nehari_scale
 from .errors import ConfigError, LogNLSError
 from .grid import build_grid, save_field
@@ -37,8 +36,7 @@ from .solver import (
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_sweep", "main"]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     eps: float
     potential: PotentialSpec
     solver: SolverConfig
@@ -79,7 +77,10 @@ _REQUIRED = object()
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number, not a bool: Python's json reads NaN, Infinity
+    and -Infinity, which no setting takes."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _typed(section: dict, key: str, where: str, default, ok, kind: str):
@@ -90,8 +91,8 @@ def _typed(section: dict, key: str, where: str, default, ok, kind: str):
 
 
 def _number(section: dict, key: str, where: str) -> float:
-    """A JSON number, not a bool, as a float."""
-    return float(_typed(section, key, where, _REQUIRED, _is_number, "a number"))
+    """A finite JSON number, not a bool, as a float."""
+    return float(_typed(section, key, where, _REQUIRED, _is_number, "a finite number"))
 
 
 def _integer(section: dict, key: str, where: str, default=_REQUIRED) -> int:
@@ -106,14 +107,15 @@ def _flag(section: dict, key: str, where: str, default: bool) -> bool:
 
 
 def _numbers(section: dict, key: str, where: str) -> list:
-    """A nonempty JSON list of numbers."""
+    """A nonempty JSON list of finite numbers."""
     return _typed(section, key, where, _REQUIRED,
                   lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
-                  "a nonempty list of numbers")
+                  "a nonempty list of finite numbers")
 
 
 def _seed(seed: int, where: str) -> int:
-    """A seed of numpy's generators, which take no negative one."""
+    """A seed of the weak-residual probes (`random.Random`) and of the
+    identity suite (numpy's `default_rng`, which takes no negative one)."""
     if seed < 0:
         raise ConfigError(f"{where}: must be >= 0, got {seed}")
     return seed
@@ -129,7 +131,7 @@ def _wells(problem: dict) -> list:
         row and all(map(_is_number, row)) for row in rows
     ):
         raise ConfigError(
-            "problem.wells: must list numbers or equal-length lists of numbers, "
+            "problem.wells: must list finite numbers or equal-length lists of them, "
             f"got {json.dumps(wells)}"
         )
     return rows
@@ -163,12 +165,9 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         raise ConfigError(f"problem.eps: must be positive, got {eps}")
 
     wells = _wells(problem)
+    v_inf, width = _number(problem, "v_inf", "problem"), _number(problem, "width", "problem")
     try:
-        spec = make_multiwell(
-            wells,
-            _number(problem, "v_inf", "problem"),
-            _number(problem, "width", "problem"),
-        )
+        spec = make_multiwell(wells, v_inf, width)
     except LogNLSError as exc:
         raise ConfigError(f"problem.wells/v_inf/width: {exc}") from exc
     if spec.dim != dim:
@@ -186,13 +185,10 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     if solver.get("gamma") is not None:
         settings["gamma"] = _number(solver, "gamma", "solver")
     if solver.get("rho0") is not None or solver.get("R0") is not None:
-        try:
-            settings["localization"] = WellGeometry(
-                rho0=_number(solver, "rho0", "solver"),
-                R0=_number(solver, "R0", "solver"),
-            )
-        except LogNLSError as exc:
-            raise ConfigError(f"solver.rho0/R0: {exc}") from exc
+        settings["localization"] = WellGeometry(
+            rho0=_number(solver, "rho0", "solver"),
+            R0=_number(solver, "R0", "solver"),
+        )
     try:
         solver_cfg = SolverConfig(h=h, R_schedule=schedule, **settings)
     except LogNLSError as exc:
@@ -259,6 +255,8 @@ def _write_history(path, result):
 
 
 def cmd_solve(args) -> int:
+    from . import verify as verify_mod   # here, not with the CLI: sweep never audits
+
     cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
     try:
         outcome = solve_multiplicity(cfg.eps, cfg.potential, cfg.solver)
@@ -306,6 +304,8 @@ def _check(name, ok, margin, verbose, lines):
 
 def cmd_verify(args) -> int:
     """Identity suite plus the Gausson and level-gap oracles; exit 0 iff all pass."""
+    from . import verify as verify_mod
+
     seed = _seed(args.seed, "--seed")
     t_start = time.perf_counter()
     verbose = args.verbose

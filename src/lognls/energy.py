@@ -27,7 +27,6 @@ record of u without a new stencil, log or integral (`Evaluation.scaled`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -47,20 +46,19 @@ __all__ = [
     "log_sobolev_gap",
 ]
 
-@dataclass(frozen=True, eq=False)
 class EnergyParams:
     """Parameters of the discrete functional.
 
     potential is either a PotentialSpec (evaluated at eps * x) or a plain
-    float for the constant-coefficient problem V = const.
+    float for the constant-coefficient problem V = const. Equality and
+    hashing are by identity: the params key the potential tables.
     """
 
-    eps: float
-    potential: Union[PotentialSpec, float]
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise NonPositiveEpsilon(f"eps must be positive, got {self.eps}")
+    def __init__(self, eps: float, potential: Union[PotentialSpec, float]):
+        if eps <= 0.0:
+            raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+        self.eps = eps
+        self.potential = potential
 
 
 class NehariResidual(NamedTuple):
@@ -96,7 +94,6 @@ def _u_log_u2(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Evaluation:
     """One pass over a field: the arrays and integrals that J, its gradient,
     the Nehari scale and the Nehari residual share.
@@ -106,14 +103,16 @@ class Evaluation:
     one; the arrays are not copied.
     """
 
-    u: np.ndarray
-    Lu: np.ndarray
-    u_log_u2: np.ndarray
-    K: float
-    E: float
-    M: float
-    v: np.ndarray
-    grid: Grid | GridBox
+    def __init__(self, u: np.ndarray, Lu: np.ndarray, u_log_u2: np.ndarray,
+                 K: float, E: float, M: float, v: np.ndarray, grid: Grid | GridBox):
+        self.u = u
+        self.Lu = Lu
+        self.u_log_u2 = u_log_u2
+        self.K = K
+        self.E = E
+        self.M = M
+        self.v = v
+        self.grid = grid
 
     @property
     def level(self) -> float:

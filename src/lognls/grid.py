@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,9 +54,8 @@ def conforming_radius(target: float, h: float) -> float:
     return math.ceil(target / h - 1e-12) * h
 
 
-@dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform grid over [-R, R]^dim. Immutable after construction.
+    """Uniform grid over [-R, R]^dim, not changed after construction.
 
     Its axis is its only coordinate array; node tables are built on the
     open mesh of the axes (`sq_distance`).
@@ -78,15 +76,18 @@ class Grid:
         Trapezoid weight per node; sums to (2R)^dim.
 
     `build_grid` marks the three arrays read-only, since it hands one grid
-    to every caller with the same (dim, R, h).
+    to every caller with the same (dim, R, h). Equality and hashing are by
+    identity, so a grid keys the caches of the tables built on it.
     """
 
-    dim: int
-    R: float
-    h: float
-    axis: np.ndarray
-    interior_mask: np.ndarray
-    quad_weights: np.ndarray
+    def __init__(self, dim: int, R: float, h: float, axis: np.ndarray,
+                 interior_mask: np.ndarray, quad_weights: np.ndarray):
+        self.dim = dim
+        self.R = R
+        self.h = h
+        self.axis = axis
+        self.interior_mask = interior_mask
+        self.quad_weights = quad_weights
 
     @property
     def n_axis(self) -> int:

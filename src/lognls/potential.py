@@ -11,7 +11,7 @@ which attains min V = 1 exactly at the well centers z_i, satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,17 +44,18 @@ def _closest_pair(wells: np.ndarray) -> tuple[float, int, int]:
     return best
 
 
-@dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """Inverted-Gaussian multi-well potential.
 
     wells has shape (l, dim); the first well must sit at the origin and
-    v_inf must exceed the normalized minimum value 1.
+    v_inf must exceed the normalized minimum value 1. Equality and hashing
+    are by identity, as it holds an array.
     """
 
-    wells: np.ndarray
-    v_inf: float
-    width: float
+    def __init__(self, wells: np.ndarray, v_inf: float, width: float):
+        self.wells = wells
+        self.v_inf = v_inf
+        self.width = width
 
     @property
     def l(self) -> int:
@@ -75,8 +76,7 @@ class PotentialSpec:
         return float(vals[0]) if single else vals
 
 
-@dataclass(frozen=True)
-class WellGeometry:
+class WellGeometry(NamedTuple):
     """Localization radii: disjoint balls B_rho0(z_i) inside B_R0(0)."""
 
     rho0: float
@@ -85,6 +85,8 @@ class WellGeometry:
     def check(self, wells: np.ndarray) -> list[str]:
         """Return a list of violated constraints (empty when valid)."""
         problems = []
+        if self.rho0 <= 0.0:
+            problems.append(f"rho0 must be positive, got {self.rho0}")
         dmin = _closest_pair(wells)[0]
         if self.rho0 >= 0.5 * dmin:
             problems.append(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -154,73 +153,83 @@ class StageRecord(NamedTuple):
     precond_box: list[int]
 
 
-@dataclass(frozen=True, eq=False)
 class SolverConfig:
-    h: float
-    R_schedule: tuple[float, ...]
-    grad_tol: float = 1e-8
-    nehari_tol: float = 1e-10
-    max_iters: int = 5000
-    gamma: float | None = None            # None: (c_inf - c0)/4 at runtime
-    localization: WellGeometry | None = None  # None: default_geometry(spec)
+    """The solver's settings, each default held here once. R_schedule is
+    stored as a tuple of floats, and every value is checked on
+    construction. Equality and hashing are by identity: a config keys the
+    cache of the ground levels solved with it."""
 
-    def __post_init__(self):
-        sched = tuple(float(r) for r in self.R_schedule)
-        object.__setattr__(self, "R_schedule", sched)
+    def __init__(self, h: float, R_schedule: tuple[float, ...], grad_tol: float = 1e-8,
+                 nehari_tol: float = 1e-10, max_iters: int = 5000,
+                 gamma: float | None = None,  # None: (c_inf - c0)/4 at runtime
+                 localization: WellGeometry | None = None):  # None: default_geometry(spec)
+        sched = tuple(float(r) for r in R_schedule)
         if not sched:
             raise ConfigError("R_schedule must be nonempty")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"R_schedule must be strictly increasing: {sched}")
-        if self.h <= 0.0:
-            raise ConfigError(f"h must be positive, got {self.h}")
+        if h <= 0.0:
+            raise ConfigError(f"h must be positive, got {h}")
         # with the tolerances of `build_grid`, which builds each stage's grid,
         # and `zero_extend`, which carries a field from one stage to the next
-        widths = [2.0 * r / self.h for r in sched]
-        shifts = [(b - a) / self.h for a, b in zip(sched, sched[1:])]
+        widths = [2.0 * r / h for r in sched]
+        shifts = [(b - a) / h for a, b in zip(sched, sched[1:])]
         if any(abs(m - round(m)) > 1e-9 * abs(m) for m in widths) or any(
                 abs(k - round(k)) > 1e-9 for k in shifts):
             raise ConfigError(
-                f"R_schedule {sched}: h = {self.h} must divide every 2R and "
+                f"R_schedule {sched}: h = {h} must divide every 2R and "
                 f"every step between radii"
             )
-        if self.grad_tol <= 0.0 or self.nehari_tol <= 0.0:
+        if grad_tol <= 0.0 or nehari_tol <= 0.0:
             raise ConfigError(
-                f"grad_tol/nehari_tol must be positive, got "
-                f"{self.grad_tol}/{self.nehari_tol}"
+                f"grad_tol/nehari_tol must be positive, got {grad_tol}/{nehari_tol}"
             )
-        if self.max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        if max_iters < 0:
+            raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
+        self.h = h
+        self.R_schedule = sched
+        self.grad_tol = grad_tol
+        self.nehari_tol = nehari_tol
+        self.max_iters = max_iters
+        self.gamma = gamma
+        self.localization = localization
 
 
-@dataclass
 class SolveResult:
-    u: np.ndarray
-    grid: Grid
-    level: float
-    barycenter: np.ndarray | None
-    well_index: int | None
-    nehari_res: float
-    grad_norm: float
-    R_final: float
-    iterations: int
-    status: SolveStatus
-    weak_res: float = math.nan  # measured by `lognls solve` (cli.cmd_solve) only
-    seed_width: float = math.nan  # the Gausson width b of its seed
-    history: list[HistoryRow] = field(default_factory=list)
-    r_stabilized: bool = True
-    continuation_gap: float = 0.0
-    stages: list[StageRecord] = field(default_factory=list)
+    """A solve's result, built for one R stage by `minimize_localized` and
+    filled in as the solve goes on: `continue_in_R` sets the totals over
+    the R stages, `solve_multiplicity` the seed width and `lognls solve`
+    (cli.cmd_solve) the weak residual, which is nan until then."""
+
+    def __init__(self, u: np.ndarray, grid: Grid, level: float,
+                 barycenter: np.ndarray | None, well_index: int | None, nehari_res: float,
+                 grad_norm: float, R_final: float, iterations: int, status: SolveStatus,
+                 history: list[HistoryRow], stages: list[StageRecord]):
+        self.u = u
+        self.grid = grid
+        self.level = level
+        self.barycenter = barycenter
+        self.well_index = well_index
+        self.nehari_res = nehari_res
+        self.grad_norm = grad_norm
+        self.R_final = R_final
+        self.iterations = iterations
+        self.status = status
+        self.history = history
+        self.stages = stages
+        self.weak_res = math.nan
+        self.seed_width = math.nan   # the Gausson width b of its seed
+        self.r_stabilized = True
+        self.continuation_gap = 0.0
 
 
-@dataclass(frozen=True)
-class WellFailure:
+class WellFailure(NamedTuple):
     well_index: int
     error: str
     message: str
 
 
-@dataclass
-class MultiplicityOutcome:
+class MultiplicityOutcome(NamedTuple):
     results: list[SolveResult]
     failures: list[WellFailure]
     c0: float

@@ -139,6 +139,48 @@ def test_radius_schedule_that_h_does_not_fit_is_a_config_error(tmp_path, h, sche
     assert not (tmp_path / "run").exists()
 
 
+# every numeric key of a config, and the changes that put a value there
+_NUMERIC_KEYS = {
+    "problem.dim": lambda v: {"problem": {"dim": v}},
+    "problem.eps": lambda v: {"problem": {"eps": v}},
+    "problem.v_inf": lambda v: {"problem": {"v_inf": v}},
+    "problem.width": lambda v: {"problem": {"width": v}},
+    "problem.wells": lambda v: {"problem": {"wells": [[0.0], [v]]}},
+    "numerics.h": lambda v: {"numerics": {"h": v}},
+    "numerics.R_schedule": lambda v: {"numerics": {"R_schedule": [v]}},
+    "solver.grad_tol": lambda v: {"solver": {"grad_tol": v}},
+    "solver.nehari_tol": lambda v: {"solver": {"nehari_tol": v}},
+    "solver.max_iters": lambda v: {"solver": {"max_iters": v}},
+    "solver.gamma": lambda v: {"solver": {"gamma": v}},
+    "solver.rho0": lambda v: {"solver": {"rho0": v, "R0": 4.0}},
+    "solver.R0": lambda v: {"solver": {"rho0": 0.5, "R0": v}},
+    "outputs.verbosity": lambda v: {"outputs": {"verbosity": v}},
+    "config.rng_seed": lambda v: {"rng_seed": v},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", sorted(_NUMERIC_KEYS))
+def test_non_finite_number_is_a_config_error(tmp_path, monkeypatch, capsys, name, value):
+    """Python's json reads NaN, Infinity and -Infinity; no setting takes
+    one, and each is a config error naming its key before any solve."""
+    bad = json.loads((REPO / "configs" / "double_well.json").read_text())
+    for section, update in _NUMERIC_KEYS[name](value).items():
+        if isinstance(update, dict):
+            bad[section].update(update)
+        else:
+            bad[section] = update
+    path = _write(tmp_path, bad)
+    assert json.dumps(value) in path.read_text()
+    with pytest.raises(ConfigError, match=re.escape(f"{name}: must ")):
+        load_config(path)
+    monkeypatch.setattr("lognls.cli.solve_multiplicity", _no_solve)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: must ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_negative_rng_seed_is_a_config_error(tmp_path, monkeypatch):
     bad = json.loads(json.dumps(SINGLE_WELL))
     bad["rng_seed"] = -1
@@ -309,6 +351,39 @@ def test_cli_import_loads_numpy_alone():
     assert proc.stdout.splitlines() == ["[]", "True False"]
 
 
+# the modules `import lognls.cli` may load beyond those of `import numpy`:
+# the package without its audit module, the standard library's argparse,
+# csv and json, and numpy.fft. `lognls.verify` is loaded by the commands
+# that audit, `solve` and `verify`; records are NamedTuples or plain
+# classes, so `dataclasses` (and the `copy` it loads) is not needed
+_CLI_IMPORTS = {
+    "__future__", "_csv", "_json", "argparse", "csv", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner",
+    "lognls", "lognls.barycenter", "lognls.cli", "lognls.energy", "lognls.errors",
+    "lognls.grid", "lognls.potential", "lognls.solver",
+    "numpy.fft", "numpy.fft._helper", "numpy.fft._pocketfft", "numpy.fft._pocketfft_umath",
+}
+
+
+def test_cli_import_and_sweep_load_only_the_allowed_modules(tmp_path):
+    assert not {"dataclasses", "copy", "lognls.verify"} & _CLI_IMPORTS
+    path = _write(tmp_path, SINGLE_WELL)
+    proc = _run_python("-c", (
+        "import sys, numpy\n"
+        "base = set(sys.modules)\n"
+        "import lognls.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - base)))\n"
+        f"code = lognls.cli.main(['sweep', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}, '--eps', '0.2', '0.1'])\n"
+        "print(code, 'lognls.verify' in sys.modules, 'dataclasses' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    added = set(lines[0].split())
+    assert added <= _CLI_IMPORTS, sorted(added - _CLI_IMPORTS)
+    assert lines[-1] == "0 False False"
+
+
 def test_solve_leaves_numpy_random_unloaded(tmp_path):
     """`lognls solve`, its weak residual included, never imports
     numpy.random, which would pull in hashlib, hmac and secrets."""
@@ -328,9 +403,10 @@ def test_solve_leaves_numpy_random_unloaded(tmp_path):
 def test_solve_and_audit_import_nothing_beyond_the_cli():
     """A 1d and a 2d solve and their audits load no module that
     `import lognls.cli` has not loaded, so no first solve pays for a lazy
-    numpy import (np.median, for one, loads numpy.ma)."""
+    numpy import (np.median, for one, loads numpy.ma). The audit's module,
+    which `lognls solve` loads when it starts, is in the snapshot."""
     proc = _run_python("-c", (
-        "import sys, lognls.cli\n"
+        "import sys, lognls.cli, lognls.verify\n"
         "loaded = set(sys.modules)\n"
         "from lognls.potential import make_multiwell\n"
         "from lognls.solver import SolverConfig, solve_multiplicity\n"
@@ -463,11 +539,14 @@ def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("solver", [{"gamma": 100.0}, {"rho0": 1.5, "R0": 8.0}],
-                         ids=["gamma-too-large", "overlapping-balls"])
+@pytest.mark.parametrize("solver", [{"gamma": 100.0}, {"rho0": 1.5, "R0": 8.0},
+                                    {"rho0": 0.0, "R0": 4.0}, {"rho0": -0.5, "R0": 4.0}],
+                         ids=["gamma-too-large", "overlapping-balls", "zero-rho0",
+                              "negative-rho0"])
 def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, solver):
-    # gamma outside (0, (c_inf - c0)/2) and balls B_rho0 that overlap are
-    # found only when the solve starts; they are config errors all the same
+    # gamma outside (0, (c_inf - c0)/2), balls B_rho0 that overlap and a
+    # rho0 not above 0 are found only when the solve starts; they are
+    # config errors all the same
     shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
     bad = json.loads(shipped.read_text())
     bad["solver"].update(solver)

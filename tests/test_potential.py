@@ -11,6 +11,7 @@ from lognls.errors import (
 )
 from lognls.grid import build_grid
 from lognls.potential import (
+    WellGeometry,
     default_geometry,
     eval_scaled,
     make_multiwell,
@@ -90,6 +91,13 @@ def test_default_geometry_satisfies_invariants():
     gs = default_geometry(single)
     assert gs.rho0 == 1.0 and gs.R0 == 2.0
     assert gs.check(single.wells) == []
+
+
+@pytest.mark.parametrize("rho0", [0.0, -0.5])
+def test_nonpositive_rho0_is_a_violated_constraint(rho0):
+    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
+    assert WellGeometry(rho0=rho0, R0=4.0).check(spec.wells) == [
+        f"rho0 must be positive, got {rho0}"]
 
 
 def test_eval_scaled_at_origin_node():

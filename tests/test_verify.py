@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -54,6 +53,33 @@ def test_weak_residual_second_order_in_h(const_params):
     r_coarse = weak_residual(gausson(coarse, 1.0), const_params, coarse)
     r_fine = weak_residual(gausson(fine, 1.0), const_params, fine)
     assert r_coarse / r_fine >= 3.5
+
+
+@pytest.mark.parametrize("dim, R, h, peak", [(1, 60.0, 0.05, [30.0]),
+                                             (2, 24.0, 0.3, [12.0, -8.0])])
+def test_weak_residual_probes_meet_the_field(monkeypatch, const_params, dim, R, h, peak):
+    """Every probe's support, |x_k - c_k| < 2 sigma on each axis, holds a
+    node where the field is at least 1e-20 of its peak: on a wide domain a
+    centre drawn over the whole domain would mostly pair with zeros."""
+    import lognls.verify as verify_mod
+
+    g = build_grid(dim, R, h)
+    u = np.exp(0.5 * (dim + 1.0)) * np.exp(-0.5 * (node_list(g) - peak) ** 2).prod(axis=1)
+    u[~g.interior_mask] = 0.0
+    live = (u >= 1e-20 * u.max()).reshape(g.shape)
+    probes = []
+    real = verify_mod._factored_probe
+
+    def spy(g1, wr, center, sigma):
+        probes.append((list(center), sigma))
+        return real(g1, wr, center, sigma)
+
+    monkeypatch.setattr(verify_mod, "_factored_probe", spy)
+    assert weak_residual(u, const_params, g, seed=3) <= 1e-2
+    assert len(probes) == 50
+    for center, sigma in probes:
+        near = live[np.ix_(*[np.abs(g.axis - c) < 2.0 * sigma for c in center])]
+        assert near.any(), (center, sigma)
 
 
 def test_weak_residual_zero_field(fine_grid, const_params):
@@ -204,7 +230,8 @@ def test_audit_fails_on_duplicated_result(double_well_run):
 def test_audit_fails_on_unstabilized_well(double_well_run):
     out = double_well_run["outcome"]
     results = list(out.results)
-    results[1] = dataclasses.replace(results[1], r_stabilized=False)
+    results[1] = copy.copy(results[1])
+    results[1].r_stabilized = False
     rep = audit(results, out)
     assert rep.status == 1
     assert rep.wells[0]["ok"] and rep.wells[0]["r_stabilized"]
