@@ -1,7 +1,8 @@
 """Multiple positive solutions of the logarithmic Schrodinger equation
 -eps^2 Lu + V(x) u = u log u^2 by Nehari-constrained energy minimization,
 localized per potential well through a truncated barycenter map and
-continued through an increasing sequence of truncation radii."""
+continued through an increasing sequence of truncation radii. The package
+namespace holds only `__version__`: import each name from its module."""
 
 import os as _os
 import sys as _sys
@@ -21,44 +22,6 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VAR
         import numpy as _numpy  # noqa: F401
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .barycenter import Region, q_eps, region_of
-from .energy import (
-    EnergyParams,
-    Evaluation,
-    log_sobolev_gap,
-    nehari_residual,
-    nehari_scale,
-)
-from .errors import LogNLSError
-from .grid import (
-    Grid,
-    build_grid,
-    integrate,
-    laplacian_apply,
-    load_field,
-    save_field,
-    zero_extend,
-)
-from .potential import (
-    PotentialSpec,
-    WellGeometry,
-    default_geometry,
-    eval_scaled,
-    make_multiwell,
-)
-from .solver import (
-    MultiplicityOutcome,
-    SolveResult,
-    SolveStatus,
-    SolverConfig,
-    WellFailure,
-    continue_in_R,
-    gausson,
-    ground_level,
-    minimize_localized,
-    seed_well,
-    solve_multiplicity,
-)
+import numpy as _numpy  # noqa: E402,F401  (loaded with the package, pinned or not)
 
 __version__ = "0.1.0"

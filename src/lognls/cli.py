@@ -47,35 +47,6 @@ class RunConfig(NamedTuple):
     seed: int   # of the weak-residual probes
 
 
-# every key load_config reads, per section; any other key is an error
-_KEYS = {
-    "config": {"problem", "numerics", "solver", "outputs", "rng_seed"},
-    "problem": {"dim", "eps", "wells", "v_inf", "width"},
-    "numerics": {"h", "R_schedule"},
-    "solver": {"grad_tol", "nehari_tol", "max_iters", "gamma", "rho0", "R0"},
-    "outputs": {"out_dir", "dump_fields", "dump_history", "verbosity"},
-}
-
-
-def _section(raw: dict, where: str, required: bool = True) -> dict:
-    section = _need(raw, where, "config") if required else raw.get(where, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
-    for key in section:
-        if key not in _KEYS[where]:
-            raise ConfigError(f"{where}.{key}: unknown key")
-    return section
-
-
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: missing required key")
-    return section[key]
-
-
-_REQUIRED = object()
-
-
 def _is_number(value) -> bool:
     """A finite JSON number, not a bool: Python's json reads NaN, Infinity
     and -Infinity, which no setting takes."""
@@ -83,34 +54,60 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _typed(section: dict, key: str, where: str, default, ok, kind: str):
-    value = _need(section, key, where) if default is _REQUIRED else section.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"{where}.{key}: must be {kind}, got {json.dumps(value)}")
-    return value
+# the JSON kinds of config values: the test a value must pass, and what the
+# error says it must be
+_KINDS = {
+    "number": (_is_number, "a finite number"),
+    "number or null": (lambda v: v is None or _is_number(v), "a finite number"),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "list of numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                        "a nonempty list of finite numbers"),
+    "list": (lambda v: isinstance(v, list) and v, "a nonempty list"),
+    "string": (lambda v: isinstance(v, str) and v, "a nonempty string"),
+}
+
+# every key a config may hold, per section, with the kind of its value; the
+# top level is section "config", a "?" marks an optional key, and any key
+# not listed is an error
+_SCHEMA = {
+    "config": {"problem": "section", "numerics": "section", "solver": "section?",
+               "outputs": "section?", "rng_seed": "integer?"},
+    "problem": {"dim": "integer", "eps": "number", "wells": "list", "v_inf": "number",
+                "width": "number"},
+    "numerics": {"h": "number", "R_schedule": "list of numbers"},
+    "solver": {"grad_tol": "number?", "nehari_tol": "number?", "max_iters": "integer?",
+               "gamma": "number or null?", "rho0": "number or null?",
+               "R0": "number or null?"},
+    "outputs": {"out_dir": "string?", "dump_fields": "flag?", "dump_history": "flag?",
+                "verbosity": "integer?"},
+}
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    """A finite JSON number, not a bool, as a float."""
-    return float(_typed(section, key, where, _REQUIRED, _is_number, "a finite number"))
-
-
-def _integer(section: dict, key: str, where: str, default=_REQUIRED) -> int:
-    """A JSON integer, not a bool and not a number with a fraction."""
-    return _typed(section, key, where, default,
-                  lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-
-
-def _flag(section: dict, key: str, where: str, default: bool) -> bool:
-    return _typed(section, key, where, default,
-                  lambda v: isinstance(v, bool), "true or false")
-
-
-def _numbers(section: dict, key: str, where: str) -> list:
-    """A nonempty JSON list of finite numbers."""
-    return _typed(section, key, where, _REQUIRED,
-                  lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
-                  "a nonempty list of finite numbers")
+def _checked(section, where: str) -> dict:
+    """A section checked against `_SCHEMA[where]`: a JSON object that holds
+    only keys of the section and every required one, each value of its kind.
+    Returns the keys it holds, numbers as floats and sections checked."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    schema = _SCHEMA[where]
+    for key in section:
+        if key not in schema:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    checked = {}
+    for key, kind in schema.items():
+        if key not in section:
+            if not kind.endswith("?"):
+                raise ConfigError(f"{where}.{key}: missing required key")
+        elif kind.startswith("section"):
+            checked[key] = _checked(section[key], key)
+        else:
+            value, (test, name) = section[key], _KINDS[kind.rstrip("?")]
+            if not test(value):
+                raise ConfigError(f"{where}.{key}: must be {name}, got {json.dumps(value)}")
+            numeric = kind.startswith("number") and value is not None
+            checked[key] = float(value) if numeric else value
+    return checked
 
 
 def _seed(seed: int, where: str) -> int:
@@ -121,11 +118,9 @@ def _seed(seed: int, where: str) -> int:
     return seed
 
 
-def _wells(problem: dict) -> list:
+def _wells(wells: list) -> list:
     """Well centers as equal-length lists of numbers; a bare number is a 1d
     center."""
-    wells = _typed(problem, "wells", "problem", _REQUIRED,
-                   lambda v: isinstance(v, list) and v, "a nonempty list")
     rows = [w if isinstance(w, list) else [w] for w in wells]
     if len({len(row) for row in rows}) != 1 or not all(
         row and all(map(_is_number, row)) for row in rows
@@ -151,23 +146,19 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
-    raw = _section({"config": raw}, "config")  # the top level is section "config"
-    problem = _section(raw, "problem")
-    numerics = _section(raw, "numerics")
-    solver = _section(raw, "solver", required=False)
-    outputs = _section(raw, "outputs", required=False)
+    raw = _checked(raw, "config")
+    problem, outputs = raw["problem"], raw.get("outputs", {})
 
-    dim = _integer(problem, "dim", "problem")
+    dim = problem["dim"]
     if dim not in (1, 2):
         raise ConfigError(f"problem.dim: must be 1 or 2, got {dim}")
-    eps = _number(problem, "eps", "problem")
+    eps = problem["eps"]
     if eps <= 0.0:
         raise ConfigError(f"problem.eps: must be positive, got {eps}")
 
-    wells = _wells(problem)
-    v_inf, width = _number(problem, "v_inf", "problem"), _number(problem, "width", "problem")
+    wells = _wells(problem["wells"])
     try:
-        spec = make_multiwell(wells, v_inf, width)
+        spec = make_multiwell(wells, problem["v_inf"], problem["width"])
     except LogNLSError as exc:
         raise ConfigError(f"problem.wells/v_inf/width: {exc}") from exc
     if spec.dim != dim:
@@ -175,39 +166,35 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
             f"problem.wells: centers are {spec.dim}d but problem.dim = {dim}"
         )
 
-    h = _number(numerics, "h", "numerics")
-    schedule = _numbers(numerics, "R_schedule", "numerics")
     # SolverConfig holds every default, so it gets only the settings the
     # file holds; a null gamma, rho0 or R0 keeps the derived default
-    settings = {key: read(solver, key, "solver") for key, read in
-                (("grad_tol", _number), ("nehari_tol", _number), ("max_iters", _integer))
-                if key in solver}
-    if solver.get("gamma") is not None:
-        settings["gamma"] = _number(solver, "gamma", "solver")
-    if solver.get("rho0") is not None or solver.get("R0") is not None:
-        settings["localization"] = WellGeometry(
-            rho0=_number(solver, "rho0", "solver"),
-            R0=_number(solver, "R0", "solver"),
-        )
+    solver = raw.get("solver", {})
+    settings = {key: value for key, value in solver.items() if value is not None}
+    if "rho0" in settings or "R0" in settings:   # both or neither
+        for key in ("rho0", "R0"):
+            if key not in solver:
+                raise ConfigError(f"solver.{key}: missing required key")
+            if key not in settings:
+                raise ConfigError(f"solver.{key}: must be a finite number, got null")
+        settings["localization"] = WellGeometry(rho0=settings.pop("rho0"),
+                                                R0=settings.pop("R0"))
     try:
-        solver_cfg = SolverConfig(h=h, R_schedule=schedule, **settings)
+        solver_cfg = SolverConfig(**raw["numerics"], **settings)   # h and R_schedule
     except LogNLSError as exc:
         raise ConfigError(f"numerics/solver: {exc}") from exc
     if seed_override is None:
-        seed = _seed(_integer(raw, "rng_seed", "config", 0), "config.rng_seed")
+        seed = _seed(raw.get("rng_seed", 0), "config.rng_seed")
     else:
         seed = _seed(int(seed_override), "--seed")
 
-    out_dir = _typed(outputs, "out_dir", "outputs", "out",
-                     lambda v: isinstance(v, str) and v, "a nonempty string")
     return RunConfig(
         eps=eps,
         potential=spec,
         solver=solver_cfg,
-        out_dir=Path(out_override) if out_override else Path(out_dir),
-        dump_fields=_flag(outputs, "dump_fields", "outputs", True),
-        dump_history=_flag(outputs, "dump_history", "outputs", False),
-        verbosity=_integer(outputs, "verbosity", "outputs", 1),
+        out_dir=Path(out_override or outputs.get("out_dir", "out")),
+        dump_fields=outputs.get("dump_fields", True),
+        dump_history=outputs.get("dump_history", False),
+        verbosity=outputs.get("verbosity", 1),
         seed=seed,
     )
 

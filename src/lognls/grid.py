@@ -299,13 +299,8 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
             f"target radius {g_new.R} smaller than source {g_old.R}"
         )
     k = _embed_offset(g_old, g_new)
-    n_old = g_old.n_axis
-    if g_old.dim == 1:
-        out = np.zeros(g_new.num_nodes)
-        out[k : k + n_old] = u
-        return out
-    out = np.zeros((g_new.n_axis, g_new.n_axis))
-    out[k : k + n_old, k : k + n_old] = u.reshape(n_old, n_old)
+    out = np.zeros(g_new.shape)
+    out[(slice(k, k + g_old.n_axis),) * g_old.dim] = u.reshape(g_old.shape)
     return out.ravel()
 
 

@@ -85,15 +85,15 @@ class WellGeometry(NamedTuple):
     def check(self, wells: np.ndarray) -> list[str]:
         """Return a list of violated constraints (empty when valid)."""
         problems = []
-        if self.rho0 <= 0.0:
+        if not self.rho0 > 0.0:   # each test fails on a NaN
             problems.append(f"rho0 must be positive, got {self.rho0}")
         dmin = _closest_pair(wells)[0]
-        if self.rho0 >= 0.5 * dmin:
+        if not self.rho0 < 0.5 * dmin:
             problems.append(
                 f"balls overlap: rho0={self.rho0} >= half min well distance {0.5 * dmin}"
             )
         rmax = float(np.linalg.norm(wells, axis=1).max())
-        if rmax + self.rho0 >= self.R0:
+        if not rmax + self.rho0 < self.R0:
             problems.append(
                 f"union of balls not inside B_R0: max|z|+rho0={rmax + self.rho0} >= R0={self.R0}"
             )

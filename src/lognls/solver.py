@@ -166,10 +166,12 @@ class SolverConfig:
         sched = tuple(float(r) for r in R_schedule)
         if not sched:
             raise ConfigError("R_schedule must be nonempty")
+        if not all(map(math.isfinite, sched)):
+            raise ConfigError(f"R_schedule must hold finite radii: {sched}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"R_schedule must be strictly increasing: {sched}")
-        if h <= 0.0:
-            raise ConfigError(f"h must be positive, got {h}")
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"h must be positive and finite, got {h}")
         # with the tolerances of `build_grid`, which builds each stage's grid,
         # and `zero_extend`, which carries a field from one stage to the next
         widths = [2.0 * r / h for r in sched]
@@ -180,9 +182,9 @@ class SolverConfig:
                 f"R_schedule {sched}: h = {h} must divide every 2R and "
                 f"every step between radii"
             )
-        if grad_tol <= 0.0 or nehari_tol <= 0.0:
+        if not (0.0 < grad_tol < math.inf and 0.0 < nehari_tol < math.inf):
             raise ConfigError(
-                f"grad_tol/nehari_tol must be positive, got {grad_tol}/{nehari_tol}"
+                f"grad_tol/nehari_tol must be positive and finite, got {grad_tol}/{nehari_tol}"
             )
         if max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {max_iters}")

@@ -29,6 +29,7 @@ from .energy import (
 )
 from .errors import ZeroField
 from .grid import Grid, build_grid, integrate, sq_distance, zero_extend
+from .solver import _BOX_FLOOR
 
 __all__ = [
     "VerificationReport",
@@ -45,11 +46,6 @@ __all__ = [
 POSITIVE_RADIUS = 36.0
 # bumps per weak residual; each costs one pairing over its support
 _PROBES = 50
-# the probe centres are drawn over the box of the nodes where
-# |u| >= _LIVE_FLOOR max |u|, the floor of the solver's descent box, so
-# that every probe meets the field: drawn over the whole domain, only 8
-# and 13 of the 50 did on the 1d double well's wells (seed 5)
-_LIVE_FLOOR = 1e-20
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:
@@ -123,8 +119,9 @@ def weak_residual(
     converged discrete solution scores at rounding level. Each probe v is a
     tensor product of 1d cubic B-splines of unit discrete H^1 norm, with
     log-uniform width in [max(3h, R/100), R/8] and a center uniform over
-    the box of the nodes where |u| >= _LIVE_FLOOR max |u|, where the field
-    lives, moved inside the domain by as much as keeps its support there;
+    the box of the nodes where |u| >= _BOX_FLOOR max |u| (the floor of the
+    solver's descent box), where the field lives, so that every probe meets
+    it, moved inside the domain by as much as keeps its support there;
     it is paired and normalized through its 1d factors
     (`_factored_probe`). The residual and ||u||_eps^2 = K + M come from one
     evaluation record of u (`energy`). The probes are drawn from the
@@ -137,7 +134,7 @@ def weak_residual(
     wr = rec.gradient().reshape(g.shape)
     g1 = g if g.dim == 1 else build_grid(1, g.R, g.h)
     size = np.abs(rec.u).reshape(g.shape)
-    live = size >= _LIVE_FLOOR * size.max()
+    live = size >= _BOX_FLOOR * size.max()
     box = []
     for k in range(g.dim):
         on = np.flatnonzero(live.any(axis=tuple(j for j in range(g.dim) if j != k)))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lognls
+import lognls.cli as cli_mod
 from lognls.cli import load_config, main
 from lognls.errors import ConfigError
 from lognls.grid import load_field
@@ -101,6 +102,29 @@ def test_load_config_checks_json_types(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: ")):
         load_config(path)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+
+
+def test_real_settings_load_as_floats(tmp_path):
+    # report.json prints the config's settings, so an integer 1 prints 1.0
+    cfg = json.loads(json.dumps(SINGLE_WELL))
+    cfg["solver"].update(grad_tol=1, nehari_tol=1, gamma=1, rho0=1, R0=8)
+    loaded = load_config(_write(tmp_path, cfg))
+    values = (loaded.eps, loaded.solver.grad_tol, loaded.solver.nehari_tol,
+              loaded.solver.gamma, *loaded.solver.localization)
+    assert [type(v) for v in values] == [float] * 6
+    assert loaded.solver.max_iters == 3000 and type(loaded.solver.max_iters) is int
+
+
+def test_readme_config_schema_lists_the_loaded_keys():
+    """The example under README's "Config schema" holds every key that
+    load_config admits, section by section, and no other."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"### Config schema\s+```json\n(.*?)```", readme, re.S).group(1)
+    documented = json.loads(block)
+    assert documented.keys() == cli_mod._SCHEMA["config"].keys()
+    for section, keys in cli_mod._SCHEMA.items():
+        if section != "config":
+            assert documented[section].keys() == keys.keys(), section
 
 
 def test_load_config_rejects_mismatched_dim(tmp_path):
@@ -435,6 +459,13 @@ def test_console_script_maps_to_cli_main():
     assert target == "lognls.cli:main"
     module, attr = target.split(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_package_namespace_holds_only_its_version():
+    # names are imported from their modules; the package re-exports none
+    submodules = {info.name for info in pkgutil.iter_modules(lognls.__path__)}
+    public = {name for name in vars(lognls) if not name.startswith("_")}
+    assert public <= submodules and lognls.__version__
 
 
 def test_package_attributes_are_its_submodules():

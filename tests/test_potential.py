@@ -100,6 +100,14 @@ def test_nonpositive_rho0_is_a_violated_constraint(rho0):
         f"rho0 must be positive, got {rho0}"]
 
 
+@pytest.mark.parametrize("geometry", [(math.nan, 4.0), (0.5, math.nan)],
+                         ids=["rho0-NaN", "R0-NaN"])
+def test_nan_radius_is_a_violated_constraint(geometry):
+    # a NaN passes every `<=` test, so each check is written to fail on it
+    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
+    assert WellGeometry(*geometry).check(spec.wells)
+
+
 def test_eval_scaled_at_origin_node():
     spec = make_multiwell([[0.0]], 2.0, 1.0)
     g = build_grid(1, 10.0, 0.1)

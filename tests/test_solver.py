@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lognls.barycenter import q_eps, region_of
 from lognls.cli import load_config
 from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
-from lognls.errors import DomainTooSmall, LogNLSError, SeedOutsideRegion, SolverFailure
+from lognls.errors import (ConfigError, DomainTooSmall, LogNLSError, SeedOutsideRegion,
+                           SolverFailure)
 from lognls.grid import (
     Grid,
     GridBox,
@@ -976,6 +977,20 @@ def test_numeric_settings_validated_on_construction():
     with pytest.raises(LogNLSError, match="max_iters"):
         SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=-1)
     SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=0)
+
+
+@pytest.mark.parametrize("settings", [
+    {"h": math.nan}, {"h": math.inf}, {"R_schedule": (10.0, math.nan)},
+    {"R_schedule": (10.0, math.inf)}, {"grad_tol": math.nan}, {"nehari_tol": math.nan},
+    {"grad_tol": math.inf}, {"nehari_tol": math.inf},
+], ids=["h-NaN", "h-inf", "R-NaN", "R-inf", "grad_tol-NaN", "nehari_tol-NaN",
+        "grad_tol-inf", "nehari_tol-inf"])
+def test_non_finite_setting_is_a_config_error(settings):
+    """A direct SolverConfig rejects what a config file may not hold: a NaN
+    fails every comparison, so each check must fail on it, and a NaN
+    tolerance could never be met."""
+    with pytest.raises(ConfigError):
+        SolverConfig(**{"h": 0.05, "R_schedule": (10.0,), **settings})
 
 
 def test_schedule_must_cover_wells(dw_spec):
