@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
     grad_sup = float(np.abs(rec.gradient()).max())
     _check("gausson: interior gradient sup <= 1e-3", grad_sup <= 1e-3,
            f"sup={grad_sup:.3e}", verbose, lines)
-    sstar = nehari_scale(ug, params, gf)
+    sstar = nehari_scale(rec)
     _check("gausson: nehari scale within 1e-3 of 1", abs(sstar - 1.0) <= 1e-3,
            f"s*={sstar!r}", verbose, lines)
     nres = nehari_residual(sstar * ug, params, gf).value
@@ -329,8 +329,8 @@ def cmd_verify(args) -> int:
     _check("gausson: weak residual <= 1e-3", wr <= 1e-3, f"res={wr:.3e}", verbose, lines)
 
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
-    c0 = ground_level(1.0, gf, cfg)
-    c_inf = ground_level(2.0, gf, cfg)
+    c0 = ground_level(1.0, 1, cfg)
+    c_inf = ground_level(2.0, 1, cfg)
     t1 = 0.5 * math.e**2 * math.sqrt(math.pi)
     t2 = 0.5 * math.e**3 * math.sqrt(math.pi)
     _check("levels: c0 within 0.5%", abs(c0 - t1) <= 5e-3 * t1, f"c0={c0!r}", verbose, lines)
@@ -338,8 +338,7 @@ def cmd_verify(args) -> int:
            f"c_inf={c_inf!r}", verbose, lines)
     _check("levels: c0 < c_inf", c0 < c_inf, f"gap={c_inf - c0!r}", verbose, lines)
     # the 2d level on [-8, 8]^2 from one 1d solve on its axis
-    c0_2d = ground_level(1.0, build_grid(1, 8.0, 0.05),
-                         SolverConfig(h=0.05, R_schedule=(8.0,)), dim=2)
+    c0_2d = ground_level(1.0, 2, SolverConfig(h=0.05, R_schedule=(8.0,)))
     t3 = 0.5 * math.e**3 * math.pi
     _check("levels: 2d c0 within 2% of e^3 pi/2", abs(c0_2d - t3) <= 2e-2 * t3,
            f"c0_2d={c0_2d!r}", verbose, lines)
@@ -362,6 +361,9 @@ def cmd_sweep(args) -> int:
         print("sweep: empty eps list", file=sys.stderr)
         return 2
     eps_list = list(args.eps)
+    if not all(0.0 < eps < math.inf for eps in eps_list):
+        print(f"sweep: every eps must be positive and finite, got {eps_list}", file=sys.stderr)
+        return 2
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         print("sweep: eps list must be strictly decreasing", file=sys.stderr)
         return 2

@@ -55,8 +55,8 @@ class EnergyParams:
     """
 
     def __init__(self, eps: float, potential: Union[PotentialSpec, float]):
-        if eps <= 0.0:
-            raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+        if not 0.0 < eps < math.inf:
+            raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
         self.eps = eps
         self.potential = potential
 
@@ -187,18 +187,15 @@ def energy(u: np.ndarray, params: EnergyParams, g: Grid | GridBox) -> Evaluation
     )
 
 
-def nehari_scale(u: np.ndarray | Evaluation, params: EnergyParams,
-                 g: Grid | GridBox) -> float:
-    """The unique s > 0 placing s*u on the Nehari set.
+def nehari_scale(rec: Evaluation) -> float:
+    """The unique s > 0 placing s*u on the Nehari set, for the record of u.
 
     J'(su)(su) = s^2 [K - E - log(s^2) M] with K = int(|grad u|^2 + V u^2),
     E = int(u^2 log u^2), M = int(u^2); the root is s = exp((K - E)/(2M)).
-    u may be a field or its evaluation record, which is then read as is.
     Returns inf when the exponent overflows (degenerate trial fields) and
     raises ZeroField when u is zero or s underflows to 0 (s*u would be the
     zero field, which is not on the Nehari set).
     """
-    rec = u if isinstance(u, Evaluation) else energy(u, params, g)
     if rec.M <= 0.0:
         raise ZeroField("cannot project the zero field onto the Nehari set")
     arg = (rec.K - rec.E) / (2.0 * rec.M)
@@ -219,22 +216,20 @@ def nehari_residual(u: np.ndarray, params: EnergyParams, g: Grid) -> NehariResid
 _LS_A = math.sqrt(math.pi) / 2.0
 
 
-def log_sobolev_gap(u: np.ndarray, g: Grid) -> float:
+def log_sobolev_gap(rec: Evaluation) -> float:
     """RHS minus LHS of the logarithmic Sobolev inequality
 
         int(u^2 log u^2) <= (a^2/pi) |grad u|_2^2
                             + (log |u|_2^2 - N (1 + log a)) |u|_2^2
 
-    at a = sqrt(pi)/2, i.e. a^2/pi = 1/4. Nonnegative return value
-    certifies the inequality for this field (up to quadrature error).
+    at a = sqrt(pi)/2, i.e. a^2/pi = 1/4, for the record of u: E and M are
+    the record's, and |grad u|_2^2 = int(u Lu) from its stencil. Nonnegative
+    return value certifies the inequality for this field (up to quadrature
+    error).
     """
-    u = g.check_field(u)
-    Kgrad = integrate(g, u * laplacian_apply(g, u))
-    M = integrate(g, u * u)
-    if M <= 0.0:
+    if rec.M <= 0.0:
         raise ZeroField("log-Sobolev gap undefined for the zero field")
-    E = integrate(g, u * _u_log_u2(u))
-    rhs = ((_LS_A * _LS_A / math.pi) * Kgrad
+    g, M = rec.grid, rec.M
+    rhs = ((_LS_A * _LS_A / math.pi) * integrate(g, rec.u * rec.Lu)
            + (math.log(M) - g.dim * (1.0 + math.log(_LS_A))) * M)
-    return rhs - E
-
+    return rhs - rec.E

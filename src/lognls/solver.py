@@ -94,9 +94,9 @@ _H1_SHIFT = 16.0
 # u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a Gausson's
 # centre. Well iterations on the 1d double well, the 1d sweep at eps = 0.4,
 # 0.2, 0.1 and the 2d double well stay those of the whole-grid descent,
-# 17+17 / 28+28 / 17+17 / 17+17 / 15+14, for every floor from 1e-24 to
+# 14+14 / 21+21 / 15+15 / 14+14 / 13+13, for every floor from 1e-24 to
 # 1e-14; at 1e-12 (|y| <= 7.4) both wells at eps = 0.4 end `box_too_small`,
-# and at 1e-8 (|y| <= 6.1) every well does
+# at 1e-10 those at eps = 0.2 too, and at 1e-8 (|y| <= 6.1) every well does
 _BOX_FLOOR = 1e-20
 # theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
 # Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
@@ -186,8 +186,8 @@ class SolverConfig:
             raise ConfigError(
                 f"grad_tol/nehari_tol must be positive and finite, got {grad_tol}/{nehari_tol}"
             )
-        if max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
+        if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 0:
+            raise ConfigError(f"max_iters must be an integer >= 0, got {max_iters!r}")
         self.h = h
         self.R_schedule = sched
         self.grad_tol = grad_tol
@@ -199,23 +199,21 @@ class SolverConfig:
 
 class SolveResult:
     """A solve's result, built for one R stage by `minimize_localized` and
-    filled in as the solve goes on: `continue_in_R` sets the totals over
-    the R stages, `solve_multiplicity` the seed width and `lognls solve`
-    (cli.cmd_solve) the weak residual, which is nan until then."""
+    filled in as the solve goes on: `continue_in_R` sets the stages and the
+    history of every R stage, `solve_multiplicity` the seed width and
+    `lognls solve` (cli.cmd_solve) the weak residual, which is nan until
+    then. The level, final radius and iteration total are read from the
+    stages and the grid."""
 
-    def __init__(self, u: np.ndarray, grid: Grid, level: float,
-                 barycenter: np.ndarray | None, well_index: int | None, nehari_res: float,
-                 grad_norm: float, R_final: float, iterations: int, status: SolveStatus,
-                 history: list[HistoryRow], stages: list[StageRecord]):
+    def __init__(self, u: np.ndarray, grid: Grid, barycenter: np.ndarray | None,
+                 well_index: int | None, nehari_res: float, grad_norm: float,
+                 status: SolveStatus, history: list[HistoryRow], stages: list[StageRecord]):
         self.u = u
         self.grid = grid
-        self.level = level
         self.barycenter = barycenter
         self.well_index = well_index
         self.nehari_res = nehari_res
         self.grad_norm = grad_norm
-        self.R_final = R_final
-        self.iterations = iterations
         self.status = status
         self.history = history
         self.stages = stages
@@ -223,6 +221,18 @@ class SolveResult:
         self.seed_width = math.nan   # the Gausson width b of its seed
         self.r_stabilized = True
         self.continuation_gap = 0.0
+
+    @property
+    def level(self) -> float:
+        return self.stages[-1].level
+
+    @property
+    def R_final(self) -> float:
+        return self.grid.R
+
+    @property
+    def iterations(self) -> int:
+        return sum(st.iterations for st in self.stages)
 
 
 class WellFailure(NamedTuple):
@@ -391,7 +401,7 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
             f"inside R = {g.R}"
         )
     u0, width = _ritz_seed(params, g, center)
-    return nehari_scale(u0, params, g) * u0, width
+    return nehari_scale(energy(u0, params, g)) * u0, width
 
 
 @lru_cache(maxsize=64)
@@ -412,20 +422,31 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
-def _precond_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
-    """The box of the descent around the field u, one slice of node
-    indices per axis: the interior nodes where u >= _BOX_FLOOR max u, grown
-    about its centre, inside the interior, to the least length L whose FFT
-    length 2(L+1) has no prime factor above 5; the whole interior where no
-    such L fits. A length with a large prime factor would cost more than
-    the box saves: one rfft of 3,746 = 2*1873 points takes 9 times one of
-    3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
-    ni = g.n_axis - 2
+def _live_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
+    """The box of the nonnegative field u's live nodes, one slice of node
+    indices per axis: from the first to the last interior node whose slab
+    holds a node where u >= _BOX_FLOOR max u, the whole interior where
+    none does."""
     live = u.reshape(g.shape)[(slice(1, -1),) * g.dim] >= _BOX_FLOOR * u.max()
     box = []
     for axis in range(g.dim):
         on = np.flatnonzero(live.any(axis=tuple(a for a in range(g.dim) if a != axis)))
-        lo, hi = (on[0], on[-1] + 1) if on.size else (0, ni)
+        box.append(slice(on[0] + 1, on[-1] + 2) if on.size else slice(1, g.n_axis - 1))
+    return tuple(box)
+
+
+def _precond_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
+    """The box of the descent around the field u, one slice of node
+    indices per axis: its live box (`_live_box`), grown about its centre,
+    inside the interior, to the least length L whose FFT length 2(L+1) has
+    no prime factor above 5; the whole interior where no such L fits. A
+    length with a large prime factor would cost more than the box saves:
+    one rfft of 3,746 = 2*1873 points takes 9 times one of 3,840, and one
+    of 11,998 = 2*7*857 15 times one of 12,000."""
+    ni = g.n_axis - 2
+    box = []
+    for live in _live_box(u, g):
+        lo, hi = live.start - 1, live.stop - 1
         length = hi - lo
         while length < ni and not _five_smooth(2 * (length + 1)):
             length += 1
@@ -639,7 +660,7 @@ def minimize_localized(
     gb = _descent_box(start, g)
     # one evaluation record per field: the current iterate and the trial
     rec = energy(gb.take(start), params, gb)
-    s0 = nehari_scale(rec, params, gb)
+    s0 = nehari_scale(rec)
     if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
         rec = rec.scaled(s0)
 
@@ -696,7 +717,7 @@ def minimize_localized(
             trial = energy(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
                            params, gb)
             try:
-                s = nehari_scale(trial, params, gb)
+                s = nehari_scale(trial)
             except ZeroField:
                 s = math.inf
             if not math.isfinite(s):
@@ -738,7 +759,6 @@ def minimize_localized(
     # the reported values are measured once, on the whole grid
     u = _whole_field(gb, start, rec.u)
     whole = energy(u, params, g)
-    level = whole.level
     gnorm = _projected_grad_norm(u, whole.residual(), g)
     nres = whole.nehari_residual().value
     q = classify(u, g)[0] if constrained else None
@@ -748,16 +768,13 @@ def minimize_localized(
     return SolveResult(
         u=u,
         grid=g,
-        level=level,
         barycenter=q,
         well_index=i,
         nehari_res=nres,
         grad_norm=gnorm,
-        R_final=g.R,
-        iterations=it,
         status=status,
         history=history,
-        stages=[StageRecord(R=g.R, level=level, iterations=it, trials=trials,
+        stages=[StageRecord(R=g.R, level=whole.level, iterations=it, trials=trials,
                             backtracks=backtracks, region_blocked=blocked,
                             precond_box=[n - 2 for n in gb.shape])],
     )
@@ -776,7 +793,6 @@ def continue_in_R(
     res = result
     history = list(res.history)
     stages = list(res.stages)
-    iters = res.iterations
     remaining = [R for R in config.R_schedule if R > res.R_final * (1.0 + 1e-12)]
     stabilized = not remaining
     gap = 0.0
@@ -789,7 +805,6 @@ def continue_in_R(
         q_gap = 0.0
         if res.barycenter is not None and new_res.barycenter is not None:
             q_gap = float(np.linalg.norm(new_res.barycenter - res.barycenter))
-        iters += new_res.iterations
         history += new_res.history
         stages += new_res.stages
         res = new_res
@@ -800,17 +815,16 @@ def continue_in_R(
             break
     res.history = history
     res.stages = stages
-    res.iterations = iters
     res.r_stabilized = stabilized and res.status == SolveStatus.CONVERGED
     res.continuation_gap = gap
     return res
 
 
 @lru_cache(maxsize=32)
-def _ground_level_cached(R: float, h: float, config: SolverConfig) -> float:
-    """M1 = int phi^2 of the 1d ground state phi at omega = 0 on [-R, R],
-    minimized from the Gausson seed."""
-    g = build_grid(1, R, h)
+def _ground_level_cached(R: float, config: SolverConfig) -> float:
+    """M1 = int phi^2 of the 1d ground state phi at omega = 0 on [-R, R]
+    at spacing config.h, minimized from the Gausson seed."""
+    g = build_grid(1, R, config.h)
     params = EnergyParams(eps=1.0, potential=0.0)
     res = minimize_localized(gausson(g, 0.0), None, 1.0, params, config, g)
     if res.status != SolveStatus.CONVERGED:
@@ -821,12 +835,10 @@ def _ground_level_cached(R: float, h: float, config: SolverConfig) -> float:
     return integrate(g, res.u * res.u)
 
 
-def ground_level(
-    omega: float, g: Grid, config: SolverConfig, dim: int | None = None
-) -> float:
-    """Level of the constant-coefficient problem V = omega on [-R, R]^dim
-    (g's R and h; dim defaults to g.dim); realizes c0 (omega = 1) and c_inf
-    (omega = V_inf).
+def ground_level(omega: float, dim: int, config: SolverConfig) -> float:
+    """Level of the constant-coefficient problem V = omega on [-R, R]^dim at
+    spacing config.h, with R = 10 in 1d and 8 in 2d rounded up to a
+    multiple of config.h; realizes c0 (omega = 1) and c_inf (omega = V_inf).
 
     Two exact laws of u log u^2 (Bialynicki-Birula & Mycielski, Ann. Phys.
     100, 1976) reduce it to one 1d solve. log (cu)^2 = log u^2 + log c^2
@@ -835,18 +847,10 @@ def ground_level(
     axes, so the ground state on the square is the product of 1d ground
     states at omega/dim. Hence the level is 1/2 (e^(omega/dim) M1)^dim with
     M1 = int phi^2 of the 1d ground state at omega = 0 on the same axis,
-    solved once per (R, h, config).
+    solved once per (R, config).
     """
-    d = g.dim if dim is None else dim
-    m1 = _ground_level_cached(g.R, g.h, config)
-    return 0.5 * (math.exp(float(omega) / d) * m1) ** d
-
-
-def _reference_grid(dim: int, h: float) -> Grid:
-    """The 1d axis [-R, R] of the ground-level solve for a dim-dimensional
-    run: R = 10 in 1d and 8 in 2d, rounded up to a multiple of h."""
-    target = 10.0 if dim == 1 else 8.0
-    return build_grid(1, conforming_radius(target, h), h)
+    m1 = _ground_level_cached(conforming_radius(10.0 if dim == 1 else 8.0, config.h), config)
+    return 0.5 * (math.exp(float(omega) / dim) * m1) ** dim
 
 
 def solve_multiplicity(
@@ -866,22 +870,21 @@ def solve_multiplicity(
         raise ConfigError(
             f"first truncation radius {config.R_schedule[0]} must exceed R0 = {geometry.R0}"
         )
+    params = EnergyParams(eps=eps, potential=potential)
     reach = float(np.linalg.norm(potential.wells, axis=1).max()) / eps + 5.0
     if config.R_schedule[0] < reach:
         raise DomainTooSmall(
             f"R_schedule[0] = {config.R_schedule[0]} does not cover max|z|/eps + 5 = {reach:.2f}"
         )
 
-    g_ref = _reference_grid(potential.dim, config.h)
-    c0 = ground_level(1.0, g_ref, config, dim=potential.dim)
-    c_inf = ground_level(potential.v_inf, g_ref, config, dim=potential.dim)
+    c0 = ground_level(1.0, potential.dim, config)
+    c_inf = ground_level(potential.v_inf, potential.dim, config)
     gamma = config.gamma if config.gamma is not None else 0.25 * (c_inf - c0)
     if not (0.0 < gamma < 0.5 * (c_inf - c0)):
         raise ConfigError(
             f"gamma = {gamma} must lie in (0, (c_inf - c0)/2) = (0, {0.5 * (c_inf - c0):.4f})"
         )
 
-    params = EnergyParams(eps=eps, potential=potential)
     g0 = build_grid(potential.dim, config.R_schedule[0], config.h)
 
     results: list[SolveResult] = []

@@ -29,7 +29,7 @@ from .energy import (
 )
 from .errors import ZeroField
 from .grid import Grid, build_grid, integrate, sq_distance, zero_extend
-from .solver import _BOX_FLOOR
+from .solver import _live_box
 
 __all__ = [
     "VerificationReport",
@@ -119,9 +119,9 @@ def weak_residual(
     converged discrete solution scores at rounding level. Each probe v is a
     tensor product of 1d cubic B-splines of unit discrete H^1 norm, with
     log-uniform width in [max(3h, R/100), R/8] and a center uniform over
-    the box of the nodes where |u| >= _BOX_FLOOR max |u| (the floor of the
-    solver's descent box), where the field lives, so that every probe meets
-    it, moved inside the domain by as much as keeps its support there;
+    the live box of |u| (`solver._live_box`, from which the descent draws
+    its box), where the field lives, so that every probe meets it, moved
+    inside the domain by as much as keeps its support there;
     it is paired and normalized through its 1d factors
     (`_factored_probe`). The residual and ||u||_eps^2 = K + M come from one
     evaluation record of u (`energy`). The probes are drawn from the
@@ -133,12 +133,7 @@ def weak_residual(
         raise ZeroField("weak residual undefined for the zero field")
     wr = rec.gradient().reshape(g.shape)
     g1 = g if g.dim == 1 else build_grid(1, g.R, g.h)
-    size = np.abs(rec.u).reshape(g.shape)
-    live = size >= _BOX_FLOOR * size.max()
-    box = []
-    for k in range(g.dim):
-        on = np.flatnonzero(live.any(axis=tuple(j for j in range(g.dim) if j != k)))
-        box.append((g.axis[on[0]], g.axis[on[-1]]))
+    box = [(g.axis[sl.start], g.axis[sl.stop - 1]) for sl in _live_box(np.abs(rec.u), g)]
 
     rng = random.Random(seed)
     sigma_hi = g.R / 8.0
@@ -222,10 +217,11 @@ def identity_suite(g: Grid, seed: int = 0, fields: int = 100) -> dict:
             rhs = sfac * sfac * (rec.level - math.log(sfac) * rec.M)
             if abs(lhs - rhs) <= tol_scale * max(1.0, abs(lhs)):
                 n_scale += 1
-        star = nehari_scale(u, params, g)
-        if math.isfinite(star) and abs(nehari_scale(star * u, params, g) - 1.0) <= tol_idem:
+        star = nehari_scale(rec)
+        if math.isfinite(star) and abs(
+                nehari_scale(energy(star * u, params, g)) - 1.0) <= tol_idem:
             n_idem += 1
-        if log_sobolev_gap(u, g) >= tol_ls:
+        if log_sobolev_gap(rec) >= tol_ls:
             n_ls += 1
     return {
         "scaling_identity": {"pass": n_scale, "total": fields * len(scales),
@@ -327,7 +323,7 @@ def audit(results, ctx) -> VerificationReport:
         nehari_ok = nres.value <= config.nehari_tol
         level_ok = nres.level_gap <= config.nehari_tol * max(1.0, abs(res.level))
         sep_ok = res.level < ctx.c0 + ctx.gamma
-        ls_gap = log_sobolev_gap(res.u, res.grid)
+        ls_gap = log_sobolev_gap(energy(res.u, params, res.grid))
         ls_ok = ls_gap >= -1e-8
 
         region_ok = True

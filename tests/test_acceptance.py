@@ -50,16 +50,14 @@ def test_criterion_1_gausson_reproduction(gausson_run):
 
 
 def test_criterion_2_level_gap():
-    g1 = build_grid(1, 10.0, 0.01)
     cfg1 = SolverConfig(h=0.01, R_schedule=(10.0,))
-    c0 = ground_level(1.0, g1, cfg1)
-    c_inf = ground_level(2.0, g1, cfg1)
+    c0 = ground_level(1.0, 1, cfg1)
+    c_inf = ground_level(2.0, 1, cfg1)
     err0 = abs(c0 - C0_1D) / C0_1D
     err_inf = abs(c_inf - CINF_1D) / CINF_1D
 
-    g2 = build_grid(2, 8.0, 0.05)
     cfg2 = SolverConfig(h=0.05, R_schedule=(8.0,))
-    c0_2d = ground_level(1.0, g2, cfg2)
+    c0_2d = ground_level(1.0, 2, cfg2)
     # oracle value e^(N+w)/2 * pi^(N/2) = e^3 pi / 2 for N=2, w=1 (the
     # criterion's printed e^2 pi / 2 contradicts the amplitude law above)
     err2d = abs(c0_2d - C0_2D) / C0_2D

@@ -646,6 +646,15 @@ def test_sweep_increasing_eps_exits_2(tmp_path):
     assert main(["sweep", "--config", str(path), "--eps", "0.1", "0.2"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.1", "nan", "inf"])
+def test_sweep_eps_not_positive_and_finite_exits_2(tmp_path, capsys, eps):
+    path = _write(tmp_path, SINGLE_WELL)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+                 "--eps", eps]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_verify_subcommand_passes():
     assert main(["verify"]) == 0
 
@@ -668,7 +677,7 @@ def test_verify_failed_check_exits_1_and_is_named(monkeypatch, capsys):
 
     real = verify_mod.nehari_scale
     monkeypatch.setattr(verify_mod, "nehari_scale",
-                        lambda u, params, g: real(u, params, g) ** 2)
+                        lambda rec: real(rec) ** 2)
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "verify: 11/12 checks passed" in captured.out
@@ -682,7 +691,7 @@ def test_verify_catches_constant_factor_in_nehari_scale(monkeypatch, capsys):
     # Nehari residual of the projected Gausson does not
     real = sys.modules["lognls.energy"].nehari_scale
     monkeypatch.setattr(sys.modules["lognls.cli"], "nehari_scale",
-                        lambda u, params, g: 1.001 * real(u, params, g))
+                        lambda rec: 1.001 * real(rec))
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "verify: 11/12 checks passed" in captured.out

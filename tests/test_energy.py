@@ -13,7 +13,7 @@ from lognls.energy import (
     nehari_scale,
 )
 from lognls.errors import ZeroField
-from lognls.grid import build_grid
+from lognls.grid import build_grid, integrate, laplacian_apply
 from lognls.solver import gausson
 from lognls.verify import smooth_random_field
 
@@ -84,20 +84,20 @@ def test_gradient_is_directional_derivative(fine_grid, const_params):
 
 def test_nehari_scale_of_gausson_is_one(fine_grid, const_params):
     u = gausson(fine_grid, 1.0)
-    assert abs(nehari_scale(u, const_params, fine_grid) - 1.0) <= 1e-3
+    assert abs(nehari_scale(energy(u, const_params, fine_grid)) - 1.0) <= 1e-3
 
 
 def test_nehari_projection_idempotent(fine_grid, const_params):
     rng = np.random.default_rng(6)
     for _ in range(10):
         u = smooth_random_field(fine_grid, rng)
-        s = nehari_scale(u, const_params, fine_grid)
-        assert abs(nehari_scale(s * u, const_params, fine_grid) - 1.0) <= 1e-12
+        s = nehari_scale(energy(u, const_params, fine_grid))
+        assert abs(nehari_scale(energy(s * u, const_params, fine_grid)) - 1.0) <= 1e-12
 
 
 def test_nehari_zero_field_rejected(fine_grid, const_params):
     with pytest.raises(ZeroField):
-        nehari_scale(np.zeros(fine_grid.num_nodes), const_params, fine_grid)
+        nehari_scale(energy(np.zeros(fine_grid.num_nodes), const_params, fine_grid))
     with pytest.raises(ZeroField):
         nehari_residual(np.zeros(fine_grid.num_nodes), const_params, fine_grid)
 
@@ -107,13 +107,13 @@ def test_nehari_scale_underflow_rejected(fine_grid):
     # field, which a descent step must not accept
     params = EnergyParams(eps=1.0, potential=-2000.0)
     with pytest.raises(ZeroField, match="underflows"):
-        nehari_scale(gausson(fine_grid, 1.0), params, fine_grid)
+        nehari_scale(energy(gausson(fine_grid, 1.0), params, fine_grid))
 
 
 def test_nehari_residual_after_projection(fine_grid, const_params):
     rng = np.random.default_rng(7)
     u = smooth_random_field(fine_grid, rng)
-    u = nehari_scale(u, const_params, fine_grid) * u
+    u = nehari_scale(energy(u, const_params, fine_grid)) * u
     res = nehari_residual(u, const_params, fine_grid)
     assert res.value <= 1e-12
     rec = energy(u, const_params, fine_grid)
@@ -129,7 +129,7 @@ def test_nehari_residual_of_gausson(fine_grid, const_params):
 def test_nehari_residual_of_doubled_field(fine_grid, const_params):
     rng = np.random.default_rng(8)
     u = smooth_random_field(fine_grid, rng)
-    u = nehari_scale(u, const_params, fine_grid) * u
+    u = nehari_scale(energy(u, const_params, fine_grid)) * u
     rec = energy(u, const_params, fine_grid)
     res = nehari_residual(2.0 * u, const_params, fine_grid)
     rec2 = energy(2.0 * u, const_params, fine_grid)
@@ -161,36 +161,65 @@ def test_scaled_record_matches_fresh_record(seed, s, positive):
     for name in ("K", "E", "M", "level"):
         a, b = getattr(scaled, name), getattr(fresh, name)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-    # nehari_scale reads a record as it reads its field
-    assert nehari_scale(fresh, params, g) == nehari_scale(s * w, params, g)
+    # the scale of s w is the scale of w over s
+    assert nehari_scale(scaled) == pytest.approx(
+        nehari_scale(energy(w, params, g)) / s, rel=1e-10)
 
 
 # --- log-Sobolev ----------------------------------------------------------
 
-def test_log_sobolev_gap_positive_on_gausson(fine_grid):
+def test_log_sobolev_gap_positive_on_gausson(fine_grid, const_params):
     u = gausson(fine_grid, 1.0)
-    assert log_sobolev_gap(u, fine_grid) > 0.0
+    assert log_sobolev_gap(energy(u, const_params, fine_grid)) > 0.0
 
 
-def test_log_sobolev_on_random_fields(fine_grid):
+def test_log_sobolev_on_random_fields(fine_grid, const_params):
     rng = np.random.default_rng(9)
     for _ in range(100):
         u = smooth_random_field(fine_grid, rng)
-        assert log_sobolev_gap(u, fine_grid) >= -1e-8
+        assert log_sobolev_gap(energy(u, const_params, fine_grid)) >= -1e-8
 
 
-def test_log_sobolev_scale_consistency(fine_grid):
+def test_log_sobolev_scale_consistency(fine_grid, const_params):
     rng = np.random.default_rng(10)
     u = smooth_random_field(fine_grid, rng)
-    assert log_sobolev_gap(10.0 * u, fine_grid) >= -1e-8
+    gap10 = log_sobolev_gap(energy(10.0 * u, const_params, fine_grid))
+    assert gap10 >= -1e-8
     # the gap is genuinely recomputed, not scale-invariant termwise
-    assert log_sobolev_gap(10.0 * u, fine_grid) != pytest.approx(
-        log_sobolev_gap(u, fine_grid), rel=1e-3)
+    assert gap10 != pytest.approx(
+        log_sobolev_gap(energy(u, const_params, fine_grid)), rel=1e-3)
 
 
-def test_log_sobolev_zero_field(fine_grid):
+def test_log_sobolev_zero_field(fine_grid, const_params):
     with pytest.raises(ZeroField):
-        log_sobolev_gap(np.zeros(fine_grid.num_nodes), fine_grid)
+        log_sobolev_gap(energy(np.zeros(fine_grid.num_nodes), const_params, fine_grid))
+
+
+def _log_sobolev_gap_direct(u, g):
+    """The gap by its own stencil, log and integrals, as it was computed
+    before it read the evaluation record."""
+    Kgrad = integrate(g, u * laplacian_apply(g, u))
+    M = integrate(g, u * u)
+    E = integrate(g, u * _u_log_u2(u))
+    a = math.sqrt(math.pi) / 2.0
+    rhs = (a * a / math.pi) * Kgrad + (math.log(M) - g.dim * (1.0 + math.log(a))) * M
+    return rhs - E
+
+
+_G_LS = (build_grid(1, 10.0, 0.05), build_grid(2, 6.0, 0.2))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       s=st.floats(0.01, 100.0), positive=st.booleans())
+def test_log_sobolev_gap_of_record_is_the_direct_formula(seed, dim, s, positive):
+    # the record's M, E and stencil are the direct formula's operations, so
+    # the gap is the same double, for positive and signed fields alike
+    g = _G_LS[dim - 1]
+    u = s * smooth_random_field(g, np.random.default_rng(seed), positive=positive)
+    assert log_sobolev_gap(energy(u, _PARAMS_REC, g)) == _log_sobolev_gap_direct(u, g)
+    with pytest.raises(ZeroField):
+        log_sobolev_gap(energy(0.0 * u, _PARAMS_REC, g))
 
 
 # --- the log term u log u^2 through np.log --------------------------------

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lognls.barycenter import q_eps, region_of
 from lognls.cli import load_config
 from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
-from lognls.errors import (ConfigError, DomainTooSmall, LogNLSError, SeedOutsideRegion,
-                           SolverFailure)
+from lognls.errors import (ConfigError, DomainTooSmall, LogNLSError, NonPositiveEpsilon,
+                           SeedOutsideRegion, SolverFailure)
 from lognls.grid import (
     Grid,
     GridBox,
@@ -166,7 +166,7 @@ def test_eigenvalue_cache_hits_across_new_grids():
         assert out.all_converged
         shapes |= {tuple(st.precond_box) for res in out.results
                    for st in res.stages if st.iterations > 0}
-    g_ref = solver_mod._reference_grid(1, cfg.h)
+    g_ref = build_grid(1, 10.0, cfg.h)
     shapes.add(tuple(sl.stop - sl.start for sl in _precond_box(gausson(g_ref, 0.0), g_ref)))
     info = _helmholtz_eigenvalues.cache_info()
     assert info.misses == info.currsize == len(shapes)
@@ -356,7 +356,7 @@ def test_seed_well_returns_its_ritz_width(dw_spec):
     ramp, d2 = _boundary_ramp(g), sq_distance(g.axis, dw_spec.wells[0] / 0.1)
     for other in (0.9 * b, 1.1 * b):
         phi = _seed_profile(g, ramp, d2, other)
-        phi *= nehari_scale(phi, params, g)
+        phi *= nehari_scale(energy(phi, params, g))
         assert energy(seed, params, g).level < energy(phi, params, g).level
 
 
@@ -464,7 +464,7 @@ def test_minimize_monotone_levels_and_certificates():
     slack = 64.0 * np.finfo(float).eps * max(1.0, abs(levels[0]))
     assert all(b <= a + slack for a, b in zip(levels, levels[1:]))
     assert all(row.nehari_res <= cfg.nehari_tol for row in res.history)
-    assert log_sobolev_gap(res.u, g) >= -1e-8
+    assert log_sobolev_gap(energy(res.u, params, g)) >= -1e-8
 
 
 _G_PROP = build_grid(1, 10.0, 0.02)
@@ -804,17 +804,15 @@ def test_stage_records_count_every_stage(double_well_run):
 # --- ground levels -----------------------------------------------------------
 
 def test_ground_level_omega_1():
-    g = build_grid(1, 10.0, 0.01)
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
-    c0 = ground_level(1.0, g, cfg)
+    c0 = ground_level(1.0, 1, cfg)
     assert c0 == pytest.approx(0.5 * E**2 * SQPI, rel=5e-3)
 
 
 def test_ground_level_omega_2_and_gap():
-    g = build_grid(1, 10.0, 0.01)
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
-    c0 = ground_level(1.0, g, cfg)
-    c_inf = ground_level(2.0, g, cfg)
+    c0 = ground_level(1.0, 1, cfg)
+    c_inf = ground_level(2.0, 1, cfg)
     assert c_inf == pytest.approx(0.5 * E**3 * SQPI, rel=5e-3)
     assert c0 < c_inf
 
@@ -829,7 +827,7 @@ def test_ground_level_scaling_law_matches_direct_solve(dim, R, h, omega):
     params = EnergyParams(eps=1.0, potential=omega)
     direct = minimize_localized(gausson(g, omega), None, 1.0, params, cfg, g)
     assert direct.status == SolveStatus.CONVERGED
-    assert ground_level(omega, g, cfg) == pytest.approx(direct.level, rel=1e-12)
+    assert ground_level(omega, dim, cfg) == pytest.approx(direct.level, rel=1e-12)
 
 
 # --- continuation ------------------------------------------------------------
@@ -861,7 +859,7 @@ def test_stabilization_gap_bounded_by_level_tolerance(monkeypatch):
 
     def shifted(*args, **kwargs):
         res = real(*args, **kwargs)
-        res.level += shift
+        res.stages[-1] = res.stages[-1]._replace(level=res.stages[-1].level + shift)
         return res
 
     monkeypatch.setattr(solver_mod, "minimize_localized", shifted)
@@ -976,6 +974,10 @@ def test_numeric_settings_validated_on_construction():
     # a setting that would run without stepping
     with pytest.raises(LogNLSError, match="max_iters"):
         SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=-1)
+    # an iteration cap is a count: a fraction, an infinity or a bool is none
+    for cap in (2.5, math.inf, True, 3.0):
+        with pytest.raises(ConfigError, match="max_iters"):
+            SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=cap)
     SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=0)
 
 
@@ -991,6 +993,13 @@ def test_non_finite_setting_is_a_config_error(settings):
     tolerance could never be met."""
     with pytest.raises(ConfigError):
         SolverConfig(**{"h": 0.05, "R_schedule": (10.0,), **settings})
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_eps_not_positive_and_finite_is_named(dw_spec, eps):
+    # checked before the reach max|z|/eps + 5 divides by it
+    with pytest.raises(NonPositiveEpsilon):
+        solve_multiplicity(eps, dw_spec, SolverConfig(h=0.05, R_schedule=(30.0,)))
 
 
 def test_schedule_must_cover_wells(dw_spec):

@@ -187,10 +187,10 @@ def test_identity_suite_catches_corrupted_nehari_scale(monkeypatch):
 
     real = verify_mod.nehari_scale
 
-    def corrupted(u, params, g):
+    def corrupted(rec):
         # the exponent (K - E)/M without its 1/2; a constant factor on s*
         # would cancel in the idempotence check, as s*(c u) = s*(u)/c
-        return real(u, params, g) ** 2
+        return real(rec) ** 2
 
     monkeypatch.setattr(verify_mod, "nehari_scale", corrupted)
     ids = verify_mod.identity_suite(build_grid(1, 10.0, 0.1), fields=3)
