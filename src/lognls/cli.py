@@ -25,7 +25,7 @@ import numpy as np
 from .energy import EnergyParams, energy, nehari_residual, nehari_scale
 from .errors import ConfigError, LogNLSError
 from .grid import build_grid, save_field
-from .potential import PotentialSpec, WellGeometry, make_multiwell
+from .potential import PotentialSpec, make_multiwell
 from .solver import (
     SolverConfig,
     gausson,
@@ -58,7 +58,6 @@ def _is_number(value) -> bool:
 # error says it must be
 _KINDS = {
     "number": (_is_number, "a finite number"),
-    "number or null": (lambda v: v is None or _is_number(v), "a finite number"),
     "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "list of numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
@@ -76,9 +75,7 @@ _SCHEMA = {
     "problem": {"dim": "integer", "eps": "number", "wells": "list", "v_inf": "number",
                 "width": "number"},
     "numerics": {"h": "number", "R_schedule": "list of numbers"},
-    "solver": {"grad_tol": "number?", "nehari_tol": "number?", "max_iters": "integer?",
-               "gamma": "number or null?", "rho0": "number or null?",
-               "R0": "number or null?"},
+    "solver": {"grad_tol": "number?", "nehari_tol": "number?", "max_iters": "integer?"},
     "outputs": {"out_dir": "string?", "dump_fields": "flag?", "dump_history": "flag?",
                 "verbosity": "integer?"},
 }
@@ -105,8 +102,7 @@ def _checked(section, where: str) -> dict:
             value, (test, name) = section[key], _KINDS[kind.rstrip("?")]
             if not test(value):
                 raise ConfigError(f"{where}.{key}: must be {name}, got {json.dumps(value)}")
-            numeric = kind.startswith("number") and value is not None
-            checked[key] = float(value) if numeric else value
+            checked[key] = float(value) if kind.startswith("number") else value
     return checked
 
 
@@ -166,20 +162,9 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
             f"problem.wells: centers are {spec.dim}d but problem.dim = {dim}"
         )
 
-    # SolverConfig holds every default, so it gets only the settings the
-    # file holds; a null gamma, rho0 or R0 keeps the derived default
-    solver = raw.get("solver", {})
-    settings = {key: value for key, value in solver.items() if value is not None}
-    if "rho0" in settings or "R0" in settings:   # both or neither
-        for key in ("rho0", "R0"):
-            if key not in solver:
-                raise ConfigError(f"solver.{key}: missing required key")
-            if key not in settings:
-                raise ConfigError(f"solver.{key}: must be a finite number, got null")
-        settings["localization"] = WellGeometry(rho0=settings.pop("rho0"),
-                                                R0=settings.pop("R0"))
+    # SolverConfig holds every default, so it gets only the keys the file holds
     try:
-        solver_cfg = SolverConfig(**raw["numerics"], **settings)   # h and R_schedule
+        solver_cfg = SolverConfig(**raw["numerics"], **raw.get("solver", {}))
     except LogNLSError as exc:
         raise ConfigError(f"numerics/solver: {exc}") from exc
     if seed_override is None:
@@ -331,9 +316,9 @@ def cmd_verify(args) -> int:
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
     c0 = ground_level(1.0, 1, cfg)
     c_inf = ground_level(2.0, 1, cfg)
-    t1 = 0.5 * math.e**2 * math.sqrt(math.pi)
     t2 = 0.5 * math.e**3 * math.sqrt(math.pi)
-    _check("levels: c0 within 0.5%", abs(c0 - t1) <= 5e-3 * t1, f"c0={c0!r}", verbose, lines)
+    _check("levels: c0 within 0.5%", abs(c0 - target) <= 5e-3 * target, f"c0={c0!r}",
+           verbose, lines)
     _check("levels: c_inf(2) within 0.5%", abs(c_inf - t2) <= 5e-3 * t2,
            f"c_inf={c_inf!r}", verbose, lines)
     _check("levels: c0 < c_inf", c0 < c_inf, f"gap={c_inf - c0!r}", verbose, lines)

@@ -82,23 +82,6 @@ class WellGeometry(NamedTuple):
     rho0: float
     R0: float
 
-    def check(self, wells: np.ndarray) -> list[str]:
-        """Return a list of violated constraints (empty when valid)."""
-        problems = []
-        if not self.rho0 > 0.0:   # each test fails on a NaN
-            problems.append(f"rho0 must be positive, got {self.rho0}")
-        dmin = _closest_pair(wells)[0]
-        if not self.rho0 < 0.5 * dmin:
-            problems.append(
-                f"balls overlap: rho0={self.rho0} >= half min well distance {0.5 * dmin}"
-            )
-        rmax = float(np.linalg.norm(wells, axis=1).max())
-        if not rmax + self.rho0 < self.R0:
-            problems.append(
-                f"union of balls not inside B_R0: max|z|+rho0={rmax + self.rho0} >= R0={self.R0}"
-            )
-        return problems
-
 
 def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
     """Construct the inverted-Gaussian potential with the given wells.
@@ -108,14 +91,16 @@ def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
     W = np.asarray(wells, dtype=float)
     if W.ndim == 1:
         W = W[:, None]  # flat list of scalars means 1d well positions
-    if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] not in (1, 2):
-        raise MissingOriginWell("wells must be a nonempty list of 1d or 2d centers")
+    if (W.ndim != 2 or W.shape[0] < 1 or W.shape[1] not in (1, 2)
+            or not np.isfinite(W).all()):
+        raise MissingOriginWell("wells must be a nonempty list of finite 1d or 2d centers")
     if np.any(W[0] != 0.0):
         raise MissingOriginWell(f"first well must be the origin, got {W[0]}")
-    if v_inf <= 1.0:
-        raise FlatPotential(f"need v_inf > 1 for a strict limit, got {v_inf}")
-    if width <= 0.0:
-        raise FlatPotential(f"need width > 0, got {width}")
+    # written so that a NaN fails each test
+    if not 1.0 < v_inf < math.inf:
+        raise FlatPotential(f"need a finite v_inf > 1 for a strict limit, got {v_inf}")
+    if not 0.0 < width < math.inf:
+        raise FlatPotential(f"need a finite width > 0, got {width}")
     dmin, i, j = _closest_pair(W)
     if dmin == 0.0:
         raise DuplicateWells(f"wells {i} and {j} coincide at {W[i]}")
@@ -125,7 +110,9 @@ def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
 
 def default_geometry(spec: PotentialSpec) -> WellGeometry:
     """rho0 = quarter of the smallest well separation (1 for a single well),
-    R0 = twice max(1, farthest well distance)."""
+    R0 = twice max(1, farthest well distance). The balls B_rho0(z_i) are
+    disjoint and lie inside B_R0: with two or more wells rho0 <= max|z|/4,
+    since the first well is the origin."""
     W = spec.wells
     rho0 = 1.0 if spec.l == 1 else 0.25 * _closest_pair(W)[0]
     R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))

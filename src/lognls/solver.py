@@ -160,9 +160,7 @@ class SolverConfig:
     cache of the ground levels solved with it."""
 
     def __init__(self, h: float, R_schedule: tuple[float, ...], grad_tol: float = 1e-8,
-                 nehari_tol: float = 1e-10, max_iters: int = 5000,
-                 gamma: float | None = None,  # None: (c_inf - c0)/4 at runtime
-                 localization: WellGeometry | None = None):  # None: default_geometry(spec)
+                 nehari_tol: float = 1e-10, max_iters: int = 5000):
         sched = tuple(float(r) for r in R_schedule)
         if not sched:
             raise ConfigError("R_schedule must be nonempty")
@@ -193,8 +191,6 @@ class SolverConfig:
         self.grad_tol = grad_tol
         self.nehari_tol = nehari_tol
         self.max_iters = max_iters
-        self.gamma = gamma
-        self.localization = localization
 
 
 class SolveResult:
@@ -294,14 +290,6 @@ def gausson(g: Grid, omega: float) -> np.ndarray:
     u = _gaussian_profile(g, amplitude, np.zeros(g.dim))
     u[~g.interior_mask] = 0.0
     return u
-
-
-def _resolve_geometry(config: SolverConfig, spec: PotentialSpec) -> WellGeometry:
-    geom = config.localization if config.localization is not None else default_geometry(spec)
-    problems = geom.check(spec.wells)
-    if problems:
-        raise ConfigError("invalid well geometry: " + "; ".join(problems))
-    return geom
 
 
 def _seed_profile(g: Grid | GridBox, ramp: np.ndarray, d2: np.ndarray,
@@ -405,12 +393,12 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
 
 
 @lru_cache(maxsize=64)
-def _helmholtz_eigenvalues(shape: tuple[int, ...], h: float, shift: float) -> np.ndarray:
-    """Eigenvalues of (-L + shift) in the sine basis of a box of interior
-    nodes of this shape and spacing h, Dirichlet on its edges."""
+def _helmholtz_eigenvalues(shape: tuple[int, ...], h: float) -> np.ndarray:
+    """Eigenvalues of (-L + c), c = _H1_SHIFT, in the sine basis of a box of
+    interior nodes of this shape and spacing h, Dirichlet on its edges."""
     lam = [(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))) / (h * h)
            for n in shape]
-    denom = sum(np.ix_(*lam)) + shift
+    denom = sum(np.ix_(*lam)) + _H1_SHIFT
     denom.setflags(write=False)
     return denom
 
@@ -481,7 +469,7 @@ def _h1_direction(g: Grid | GridBox, r: np.ndarray) -> np.ndarray:
     nodes of g, a grid or a box of one, with d = 0 on its boundary."""
     box = (slice(1, -1),) * g.dim
     rr = r.reshape(g.shape)[box]
-    denom = _helmholtz_eigenvalues(rr.shape, g.h, _H1_SHIFT)
+    denom = _helmholtz_eigenvalues(rr.shape, g.h)
     out = np.zeros(g.shape)
     if g.dim == 1:
         out[box] = _dst1(_dst1(rr) / denom)
@@ -654,7 +642,7 @@ def minimize_localized(
     constrained = i is not None
     if constrained:
         spec = params.potential
-        geometry = _resolve_geometry(config, spec)
+        geometry = default_geometry(spec)
 
     start = np.abs(g.check_field(seed))
     gb = _descent_box(start, g)
@@ -861,11 +849,12 @@ def solve_multiplicity(
     """One localized solve per well, continued through the R schedule.
 
     Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf and the separation margin gamma. Each
+    the reference levels c0 < c_inf, the separation margin
+    gamma = (c_inf - c0)/4 and the well geometry (`default_geometry`). Each
     result carries its seed width; its weak residual is left nan, since
     only `lognls solve` reports it and measures it there.
     """
-    geometry = _resolve_geometry(config, potential)
+    geometry = default_geometry(potential)
     if config.R_schedule[0] <= geometry.R0:
         raise ConfigError(
             f"first truncation radius {config.R_schedule[0]} must exceed R0 = {geometry.R0}"
@@ -879,11 +868,7 @@ def solve_multiplicity(
 
     c0 = ground_level(1.0, potential.dim, config)
     c_inf = ground_level(potential.v_inf, potential.dim, config)
-    gamma = config.gamma if config.gamma is not None else 0.25 * (c_inf - c0)
-    if not (0.0 < gamma < 0.5 * (c_inf - c0)):
-        raise ConfigError(
-            f"gamma = {gamma} must lie in (0, (c_inf - c0)/2) = (0, {0.5 * (c_inf - c0):.4f})"
-        )
+    gamma = 0.25 * (c_inf - c0)
 
     g0 = build_grid(potential.dim, config.R_schedule[0], config.h)
 

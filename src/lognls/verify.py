@@ -46,6 +46,8 @@ __all__ = [
 POSITIVE_RADIUS = 36.0
 # bumps per weak residual; each costs one pairing over its support
 _PROBES = 50
+# Fourier modes per axis of a `smooth_random_field`
+_TRIG_MODES = 4
 
 
 def _cubic_bspline(t: np.ndarray) -> np.ndarray:
@@ -152,7 +154,6 @@ def weak_residual(
 def smooth_random_field(
     g: Grid,
     rng: np.random.Generator,
-    modes: int = 4,
     positive: bool = False,
 ) -> np.ndarray:
     """Gaussian-envelope random trig field, Dirichlet-compliant.
@@ -164,7 +165,7 @@ def smooth_random_field(
     r = np.sqrt(sq_distance(g.axis, np.zeros(g.dim)))
     env = np.exp(-((r / sigma) ** 2) / 2.0)
     trig = np.zeros(g.shape)
-    for k in range(1, modes + 1):
+    for k in range(1, _TRIG_MODES + 1):
         phase = g.axis * (math.pi * k / (2.0 * g.R))
         for x in np.ix_(*[phase] * g.dim):
             trig += rng.normal() * np.cos(x) + rng.normal() * np.sin(x)
@@ -324,7 +325,7 @@ def audit(results, ctx) -> VerificationReport:
         level_ok = nres.level_gap <= config.nehari_tol * max(1.0, abs(res.level))
         sep_ok = res.level < ctx.c0 + ctx.gamma
         ls_gap = log_sobolev_gap(energy(res.u, params, res.grid))
-        ls_ok = ls_gap >= -1e-8
+        ls_ok = ls_gap >= tolerances["log_sobolev_min_gap"]
 
         region_ok = True
         if res.well_index is not None:
@@ -365,7 +366,7 @@ def audit(results, ctx) -> VerificationReport:
             a, b = converged[a_idx], converged[b_idx]
             rel = _common_grid_l2_distance(a, b)
             wells_differ = a.well_index != b.well_index
-            pair_ok = wells_differ and rel > 1e-2
+            pair_ok = wells_differ and rel > tolerances["distinct_rel_l2"]
             distinct_ok = distinct_ok and pair_ok
             distinct_pairs.append({
                 "wells": [

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import lognls.cli as cli_mod
 from lognls.cli import load_config, main
 from lognls.errors import ConfigError
 from lognls.grid import load_field
+from lognls.solver import SolverConfig
 
 SINGLE_WELL = {
     "problem": {"dim": 1, "eps": 0.1, "wells": [[0.0]], "v_inf": 2.0, "width": 1.0},
@@ -57,13 +59,21 @@ def test_load_config_bad_json_line_number(tmp_path):
 
 @pytest.mark.parametrize("name", ["config.rng_sed", "numerics.delta", "solver.grad_tl",
                                   "solver.precondition", "solver.step_init",
-                                  "solver.backtrack", "solver.probes"])
+                                  "solver.backtrack", "solver.probes", "solver.gamma",
+                                  "solver.rho0", "solver.R0"])
 def test_load_config_rejects_unknown_keys(tmp_path, name):
     bad = json.loads(json.dumps(SINGLE_WELL))
     section, key = name.split(".")
     (bad if section == "config" else bad[section])[key] = 0.1
     with pytest.raises(ConfigError, match=re.escape(f"{name}: unknown key")):
         load_config(_write(tmp_path, bad))
+
+
+def test_settings_are_declared_once():
+    """The keys of the numerics and solver sections are the parameters of
+    SolverConfig, which load_config passes them to."""
+    params = inspect.signature(SolverConfig).parameters.keys()
+    assert {*cli_mod._SCHEMA["numerics"], *cli_mod._SCHEMA["solver"]} == set(params)
 
 
 def test_load_config_rejects_other_preconditioner(tmp_path):
@@ -107,11 +117,10 @@ def test_load_config_checks_json_types(tmp_path, section, key, value):
 def test_real_settings_load_as_floats(tmp_path):
     # report.json prints the config's settings, so an integer 1 prints 1.0
     cfg = json.loads(json.dumps(SINGLE_WELL))
-    cfg["solver"].update(grad_tol=1, nehari_tol=1, gamma=1, rho0=1, R0=8)
+    cfg["solver"].update(grad_tol=1, nehari_tol=1)
     loaded = load_config(_write(tmp_path, cfg))
-    values = (loaded.eps, loaded.solver.grad_tol, loaded.solver.nehari_tol,
-              loaded.solver.gamma, *loaded.solver.localization)
-    assert [type(v) for v in values] == [float] * 6
+    values = (loaded.eps, loaded.solver.grad_tol, loaded.solver.nehari_tol)
+    assert [type(v) for v in values] == [float] * 3
     assert loaded.solver.max_iters == 3000 and type(loaded.solver.max_iters) is int
 
 
@@ -175,9 +184,6 @@ _NUMERIC_KEYS = {
     "solver.grad_tol": lambda v: {"solver": {"grad_tol": v}},
     "solver.nehari_tol": lambda v: {"solver": {"nehari_tol": v}},
     "solver.max_iters": lambda v: {"solver": {"max_iters": v}},
-    "solver.gamma": lambda v: {"solver": {"gamma": v}},
-    "solver.rho0": lambda v: {"solver": {"rho0": v, "R0": 4.0}},
-    "solver.R0": lambda v: {"solver": {"rho0": 0.5, "R0": v}},
     "outputs.verbosity": lambda v: {"outputs": {"verbosity": v}},
     "config.rng_seed": lambda v: {"rng_seed": v},
 }
@@ -570,17 +576,13 @@ def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("solver", [{"gamma": 100.0}, {"rho0": 1.5, "R0": 8.0},
-                                    {"rho0": 0.0, "R0": 4.0}, {"rho0": -0.5, "R0": 4.0}],
-                         ids=["gamma-too-large", "overlapping-balls", "zero-rho0",
-                              "negative-rho0"])
-def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, solver):
-    # gamma outside (0, (c_inf - c0)/2), balls B_rho0 that overlap and a
-    # rho0 not above 0 are found only when the solve starts; they are
-    # config errors all the same
+def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command):
+    # an R_schedule[0] not above R0, which the wells fix (R0 = 4 for wells
+    # at 0 and 2), is found only when the solve starts; it is a config
+    # error all the same
     shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
     bad = json.loads(shipped.read_text())
-    bad["solver"].update(solver)
+    bad["numerics"]["R_schedule"] = [4.0, 30.0]
     path = _write(tmp_path, bad)
     out = tmp_path / "run"
     args = [command, "--config", str(path), "--out", str(out)]
@@ -588,7 +590,8 @@ def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, solver):
         args += ["--eps", "0.4", "0.2"]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "solve failed" not in err
+    assert err.startswith("config error: first truncation radius 4.0 must exceed R0 = 4.0")
+    assert "solve failed" not in err
     assert not (out / "report.json").exists()
     assert not (out / "sweep.csv").exists()
 

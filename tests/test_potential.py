@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from lognls.errors import (
     DuplicateWells,
@@ -11,7 +13,6 @@ from lognls.errors import (
 )
 from lognls.grid import build_grid
 from lognls.potential import (
-    WellGeometry,
     default_geometry,
     eval_scaled,
     make_multiwell,
@@ -43,6 +44,21 @@ def test_flat_potential_rejected():
 def test_origin_well_required():
     with pytest.raises(MissingOriginWell):
         make_multiwell([[1.0], [2.0]], 2.0, 1.0)
+
+
+@pytest.mark.parametrize("wells, v_inf, width, error", [
+    ([0.0, 2.0], math.nan, 0.25, FlatPotential),
+    ([0.0, 2.0], math.inf, 0.25, FlatPotential),
+    ([0.0, 2.0], 2.0, math.nan, FlatPotential),
+    ([0.0, 2.0], 2.0, math.inf, FlatPotential),
+    ([0.0, math.nan], 2.0, 0.25, MissingOriginWell),
+    ([[0.0, 0.0], [math.inf, 1.0]], 2.0, 0.25, MissingOriginWell),
+    ([[0.0, 0.0], [2.0, -math.inf]], 2.0, 0.25, MissingOriginWell),
+], ids=["v_inf-NaN", "v_inf-Infinity", "width-NaN", "width-Infinity", "center-NaN",
+        "center-Infinity", "center--Infinity"])
+def test_non_finite_input_rejected(wells, v_inf, width, error):
+    with pytest.raises(error, match="finite"):
+        make_multiwell(wells, v_inf, width)
 
 
 def test_duplicate_wells_rejected():
@@ -81,31 +97,46 @@ def test_monotone_tails():
     assert np.all(np.diff(vals) >= 0.0)
 
 
-def test_default_geometry_satisfies_invariants():
-    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
-    geom = default_geometry(spec)
+def test_default_geometry_of_the_shipped_wells():
+    geom = default_geometry(make_multiwell([[0.0], [2.0]], 2.0, 0.25))
     assert geom.rho0 == pytest.approx(0.5)
     assert geom.R0 == pytest.approx(4.0)
-    assert geom.check(spec.wells) == []
-    single = make_multiwell([[0.0]], 2.0, 1.0)
-    gs = default_geometry(single)
-    assert gs.rho0 == 1.0 and gs.R0 == 2.0
-    assert gs.check(single.wells) == []
+    single = default_geometry(make_multiwell([[0.0]], 2.0, 1.0))
+    assert single.rho0 == 1.0 and single.R0 == 2.0
 
 
-@pytest.mark.parametrize("rho0", [0.0, -0.5])
-def test_nonpositive_rho0_is_a_violated_constraint(rho0):
-    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
-    assert WellGeometry(rho0=rho0, R0=4.0).check(spec.wells) == [
-        f"rho0 must be positive, got {rho0}"]
+# well coordinates up to 1e6 in magnitude, beyond the reach of any grid,
+# which must cover max|z|/eps + 5; norms overflow only beyond about 1e154
+_COORD = st.floats(-1e6, 1e6)
 
 
-@pytest.mark.parametrize("geometry", [(math.nan, 4.0), (0.5, math.nan)],
-                         ids=["rho0-NaN", "R0-NaN"])
-def test_nan_radius_is_a_violated_constraint(geometry):
-    # a NaN passes every `<=` test, so each check is written to fail on it
-    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
-    assert WellGeometry(*geometry).check(spec.wells)
+@st.composite
+def _specs(draw):
+    """A spec that make_multiwell accepts, of 1 to 4 distinct wells."""
+    dim = draw(st.sampled_from([1, 2]))
+    origin = (0.0,) * dim
+    others = draw(st.lists(st.tuples(*[_COORD] * dim), max_size=3, unique=True)
+                  .filter(lambda pts: origin not in pts))
+    v_inf = draw(st.floats(1.0, 1e6, exclude_min=True))
+    width = draw(st.floats(0.0, 1e6, exclude_min=True))
+    try:
+        return make_multiwell([origin, *others], v_inf, width)
+    except DuplicateWells:   # a separation whose square underflows
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs())
+def test_default_geometry_satisfies_invariants(spec):
+    """The balls B_rho0(z_i) are disjoint and lie inside B_R0: rho0 is a
+    quarter of the least separation, which is at most max|z| since the
+    first well is the origin, and R0 = 2 max(1, max|z|)."""
+    geom = default_geometry(spec)
+    dmin = min((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(spec.wells, 2)),
+               default=math.inf)
+    assert geom.rho0 > 0.0
+    assert geom.rho0 < 0.5 * dmin
+    assert float(np.linalg.norm(spec.wells, axis=1).max()) + geom.rho0 < geom.R0
 
 
 def test_eval_scaled_at_origin_node():
