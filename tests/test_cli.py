@@ -576,13 +576,26 @@ def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("section, change, message", [
+    ("numerics", {"R_schedule": [4.0, 30.0]},
+     "first truncation radius 4.0 must exceed R0 = 4.0"),
+    ("solver", {"gamma": 100.0}, "solver.gamma: unknown key"),
+    ("solver", {"rho0": 1.5, "R0": 8.0}, "solver.rho0: unknown key"),
+    ("solver", {"rho0": 0.0, "R0": 4.0}, "solver.rho0: unknown key"),
+    ("solver", {"rho0": -0.5, "R0": 4.0}, "solver.rho0: unknown key"),
+], ids=["first-radius-inside-R0", "gamma-too-large", "overlapping-balls", "zero-rho0",
+        "negative-rho0"])
+def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, section, change,
+                                             message):
     # an R_schedule[0] not above R0, which the wells fix (R0 = 4 for wells
     # at 0 and 2), is found only when the solve starts; it is a config
-    # error all the same
+    # error all the same. A gamma outside (0, (c_inf - c0)/2) and balls
+    # B_rho0 that overlap or have rho0 <= 0 were found there too while
+    # gamma, rho0 and R0 were settings; they are derived now, and a config
+    # that still sets one is refused as it loads, with the same exit code
     shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
     bad = json.loads(shipped.read_text())
-    bad["numerics"]["R_schedule"] = [4.0, 30.0]
+    bad[section].update(change)
     path = _write(tmp_path, bad)
     out = tmp_path / "run"
     args = [command, "--config", str(path), "--out", str(out)]
@@ -590,7 +603,7 @@ def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command):
         args += ["--eps", "0.4", "0.2"]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: first truncation radius 4.0 must exceed R0 = 4.0")
+    assert err.startswith(f"config error: {message}")
     assert "solve failed" not in err
     assert not (out / "report.json").exists()
     assert not (out / "sweep.csv").exists()
