@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NonPositiveEpsilon, ZeroField
 from .grid import Grid, GridBox, sq_distance
-from .potential import WellGeometry
 
 __all__ = ["Region", "q_eps", "region_of", "chi_map", "g_weight"]
 
@@ -87,7 +86,7 @@ def q_eps(u: np.ndarray, eps: float, R0: float, g: Grid | GridBox) -> np.ndarray
     return np.einsum("dn,n->d", chi, density) / denom
 
 
-def region_of(q: np.ndarray, geometry: WellGeometry, wells: np.ndarray) -> Region:
+def region_of(q: np.ndarray, rho0: float, wells: np.ndarray) -> Region:
     """Classify a point against the balls B_rho0(z_i).
 
     Boundary wins inside a 1e-9 band around |q - z_i| = rho0; the balls are
@@ -98,8 +97,8 @@ def region_of(q: np.ndarray, geometry: WellGeometry, wells: np.ndarray) -> Regio
     dists = np.linalg.norm(wells - q[None, :], axis=1)
     i = int(np.argmin(dists))
     d = float(dists[i])
-    if abs(d - geometry.rho0) <= BOUNDARY_TOL:
+    if abs(d - rho0) <= BOUNDARY_TOL:
         return Region(kind="boundary", well=i)
-    if d < geometry.rho0:
-        return Region(kind="interior", well=i, core=d <= 0.5 * geometry.rho0)
+    if d < rho0:
+        return Region(kind="interior", well=i, core=d <= 0.5 * rho0)
     return Region(kind="outside")

@@ -184,6 +184,16 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     )
 
 
+def _make_out_dir(cfg: RunConfig) -> Path:
+    """Create the output directory before any solve, so that an unusable
+    one is a config error rather than a crash after the solve."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
+    return cfg.out_dir
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(float(x))
@@ -230,6 +240,7 @@ def cmd_solve(args) -> int:
     from . import verify as verify_mod   # here, not with the CLI: sweep never audits
 
     cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
+    out = _make_out_dir(cfg)
     try:
         outcome = solve_multiplicity(cfg.eps, cfg.potential, cfg.solver)
     except ConfigError:   # found at solve start; `main` exits 2 on it
@@ -241,10 +252,8 @@ def cmd_solve(args) -> int:
     # only solve reports the weak residual, so only solve measures it
     for r in outcome.results:
         r.weak_res = verify_mod.weak_residual(r.u, outcome.params, r.grid, seed=cfg.seed)
-    report = verify_mod.audit(outcome.results, outcome)
+    report = verify_mod.audit(outcome)
 
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
     _write_levels(out / "levels.csv", outcome, cfg.potential)
     if cfg.dump_fields or cfg.dump_history:
@@ -353,6 +362,7 @@ def cmd_sweep(args) -> int:
         print("sweep: eps list must be strictly decreasing", file=sys.stderr)
         return 2
     cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
+    out = _make_out_dir(cfg)
 
     rows = []
     worst = 0
@@ -383,15 +393,14 @@ def cmd_sweep(args) -> int:
         if cfg.verbosity:
             print(f"eps={eps}: {'all converged' if all_ok else 'failures present'}")
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out_dir / "sweep.csv", "w", newline="") as fh:
+    with open(out / "sweep.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "well", "level", "dist_to_well", "status", "iterations"])
         for row in rows:
             w.writerow([_fmt(v) for v in row])
     if onset is not None and cfg.verbosity:
         print(f"localization onset: all wells converged from eps = {onset}")
-    print(f"wrote {cfg.out_dir / 'sweep.csv'}")
+    print(f"wrote {out / 'sweep.csv'}")
     return worst
 
 

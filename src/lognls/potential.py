@@ -11,7 +11,6 @@ which attains min V = 1 exactly at the well centers z_i, satisfies
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +22,7 @@ from .errors import (
 )
 from .grid import Grid, sq_distance
 
-__all__ = [
-    "PotentialSpec",
-    "WellGeometry",
-    "make_multiwell",
-    "default_geometry",
-    "eval_scaled",
-]
+__all__ = ["PotentialSpec", "make_multiwell", "eval_scaled"]
 
 
 def _closest_pair(wells: np.ndarray) -> tuple[float, int, int]:
@@ -48,14 +41,19 @@ class PotentialSpec:
     """Inverted-Gaussian multi-well potential.
 
     wells has shape (l, dim); the first well must sit at the origin and
-    v_inf must exceed the normalized minimum value 1. Equality and hashing
-    are by identity, as it holds an array.
+    v_inf must exceed the normalized minimum value 1. rho0 and R0 are the
+    localization radii of `make_multiwell`: the balls B_rho0(z_i) are
+    disjoint and lie inside B_R0(0). Equality and hashing are by identity,
+    as it holds an array.
     """
 
-    def __init__(self, wells: np.ndarray, v_inf: float, width: float):
+    def __init__(self, wells: np.ndarray, v_inf: float, width: float,
+                 rho0: float, R0: float):
         self.wells = wells
         self.v_inf = v_inf
         self.width = width
+        self.rho0 = rho0
+        self.R0 = R0
 
     @property
     def l(self) -> int:
@@ -76,19 +74,20 @@ class PotentialSpec:
         return float(vals[0]) if single else vals
 
 
-class WellGeometry(NamedTuple):
-    """Localization radii: disjoint balls B_rho0(z_i) inside B_R0(0)."""
-
-    rho0: float
-    R0: float
-
-
 def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
     """Construct the inverted-Gaussian potential with the given wells.
 
-    wells: sequence of well centers; the first must be the origin.
+    wells: sequence of well centers; the first must be the origin. The
+    localization radii are rho0 = a quarter of the smallest well separation
+    (1 for a single well) and R0 = twice max(1, farthest well distance), so
+    the balls B_rho0(z_i) are disjoint and lie inside B_R0: with two or more
+    wells rho0 <= max|z|/4, since the first well is the origin. Wells whose
+    distances overflow are rejected, as no grid could resolve them.
     """
-    W = np.asarray(wells, dtype=float)
+    try:
+        W = np.asarray(wells, dtype=float)
+    except (TypeError, ValueError):   # ragged, or not numbers: fails the shape test
+        W = np.empty((0, 0))
     if W.ndim == 1:
         W = W[:, None]  # flat list of scalars means 1d well positions
     if (W.ndim != 2 or W.shape[0] < 1 or W.shape[1] not in (1, 2)
@@ -101,22 +100,16 @@ def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
         raise FlatPotential(f"need a finite v_inf > 1 for a strict limit, got {v_inf}")
     if not 0.0 < width < math.inf:
         raise FlatPotential(f"need a finite width > 0, got {width}")
-    dmin, i, j = _closest_pair(W)
+    with np.errstate(over="ignore"):
+        R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))
+        dmin, i, j = _closest_pair(W)
+    if not R0 < math.inf:
+        raise MissingOriginWell(f"wells too far out for finite distances: R0 = {R0}")
     if dmin == 0.0:
         raise DuplicateWells(f"wells {i} and {j} coincide at {W[i]}")
     W.setflags(write=False)
-    return PotentialSpec(wells=W, v_inf=float(v_inf), width=float(width))
-
-
-def default_geometry(spec: PotentialSpec) -> WellGeometry:
-    """rho0 = quarter of the smallest well separation (1 for a single well),
-    R0 = twice max(1, farthest well distance). The balls B_rho0(z_i) are
-    disjoint and lie inside B_R0: with two or more wells rho0 <= max|z|/4,
-    since the first well is the origin."""
-    W = spec.wells
-    rho0 = 1.0 if spec.l == 1 else 0.25 * _closest_pair(W)[0]
-    R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))
-    return WellGeometry(rho0=rho0, R0=R0)
+    return PotentialSpec(wells=W, v_inf=float(v_inf), width=float(width),
+                         rho0=1.0 if W.shape[0] == 1 else 0.25 * dmin, R0=R0)
 
 
 def eval_scaled(spec: PotentialSpec, eps: float, g: Grid) -> np.ndarray:

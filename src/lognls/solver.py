@@ -8,13 +8,14 @@ the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
 Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
 S where the Hessian's multiplication part exceeds c. Each trial is the
 fraction-to-boundary point max(u - tau d, theta u), so every iterate stays
-nonnegative. The descent runs on a box of the grid (`_precond_box`) that
+nonnegative. The descent runs on a box of the grid (`_descent_box`) that
 holds every node where the starting field exceeds _BOX_FLOOR times its
 peak, plus a one-node frame whose values are its Dirichlet data; off the
 box every iterate stays one multiple of the start. The result is measured
 once on the whole grid, and a stage converges only if that measurement
-does. Converged solutions are continued through an increasing schedule of
-truncation radii until the level and barycenter stabilize.
+does. A well's solution is continued through an increasing schedule of
+truncation radii, one stage per radius, until the level and barycenter
+stabilize (`continue_in_R`).
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -51,7 +52,7 @@ from .grid import (
     sq_distance,
     zero_extend,
 )
-from .potential import PotentialSpec, WellGeometry, default_geometry
+from .potential import PotentialSpec
 
 __all__ = [
     "SolveStatus",
@@ -140,7 +141,7 @@ class StageRecord(NamedTuple):
     backtracks the rejected ones (each shrinks the step by _BACKTRACK),
     region_blocked the rejected ones that kept J from rising but moved the
     barycenter out of its ball, precond_box the interior node count per
-    axis of the box its descent ran on (`_precond_box`; the frame around
+    axis of the box its descent ran on (`_descent_box`; the frame around
     it not counted), which is also the box of its H^1 solve.
     """
 
@@ -196,10 +197,11 @@ class SolverConfig:
 class SolveResult:
     """A solve's result, built for one R stage by `minimize_localized` and
     filled in as the solve goes on: `continue_in_R` sets the stages and the
-    history of every R stage, `solve_multiplicity` the seed width and
-    `lognls solve` (cli.cmd_solve) the weak residual, which is nan until
-    then. The level, final radius and iteration total are read from the
-    stages and the grid."""
+    history of every R stage, whether the level and barycenter stabilized
+    in R (False until then) and the last stage-to-stage level gap,
+    `solve_multiplicity` the seed width and `lognls solve` (cli.cmd_solve)
+    the weak residual, which is nan until then. The level, final radius and
+    iteration total are read from the stages and the grid."""
 
     def __init__(self, u: np.ndarray, grid: Grid, barycenter: np.ndarray | None,
                  well_index: int | None, nehari_res: float, grad_norm: float,
@@ -215,7 +217,7 @@ class SolveResult:
         self.stages = stages
         self.weak_res = math.nan
         self.seed_width = math.nan   # the Gausson width b of its seed
-        self.r_stabilized = True
+        self.r_stabilized = False
         self.continuation_gap = 0.0
 
     @property
@@ -242,10 +244,14 @@ class MultiplicityOutcome(NamedTuple):
     failures: list[WellFailure]
     c0: float
     c_inf: float
-    gamma: float
-    geometry: WellGeometry
     params: EnergyParams
     config: SolverConfig
+
+    @property
+    def gamma(self) -> float:
+        """The separation margin (c_inf - c0)/4: the audit checks that
+        each level is below c0 + gamma."""
+        return 0.25 * (self.c_inf - self.c0)
 
     @property
     def all_converged(self) -> bool:
@@ -423,26 +429,6 @@ def _live_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
     return tuple(box)
 
 
-def _precond_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
-    """The box of the descent around the field u, one slice of node
-    indices per axis: its live box (`_live_box`), grown about its centre,
-    inside the interior, to the least length L whose FFT length 2(L+1) has
-    no prime factor above 5; the whole interior where no such L fits. A
-    length with a large prime factor would cost more than the box saves:
-    one rfft of 3,746 = 2*1873 points takes 9 times one of 3,840, and one
-    of 11,998 = 2*7*857 15 times one of 12,000."""
-    ni = g.n_axis - 2
-    box = []
-    for live in _live_box(u, g):
-        lo, hi = live.start - 1, live.stop - 1
-        length = hi - lo
-        while length < ni and not _five_smooth(2 * (length + 1)):
-            length += 1
-        start = min(max(lo - (length - (hi - lo)) // 2, 0), ni - length)
-        box.append(slice(int(start) + 1, int(start + length) + 1))
-    return tuple(box)
-
-
 @lru_cache(maxsize=64)
 def _odd_extension(shape: tuple[int, ...]) -> np.ndarray:
     """Buffer of the odd extension of `_dst1` for an array of this shape;
@@ -584,9 +570,23 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid | GridBox) -> flo
 
 
 def _descent_box(u: np.ndarray, g: Grid) -> GridBox:
-    """The box of the descent from the field u: `_precond_box` and a
-    one-node frame around it, inside the grid."""
-    return GridBox(g, tuple(slice(sl.start - 1, sl.stop + 1) for sl in _precond_box(u, g)))
+    """The box of the descent from the field u, with a one-node frame
+    around it inside the grid: its interior is u's live box (`_live_box`),
+    grown about its centre, inside the grid's interior, to the least length
+    L whose FFT length 2(L+1) has no prime factor above 5, or the whole
+    interior where no such L fits. A length with a large prime factor would
+    cost more than the box saves: one rfft of 3,746 = 2*1873 points takes 9
+    times one of 3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
+    ni = g.n_axis - 2
+    box = []
+    for live in _live_box(u, g):
+        lo, hi = live.start - 1, live.stop - 1
+        length = hi - lo
+        while length < ni and not _five_smooth(2 * (length + 1)):
+            length += 1
+        start = min(max(lo - (length - (hi - lo)) // 2, 0), ni - length)
+        box.append(slice(int(start), int(start + length) + 2))
+    return GridBox(g, tuple(box))
 
 
 def _whole_field(gb: GridBox, start: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -640,9 +640,7 @@ def minimize_localized(
     nonnegative holds by construction.
     """
     constrained = i is not None
-    if constrained:
-        spec = params.potential
-        geometry = default_geometry(spec)
+    spec = params.potential
 
     start = np.abs(g.check_field(seed))
     gb = _descent_box(start, g)
@@ -653,15 +651,15 @@ def minimize_localized(
         rec = rec.scaled(s0)
 
     def classify(v: np.ndarray, grid: Grid | GridBox) -> tuple[np.ndarray, Region]:
-        q = q_eps(v, eps, geometry.R0, grid)
-        return q, region_of(q, geometry, spec.wells)
+        q = q_eps(v, eps, spec.R0, grid)
+        return q, region_of(q, spec.rho0, spec.wells)
 
     if constrained:
         q, reg = classify(rec.u, gb)
         if not reg.is_interior(i):
             raise SeedOutsideRegion(
                 f"minimizer seed has barycenter {q} ({reg.kind}), not within "
-                f"rho0 = {geometry.rho0} of well {i + 1} at z = {spec.wells[i]}"
+                f"rho0 = {spec.rho0} of well {i + 1} at z = {spec.wells[i]}"
             )
     else:
         q = None
@@ -769,41 +767,38 @@ def minimize_localized(
 
 
 def continue_in_R(
-    result: SolveResult,
+    seed: np.ndarray,
     i: int | None,
     params: EnergyParams,
     config: SolverConfig,
+    g: Grid,
 ) -> SolveResult:
-    """Zero-extend through the remaining R_schedule, re-projecting and
-    re-minimizing, until the level and barycenter stop moving: the level
-    gap within nehari_tol * max(1, |J|), the bound by which the audit
-    characterizes a level, and the barycenter shift within 1e-4."""
-    res = result
-    history = list(res.history)
-    stages = list(res.stages)
-    remaining = [R for R in config.R_schedule if R > res.R_final * (1.0 + 1e-12)]
-    stabilized = not remaining
-    gap = 0.0
-    for R_next in remaining:
-        g_new = build_grid(res.grid.dim, R_next, config.h)
-        u_ext = zero_extend(res.u, res.grid, g_new)
-        u_ext += _SEED_FLOOR * _boundary_ramp(g_new)
-        new_res = minimize_localized(u_ext, i, params.eps, params, config, g_new)
-        gap = abs(new_res.level - res.level)
-        q_gap = 0.0
-        if res.barycenter is not None and new_res.barycenter is not None:
-            q_gap = float(np.linalg.norm(new_res.barycenter - res.barycenter))
-        history += new_res.history
-        stages += new_res.stages
-        res = new_res
-        if res.status != SolveStatus.CONVERGED:
+    """One R stage per radius of the schedule: minimize from the seed on g,
+    the grid of the first radius, then zero-extend the field to each later
+    radius, re-projecting and re-minimizing, until a stage does not
+    converge or the level and barycenter stop moving: the level gap within
+    nehari_tol * max(1, |J|), the bound by which the audit characterizes a
+    level, and the barycenter shift within 1e-4. The result is
+    R-stabilized if its last stage converged and stopped moving, or was
+    the only radius of the schedule; it carries every stage's history."""
+    res = minimize_localized(seed, i, params.eps, params, config, g)
+    history, stages = res.history, res.stages
+    gap, settled = 0.0, len(config.R_schedule) == 1
+    for R in config.R_schedule[1:]:
+        if settled or res.status != SolveStatus.CONVERGED:
             break
-        if gap <= config.nehari_tol * max(1.0, abs(res.level)) and q_gap <= 1e-4:
-            stabilized = True
-            break
-    res.history = history
-    res.stages = stages
-    res.r_stabilized = stabilized and res.status == SolveStatus.CONVERGED
+        g = build_grid(g.dim, R, config.h)
+        start = zero_extend(res.u, res.grid, g)
+        start += _SEED_FLOOR * _boundary_ramp(g)
+        new = minimize_localized(start, i, params.eps, params, config, g)
+        gap = abs(new.level - res.level)
+        q_gap = 0.0 if i is None else float(np.linalg.norm(new.barycenter - res.barycenter))
+        settled = gap <= config.nehari_tol * max(1.0, abs(new.level)) and q_gap <= 1e-4
+        history += new.history
+        stages += new.stages
+        res = new
+    res.history, res.stages = history, stages
+    res.r_stabilized = settled and res.status == SolveStatus.CONVERGED
     res.continuation_gap = gap
     return res
 
@@ -849,15 +844,13 @@ def solve_multiplicity(
     """One localized solve per well, continued through the R schedule.
 
     Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf, the separation margin
-    gamma = (c_inf - c0)/4 and the well geometry (`default_geometry`). Each
-    result carries its seed width; its weak residual is left nan, since
-    only `lognls solve` reports it and measures it there.
+    the reference levels c0 < c_inf. Each result carries its seed width;
+    its weak residual is left nan, since only `lognls solve` reports it and
+    measures it there.
     """
-    geometry = default_geometry(potential)
-    if config.R_schedule[0] <= geometry.R0:
+    if config.R_schedule[0] <= potential.R0:
         raise ConfigError(
-            f"first truncation radius {config.R_schedule[0]} must exceed R0 = {geometry.R0}"
+            f"first truncation radius {config.R_schedule[0]} must exceed R0 = {potential.R0}"
         )
     params = EnergyParams(eps=eps, potential=potential)
     reach = float(np.linalg.norm(potential.wells, axis=1).max()) / eps + 5.0
@@ -868,7 +861,6 @@ def solve_multiplicity(
 
     c0 = ground_level(1.0, potential.dim, config)
     c_inf = ground_level(potential.v_inf, potential.dim, config)
-    gamma = 0.25 * (c_inf - c0)
 
     g0 = build_grid(potential.dim, config.R_schedule[0], config.h)
 
@@ -877,9 +869,7 @@ def solve_multiplicity(
     for i in range(potential.l):
         try:
             seed, width = seed_well(i, params, g0)
-            res = minimize_localized(seed, i, eps, params, config, g0)
-            if res.status == SolveStatus.CONVERGED:
-                res = continue_in_R(res, i, params, config)
+            res = continue_in_R(seed, i, params, config, g0)
             res.seed_width = width
             results.append(res)
         except LogNLSError as exc:
@@ -890,8 +880,6 @@ def solve_multiplicity(
         failures=failures,
         c0=c0,
         c_inf=c_inf,
-        gamma=gamma,
-        geometry=geometry,
         params=params,
         config=config,
     )

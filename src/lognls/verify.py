@@ -273,16 +273,13 @@ class VerificationReport(NamedTuple):
         return json.dumps(self._asdict(), indent=2, **kw)
 
 
-def audit(results, ctx) -> VerificationReport:
-    """Full verification of a multiplicity run.
-
-    ctx is the MultiplicityOutcome (or anything carrying params, config,
-    geometry, c0, c_inf, gamma, failures). Pure: identical inputs give
-    an identical report.
+def audit(outcome) -> VerificationReport:
+    """Full verification of a multiplicity run, from its
+    `solver.MultiplicityOutcome`. Pure: identical inputs give an identical
+    report.
     """
-    params: EnergyParams = ctx.params
-    config = ctx.config
-    geometry = ctx.geometry
+    params: EnergyParams = outcome.params
+    config = outcome.config
     spec = params.potential
 
     tolerances = {
@@ -300,9 +297,9 @@ def audit(results, ctx) -> VerificationReport:
     wells_out = []
     all_ok = True
     converged = []
-    for res in results:
+    for res in outcome.results:
         entry = {
-            "well": None if res.well_index is None else res.well_index + 1,
+            "well": res.well_index + 1,
             "status": res.status.value,
             "level": res.level,
             "R_final": res.R_final,
@@ -323,21 +320,17 @@ def audit(results, ctx) -> VerificationReport:
         nres = nehari_residual(res.u, params, res.grid)
         nehari_ok = nres.value <= config.nehari_tol
         level_ok = nres.level_gap <= config.nehari_tol * max(1.0, abs(res.level))
-        sep_ok = res.level < ctx.c0 + ctx.gamma
+        sep_ok = res.level < outcome.c0 + outcome.gamma
         ls_gap = log_sobolev_gap(energy(res.u, params, res.grid))
         ls_ok = ls_gap >= tolerances["log_sobolev_min_gap"]
 
-        region_ok = True
-        if res.well_index is not None:
-            q = q_eps(res.u, params.eps, geometry.R0, res.grid)
-            reg = region_of(q, geometry, spec.wells)
-            region_ok = reg.is_interior(res.well_index)
-            entry["barycenter"] = [float(c) for c in q]
-            entry["dist_to_well"] = float(
-                np.linalg.norm(q - spec.wells[res.well_index])
-            )
-            entry["region"] = reg.kind
-            entry["core"] = reg.core
+        q = q_eps(res.u, params.eps, spec.R0, res.grid)
+        reg = region_of(q, spec.rho0, spec.wells)
+        region_ok = reg.is_interior(res.well_index)
+        entry["barycenter"] = [float(c) for c in q]
+        entry["dist_to_well"] = float(np.linalg.norm(q - spec.wells[res.well_index]))
+        entry["region"] = reg.kind
+        entry["core"] = reg.core
 
         ok = (pos["ok"] and nehari_ok and level_ok and sep_ok and ls_ok
               and region_ok and res.r_stabilized)
@@ -369,31 +362,28 @@ def audit(results, ctx) -> VerificationReport:
             pair_ok = wells_differ and rel > tolerances["distinct_rel_l2"]
             distinct_ok = distinct_ok and pair_ok
             distinct_pairs.append({
-                "wells": [
-                    None if a.well_index is None else a.well_index + 1,
-                    None if b.well_index is None else b.well_index + 1,
-                ],
+                "wells": [a.well_index + 1, b.well_index + 1],
                 "rel_l2_distance": rel,
                 "ok": pair_ok,
             })
     all_ok = all_ok and distinct_ok
 
-    gap_ok = ctx.c0 < ctx.c_inf
-    all_ok = all_ok and gap_ok and not ctx.failures
+    gap_ok = outcome.c0 < outcome.c_inf
+    all_ok = all_ok and gap_ok and not outcome.failures
 
     return VerificationReport(
         schema_version=2,
         status=0 if all_ok else 1,
         eps=params.eps,
-        c0=ctx.c0,
-        c_inf=ctx.c_inf,
-        gamma=ctx.gamma,
+        c0=outcome.c0,
+        c_inf=outcome.c_inf,
+        gamma=outcome.gamma,
         gap_ok=gap_ok,
         tolerances=tolerances,
         wells=wells_out,
         failures=[
             {"well": f.well_index + 1, "error": f.error, "message": f.message}
-            for f in ctx.failures
+            for f in outcome.failures
         ],
         distinct_ok=distinct_ok,
         distinct_pairs=distinct_pairs,

@@ -7,7 +7,6 @@ from conftest import node_list
 from lognls.barycenter import chi_map, g_weight, q_eps, region_of
 from lognls.errors import NonPositiveEpsilon, ZeroField
 from lognls.grid import build_grid, sq_distance
-from lognls.potential import WellGeometry
 from lognls.solver import gausson
 
 
@@ -106,22 +105,20 @@ def test_q_eps_errors():
 
 def test_region_classification():
     wells = np.array([[0.0], [2.0]])
-    geom = WellGeometry(rho0=0.5, R0=4.0)
-    at_center = region_of(np.array([2.0]), geom, wells)
+    at_center = region_of(np.array([2.0]), 0.5, wells)
     assert at_center.is_interior(1) and at_center.core and at_center.well == 1
-    on_edge = region_of(np.array([0.5]), geom, wells)
+    on_edge = region_of(np.array([0.5]), 0.5, wells)
     assert on_edge.kind == "boundary" and on_edge.well == 0
-    nowhere = region_of(np.array([1.0]), geom, wells)
+    nowhere = region_of(np.array([1.0]), 0.5, wells)
     assert nowhere.kind == "outside" and nowhere.well is None
-    just_inside = region_of(np.array([0.4]), geom, wells)
+    just_inside = region_of(np.array([0.4]), 0.5, wells)
     assert just_inside.is_interior(0) and not just_inside.core
 
 
 def test_region_boundary_tolerance_band():
     wells = np.array([[0.0]])
-    geom = WellGeometry(rho0=1.0, R0=4.0)
-    assert region_of(np.array([1.0 + 5e-10]), geom, wells).kind == "boundary"
-    assert region_of(np.array([1.0 - 5e-10]), geom, wells).kind == "boundary"
+    assert region_of(np.array([1.0 + 5e-10]), 1.0, wells).kind == "boundary"
+    assert region_of(np.array([1.0 - 5e-10]), 1.0, wells).kind == "boundary"
 
 
 def test_translation_consistency_as_eps_shrinks():

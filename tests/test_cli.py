@@ -232,6 +232,19 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, comm
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unusable_out_dir_is_a_config_error_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                              command):
+    path = _write(tmp_path, SINGLE_WELL)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr("lognls.cli.solve_multiplicity", _no_solve)
+    argv = [command, "--config", str(path), "--out", str(blocker / "run")]
+    assert main(argv + (["--eps", "0.1"] if command == "sweep" else [])) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory {blocker / 'run'}")
+
+
 def test_verify_negative_seed_is_a_usage_error(monkeypatch, capsys):
     def no_suite(*args, **kwargs):
         raise AssertionError("a usage error must end verify before any check")
@@ -445,7 +458,7 @@ def test_solve_and_audit_import_nothing_beyond_the_cli():
         "                         ([[0.0, 0.0], [2.0, 0.0]], 0.3, 0.2, 12.0)):\n"
         "    cfg = SolverConfig(h=h, R_schedule=(R,), grad_tol=1e-6)\n"
         "    out = solve_multiplicity(eps, make_multiwell(wells, 2.0, 0.25), cfg)\n"
-        "    assert audit(out.results, out).status == 0\n"
+        "    assert audit(out).status == 0\n"
         "print(sorted(set(sys.modules) - loaded))"
     ))
     assert proc.returncode == 0, proc.stderr
@@ -650,6 +663,27 @@ def test_weak_residual_is_measured_by_solve_alone(tmp_path, monkeypatch):
     assert len(outcome.results) == 2
     assert all(math.isnan(r.weak_res) for r in outcome.results)
     assert measured == []
+
+
+def test_wells_stopped_by_the_iteration_cap_are_not_r_stabilized(tmp_path, monkeypatch):
+    """max_iters 12 lies between the ground level's 11 iterations and the
+    wells' 14, so both wells end iteration_cap at the first radius; neither
+    the results nor their report entries call them R-stabilized."""
+    cfg = json.loads((REPO / "configs" / "double_well.json").read_text())
+    cfg["solver"]["max_iters"] = 12
+    cfg["outputs"] = {"dump_fields": False, "verbosity": 0}
+    path = _write(tmp_path, cfg)
+    real = cli_mod.solve_multiplicity
+    outcomes = []
+    monkeypatch.setattr(cli_mod, "solve_multiplicity",
+                        lambda *args: outcomes.append(real(*args)) or outcomes[-1])
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    wells = json.loads((out / "report.json").read_text())["wells"]
+    assert [w["status"] for w in wells] == ["iteration_cap"] * 2
+    assert [w["R_final"] for w in wells] == [30.0] * 2
+    assert [w["r_stabilized"] for w in wells] == [False] * 2
+    assert [r.r_stabilized for r in outcomes[0].results] == [False] * 2
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):

@@ -12,11 +12,7 @@ from lognls.errors import (
     NonPositiveEpsilon,
 )
 from lognls.grid import build_grid
-from lognls.potential import (
-    default_geometry,
-    eval_scaled,
-    make_multiwell,
-)
+from lognls.potential import eval_scaled, make_multiwell
 
 
 def test_single_well_values():
@@ -54,8 +50,14 @@ def test_origin_well_required():
     ([0.0, math.nan], 2.0, 0.25, MissingOriginWell),
     ([[0.0, 0.0], [math.inf, 1.0]], 2.0, 0.25, MissingOriginWell),
     ([[0.0, 0.0], [2.0, -math.inf]], 2.0, 0.25, MissingOriginWell),
+    ([[0.0, 0.0], [1e200, 0.0]], 2.0, 0.25, MissingOriginWell),
+    ([0.0, 1e200], 2.0, 0.25, MissingOriginWell),
+    ([[0.0, 0.0], [1.0]], 2.0, 0.25, MissingOriginWell),
+    ("ab", 2.0, 0.25, MissingOriginWell),
 ], ids=["v_inf-NaN", "v_inf-Infinity", "width-NaN", "width-Infinity", "center-NaN",
-        "center-Infinity", "center--Infinity"])
+        "center-Infinity", "center--Infinity", "2d-distance-overflows",
+        "1d-distance-overflows", "ragged", "not-numbers"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # and no numpy warning on the way
 def test_non_finite_input_rejected(wells, v_inf, width, error):
     with pytest.raises(error, match="finite"):
         make_multiwell(wells, v_inf, width)
@@ -97,46 +99,54 @@ def test_monotone_tails():
     assert np.all(np.diff(vals) >= 0.0)
 
 
-def test_default_geometry_of_the_shipped_wells():
-    geom = default_geometry(make_multiwell([[0.0], [2.0]], 2.0, 0.25))
-    assert geom.rho0 == pytest.approx(0.5)
-    assert geom.R0 == pytest.approx(4.0)
-    single = default_geometry(make_multiwell([[0.0]], 2.0, 1.0))
+def test_localization_radii_of_the_shipped_wells():
+    spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
+    assert spec.rho0 == pytest.approx(0.5)
+    assert spec.R0 == pytest.approx(4.0)
+    single = make_multiwell([[0.0]], 2.0, 1.0)
     assert single.rho0 == 1.0 and single.R0 == 2.0
 
 
-# well coordinates up to 1e6 in magnitude, beyond the reach of any grid,
-# which must cover max|z|/eps + 5; norms overflow only beyond about 1e154
-_COORD = st.floats(-1e6, 1e6)
+# well coordinates up to 1e200 in magnitude, far beyond the reach of any
+# grid, which must cover max|z|/eps + 5; numpy's norms overflow beyond
+# about 1e154, and make_multiwell rejects such wells
+_COORD = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e200, 1e200))
 
 
 @st.composite
-def _specs(draw):
-    """A spec that make_multiwell accepts, of 1 to 4 distinct wells."""
+def _spec_inputs(draw):
+    """The arguments of make_multiwell for 1 to 4 distinct wells."""
     dim = draw(st.sampled_from([1, 2]))
     origin = (0.0,) * dim
     others = draw(st.lists(st.tuples(*[_COORD] * dim), max_size=3, unique=True)
                   .filter(lambda pts: origin not in pts))
     v_inf = draw(st.floats(1.0, 1e6, exclude_min=True))
     width = draw(st.floats(0.0, 1e6, exclude_min=True))
-    try:
-        return make_multiwell([origin, *others], v_inf, width)
-    except DuplicateWells:   # a separation whose square underflows
-        reject()
+    return [origin, *others], v_inf, width
 
 
 @settings(max_examples=200, deadline=None)
-@given(_specs())
-def test_default_geometry_satisfies_invariants(spec):
-    """The balls B_rho0(z_i) are disjoint and lie inside B_R0: rho0 is a
-    quarter of the least separation, which is at most max|z| since the
-    first well is the origin, and R0 = 2 max(1, max|z|)."""
-    geom = default_geometry(spec)
-    dmin = min((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(spec.wells, 2)),
+@given(_spec_inputs())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_localization_radii_satisfy_invariants(inputs):
+    """Every spec make_multiwell accepts has finite radii whose balls
+    B_rho0(z_i) are disjoint and lie inside B_R0: rho0 is a quarter of the
+    least separation, which is at most max|z| since the first well is the
+    origin, and R0 = 2 max(1, max|z|). It rejects only wells too far out
+    for a norm to be finite."""
+    wells = inputs[0]
+    far = max(math.hypot(*z) for z in wells)
+    try:
+        spec = make_multiwell(*inputs)
+    except DuplicateWells:   # a separation whose square underflows
+        reject()
+    except MissingOriginWell:
+        assert far > 1e153
+        return
+    dmin = min((math.dist(a, b) for a, b in itertools.combinations(wells, 2)),
                default=math.inf)
-    assert geom.rho0 > 0.0
-    assert geom.rho0 < 0.5 * dmin
-    assert float(np.linalg.norm(spec.wells, axis=1).max()) + geom.rho0 < geom.R0
+    assert 0.0 < spec.rho0 < 0.5 * dmin
+    assert far + spec.rho0 < spec.R0 < math.inf
 
 
 def test_eval_scaled_at_origin_node():

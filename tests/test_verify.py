@@ -200,7 +200,7 @@ def test_identity_suite_catches_corrupted_nehari_scale(monkeypatch):
 
 def test_audit_passes_on_double_well(double_well_run):
     out = double_well_run["outcome"]
-    rep = audit(out.results, out)
+    rep = audit(out)
     assert rep.status == 0
     assert rep.gap_ok and rep.distinct_ok
     for w in rep.wells:
@@ -214,7 +214,7 @@ def test_audit_fails_on_negated_solution(double_well_run):
     out = double_well_run["outcome"]
     results = [copy.copy(r) for r in out.results]
     results[0].u = -results[0].u
-    rep = audit(results, out)
+    rep = audit(out._replace(results=results))
     assert rep.status == 1
     assert not rep.wells[0]["positivity"]["ok"]
 
@@ -222,7 +222,7 @@ def test_audit_fails_on_negated_solution(double_well_run):
 def test_audit_fails_on_duplicated_result(double_well_run):
     out = double_well_run["outcome"]
     results = [out.results[0], copy.copy(out.results[0])]
-    rep = audit(results, out)
+    rep = audit(out._replace(results=results))
     assert rep.status == 1
     assert not rep.distinct_ok
 
@@ -232,7 +232,7 @@ def test_audit_fails_on_unstabilized_well(double_well_run):
     results = list(out.results)
     results[1] = copy.copy(results[1])
     results[1].r_stabilized = False
-    rep = audit(results, out)
+    rep = audit(out._replace(results=results))
     assert rep.status == 1
     assert rep.wells[0]["ok"] and rep.wells[0]["r_stabilized"]
     assert not rep.wells[1]["ok"] and not rep.wells[1]["r_stabilized"]
@@ -241,8 +241,8 @@ def test_audit_fails_on_unstabilized_well(double_well_run):
 
 def test_audit_is_deterministic(double_well_run):
     out = double_well_run["outcome"]
-    rep1 = audit(out.results, out)
-    rep2 = audit(out.results, out)
+    rep1 = audit(out)
+    rep2 = audit(out)
     assert rep1 == rep2
 
 
@@ -250,7 +250,7 @@ def test_audit_report_is_json_serializable(double_well_run):
     import json
 
     out = double_well_run["outcome"]
-    rep = audit(out.results, out)
+    rep = audit(out)
     parsed = json.loads(rep.to_json())
     assert parsed["schema_version"] == 2
     assert parsed["status"] == 0
