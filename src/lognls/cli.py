@@ -200,18 +200,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_levels(path, outcome, spec):
+def _write_levels(path, outcome, spec, report):
     qcols = [f"q{ax}" for ax in "xy"[: spec.dim]]
     header = ["well", "status", "level", *qcols, "dist_to_well",
               "nehari_res", "grad_norm", "weak_res", "R_final", "iterations"]
     rows = []
-    for r in outcome.results:
+    for r, entry in zip(outcome.results, report.wells):
         z = spec.wells[r.well_index]
         dist = float(np.linalg.norm(r.barycenter - z))
         rows.append([
             r.well_index + 1, r.status.value, r.level,
             *[float(c) for c in r.barycenter], dist,
-            r.nehari_res, r.grad_norm, r.weak_res, r.R_final, r.iterations,
+            r.nehari_res, r.grad_norm, entry["weak_res"], r.R_final, r.iterations,
         ])
     for f in outcome.failures:
         rows.append([f.well_index + 1, f"failed:{f.error}"]
@@ -249,13 +249,10 @@ def cmd_solve(args) -> int:
         print(f"solve failed outright: {exc}", file=sys.stderr)
         return 1
 
-    # only solve reports the weak residual, so only solve measures it
-    for r in outcome.results:
-        r.weak_res = verify_mod.weak_residual(r.u, outcome.params, r.grid, seed=cfg.seed)
-    report = verify_mod.audit(outcome)
+    report = verify_mod.audit(outcome, seed=cfg.seed)
 
     (out / "report.json").write_text(report.to_json())
-    _write_levels(out / "levels.csv", outcome, cfg.potential)
+    _write_levels(out / "levels.csv", outcome, cfg.potential, report)
     if cfg.dump_fields or cfg.dump_history:
         fields = out / "fields"
         fields.mkdir(exist_ok=True)

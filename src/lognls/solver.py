@@ -137,16 +137,25 @@ class HistoryRow(NamedTuple):
 class StageRecord(NamedTuple):
     """One R stage of one well (one `minimize_localized` call).
 
-    level is its reported level, trials counts the evaluated trial steps,
-    backtracks the rejected ones (each shrinks the step by _BACKTRACK),
-    region_blocked the rejected ones that kept J from rising but moved the
-    barycenter out of its ball, precond_box the interior node count per
-    axis of the box its descent ran on (`_descent_box`; the frame around
-    it not counted), which is also the box of its H^1 solve.
+    status is how the stage ended; level, grad_norm, nehari_res and
+    barycenter (a tuple of floats, () without a well) are its measurement
+    on the whole grid, level_R_error the estimate of its level's change
+    from R to R = inf (`_level_R_error`). trials counts the evaluated
+    trial steps, backtracks the rejected ones (each shrinks the step by
+    _BACKTRACK), region_blocked the rejected ones that kept J from rising
+    but moved the barycenter out of its ball, precond_box the interior
+    node count per axis of the box its descent ran on (`_descent_box`;
+    the frame around it not counted), which is also the box of its H^1
+    solve.
     """
 
     R: float
+    status: SolveStatus
     level: float
+    grad_norm: float
+    nehari_res: float
+    barycenter: tuple
+    level_R_error: float
     iterations: int
     trials: int
     backtracks: int
@@ -194,35 +203,32 @@ class SolverConfig:
         self.max_iters = max_iters
 
 
-class SolveResult:
-    """A solve's result, built for one R stage by `minimize_localized` and
-    filled in as the solve goes on: `continue_in_R` sets the stages and the
+class SolveResult(NamedTuple):
+    """A solve's result, built once where its values are made:
+    `minimize_localized` gives one stage, `continue_in_R` the stages and
     history of every R stage, whether the level and barycenter stabilized
-    in R (False until then) and the last stage-to-stage level gap,
-    `solve_multiplicity` the seed width and `lognls solve` (cli.cmd_solve)
-    the weak residual, which is nan until then. The level, final radius and
-    iteration total are read from the stages and the grid."""
+    in R and the last stage-to-stage level gap, and `solve_multiplicity`
+    the Gausson width b of its seed. The status, level and whole-grid
+    measurement are its last stage's, the final radius its grid's and the
+    iterations the sum over its stages."""
 
-    def __init__(self, u: np.ndarray, grid: Grid, barycenter: np.ndarray | None,
-                 well_index: int | None, nehari_res: float, grad_norm: float,
-                 status: SolveStatus, history: list[HistoryRow], stages: list[StageRecord]):
-        self.u = u
-        self.grid = grid
-        self.barycenter = barycenter
-        self.well_index = well_index
-        self.nehari_res = nehari_res
-        self.grad_norm = grad_norm
-        self.status = status
-        self.history = history
-        self.stages = stages
-        self.weak_res = math.nan
-        self.seed_width = math.nan   # the Gausson width b of its seed
-        self.r_stabilized = False
-        self.continuation_gap = 0.0
+    u: np.ndarray
+    grid: Grid
+    well_index: int | None
+    stages: list[StageRecord]
+    history: list[HistoryRow]
+    r_stabilized: bool = False
+    continuation_gap: float = 0.0
+    seed_width: float = math.nan
+
+    status = property(lambda self: self.stages[-1].status)
+    level = property(lambda self: self.stages[-1].level)
+    grad_norm = property(lambda self: self.stages[-1].grad_norm)
+    nehari_res = property(lambda self: self.stages[-1].nehari_res)
 
     @property
-    def level(self) -> float:
-        return self.stages[-1].level
+    def barycenter(self) -> np.ndarray | None:
+        return np.array(self.stages[-1].barycenter) if self.well_index is not None else None
 
     @property
     def R_final(self) -> float:
@@ -602,6 +608,20 @@ def _whole_field(gb: GridBox, start: np.ndarray, u: np.ndarray) -> np.ndarray:
     return gb.embed(u, np.multiply(start, multiple))
 
 
+def _level_R_error(u: np.ndarray, g: Grid, offset: float) -> float:
+    """F / (2(R - c)), the change of the level of the critical point u from
+    the radius R of g to R = inf: F = 1/2 int |du/dn|^2 over the boundary
+    is minus the level's derivative in R (Hadamard's shape derivative;
+    Henrot & Pierre, Shape Variation and Optimization, EMS 2018), and F
+    decays like exp(-(R - c)^2), with c = offset the well's distance
+    |z_i/eps|_inf toward the nearest face. du/dn is read as u/h on the
+    first interior ring and integrated with trapezoid weights along each
+    face, whose end nodes hold u = 0."""
+    field = u.reshape(g.shape)
+    ring = sum(float(np.sum(np.take(field, [1, -2], axis=a) ** 2)) for a in range(g.dim))
+    return 0.5 * ring * g.h ** (g.dim - 3) / (2.0 * (g.R - offset))
+
+
 def minimize_localized(
     seed: np.ndarray,
     i: int | None,
@@ -747,23 +767,17 @@ def minimize_localized(
     whole = energy(u, params, g)
     gnorm = _projected_grad_norm(u, whole.residual(), g)
     nres = whole.nehari_residual().value
-    q = classify(u, g)[0] if constrained else None
     if status == SolveStatus.CONVERGED and not (
             gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
         status = SolveStatus.BOX_TOO_SMALL
-    return SolveResult(
-        u=u,
-        grid=g,
-        barycenter=q,
-        well_index=i,
-        nehari_res=nres,
-        grad_norm=gnorm,
-        status=status,
-        history=history,
-        stages=[StageRecord(R=g.R, level=whole.level, iterations=it, trials=trials,
-                            backtracks=backtracks, region_blocked=blocked,
-                            precond_box=[n - 2 for n in gb.shape])],
-    )
+    stage = StageRecord(
+        R=g.R, status=status, level=whole.level, grad_norm=gnorm, nehari_res=nres,
+        barycenter=tuple(map(float, classify(u, g)[0])) if constrained else (),
+        level_R_error=_level_R_error(
+            u, g, float(np.abs(spec.wells[i]).max()) / eps if constrained else 0.0),
+        iterations=it, trials=trials, backtracks=backtracks, region_blocked=blocked,
+        precond_box=[n - 2 for n in gb.shape])
+    return SolveResult(u=u, grid=g, well_index=i, stages=[stage], history=history)
 
 
 def continue_in_R(
@@ -779,11 +793,14 @@ def continue_in_R(
     converge or the level and barycenter stop moving: the level gap within
     nehari_tol * max(1, |J|), the bound by which the audit characterizes a
     level, and the barycenter shift within 1e-4. The result is
-    R-stabilized if its last stage converged and stopped moving, or was
-    the only radius of the schedule; it carries every stage's history."""
+    R-stabilized if its last stage converged and stopped moving or, with
+    one radius in the schedule and so nothing to compare, converged with
+    its level's estimated change to R = inf (`_level_R_error`) within the
+    same bound; it carries every stage's history."""
     res = minimize_localized(seed, i, params.eps, params, config, g)
-    history, stages = res.history, res.stages
-    gap, settled = 0.0, len(config.R_schedule) == 1
+    history, stages = list(res.history), list(res.stages)
+    gap, settled = 0.0, len(config.R_schedule) == 1 and (
+        res.stages[-1].level_R_error <= config.nehari_tol * max(1.0, abs(res.level)))
     for R in config.R_schedule[1:]:
         if settled or res.status != SolveStatus.CONVERGED:
             break
@@ -797,10 +814,8 @@ def continue_in_R(
         history += new.history
         stages += new.stages
         res = new
-    res.history, res.stages = history, stages
-    res.r_stabilized = settled and res.status == SolveStatus.CONVERGED
-    res.continuation_gap = gap
-    return res
+    return res._replace(history=history, stages=stages, continuation_gap=gap,
+                        r_stabilized=settled and res.status == SolveStatus.CONVERGED)
 
 
 @lru_cache(maxsize=32)
@@ -844,9 +859,7 @@ def solve_multiplicity(
     """One localized solve per well, continued through the R schedule.
 
     Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf. Each result carries its seed width;
-    its weak residual is left nan, since only `lognls solve` reports it and
-    measures it there.
+    the reference levels c0 < c_inf. Each result carries its seed width.
     """
     if config.R_schedule[0] <= potential.R0:
         raise ConfigError(
@@ -869,9 +882,7 @@ def solve_multiplicity(
     for i in range(potential.l):
         try:
             seed, width = seed_well(i, params, g0)
-            res = continue_in_R(seed, i, params, config, g0)
-            res.seed_width = width
-            results.append(res)
+            results.append(continue_in_R(seed, i, params, config, g0)._replace(seed_width=width))
         except LogNLSError as exc:
             failures.append(WellFailure(i, type(exc).__name__, str(exc)))
 

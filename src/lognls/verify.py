@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barycenter import q_eps, region_of
+from .barycenter import region_of
 from .energy import (
     EnergyParams,
     energy,
@@ -273,10 +273,16 @@ class VerificationReport(NamedTuple):
         return json.dumps(self._asdict(), indent=2, **kw)
 
 
-def audit(outcome) -> VerificationReport:
+def audit(outcome, seed: int = 0) -> VerificationReport:
     """Full verification of a multiplicity run, from its
     `solver.MultiplicityOutcome`. Pure: identical inputs give an identical
     report.
+
+    Every well's entry carries its stage records, each with its status and
+    whole-grid measurement, and its weak residual (`weak_residual`, probes
+    drawn from seed), measured once per well whether or not the well is
+    checked. A converged well is checked against the stated tolerances;
+    its barycenter is its last stage's.
     """
     params: EnergyParams = outcome.params
     config = outcome.config
@@ -285,10 +291,12 @@ def audit(outcome) -> VerificationReport:
     tolerances = {
         "nehari_res": config.nehari_tol,
         "level_characterization": config.nehari_tol,
-        "grad_tol": config.grad_tol,
+        # the bar a stage converges at, half of grad_tol (`minimize_localized`)
+        "grad_norm": 0.5 * config.grad_tol,
         "log_sobolev_min_gap": -1e-8,
         "r_stabilization": "continuation level gap <= nehari_tol * "
-                           "max(1, |level|) and barycenter shift <= 1e-4",
+                           "max(1, |level|) and barycenter shift <= 1e-4; with "
+                           "one radius, level_R_error <= nehari_tol * max(1, |level|)",
         "separation": "level < c0 + gamma",
         "distinct_rel_l2": 1e-2,
         "positivity": f"nonnegative and > 0 within {POSITIVE_RADIUS} of the peak",
@@ -307,6 +315,7 @@ def audit(outcome) -> VerificationReport:
             "seed_width": res.seed_width,
             "r_stabilized": res.r_stabilized,
             "continuation_gap": res.continuation_gap,
+            "weak_res": weak_residual(res.u, params, res.grid, seed=seed),
             "stages": [st._asdict() for st in res.stages],
         }
         if res.status.value != "converged":
@@ -324,7 +333,7 @@ def audit(outcome) -> VerificationReport:
         ls_gap = log_sobolev_gap(energy(res.u, params, res.grid))
         ls_ok = ls_gap >= tolerances["log_sobolev_min_gap"]
 
-        q = q_eps(res.u, params.eps, spec.R0, res.grid)
+        q = res.barycenter
         reg = region_of(q, spec.rho0, spec.wells)
         region_ok = reg.is_interior(res.well_index)
         entry["barycenter"] = [float(c) for c in q]
@@ -347,7 +356,6 @@ def audit(outcome) -> VerificationReport:
             "log_sobolev_gap": ls_gap,
             "log_sobolev_ok": ls_ok,
             "region_ok": region_ok,
-            "weak_res": res.weak_res,
             "grad_norm": res.grad_norm,
         })
         wells_out.append(entry)
@@ -372,7 +380,7 @@ def audit(outcome) -> VerificationReport:
     all_ok = all_ok and gap_ok and not outcome.failures
 
     return VerificationReport(
-        schema_version=2,
+        schema_version=3,
         status=0 if all_ok else 1,
         eps=params.eps,
         c0=outcome.c0,

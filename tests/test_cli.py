@@ -625,7 +625,7 @@ def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, section,
 def test_weak_residual_is_measured_by_solve_alone(tmp_path, monkeypatch):
     """`lognls solve` measures the weak residual once per well, on the field
     it writes, and writes a finite value; `sweep`, which does not report
-    it, measures none, and `solve_multiplicity` leaves it nan."""
+    it, measures none, and neither does `solve_multiplicity`."""
     import lognls.verify as verify_mod
     from lognls.solver import solve_multiplicity
 
@@ -661,14 +661,14 @@ def test_weak_residual_is_measured_by_solve_alone(tmp_path, monkeypatch):
     run = load_config(path)
     outcome = solve_multiplicity(run.eps, run.potential, run.solver)
     assert len(outcome.results) == 2
-    assert all(math.isnan(r.weak_res) for r in outcome.results)
     assert measured == []
 
 
 def test_wells_stopped_by_the_iteration_cap_are_not_r_stabilized(tmp_path, monkeypatch):
     """max_iters 12 lies between the ground level's 11 iterations and the
     wells' 14, so both wells end iteration_cap at the first radius; neither
-    the results nor their report entries call them R-stabilized."""
+    the results nor their report entries call them R-stabilized, and each
+    entry's stage says what it missed."""
     cfg = json.loads((REPO / "configs" / "double_well.json").read_text())
     cfg["solver"]["max_iters"] = 12
     cfg["outputs"] = {"dump_fields": False, "verbosity": 0}
@@ -679,11 +679,18 @@ def test_wells_stopped_by_the_iteration_cap_are_not_r_stabilized(tmp_path, monke
                         lambda *args: outcomes.append(real(*args)) or outcomes[-1])
     out = tmp_path / "run"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
-    wells = json.loads((out / "report.json").read_text())["wells"]
+    report = json.loads((out / "report.json").read_text())
+    wells = report["wells"]
     assert [w["status"] for w in wells] == ["iteration_cap"] * 2
     assert [w["R_final"] for w in wells] == [30.0] * 2
     assert [w["r_stabilized"] for w in wells] == [False] * 2
     assert [r.r_stabilized for r in outcomes[0].results] == [False] * 2
+    bar = 0.5 * cfg["solver"]["grad_tol"]
+    assert report["tolerances"]["grad_norm"] == bar
+    for w in wells:
+        [stage] = w["stages"]
+        assert stage["status"] == "iteration_cap" and stage["grad_norm"] > bar
+        assert not w["checked"] and math.isfinite(w["weak_res"])
 
 
 def test_sweep_empty_eps_exits_2(tmp_path):

@@ -873,6 +873,37 @@ def test_stabilization_gap_bounded_by_level_tolerance(monkeypatch):
     assert not res.r_stabilized
 
 
+def _one_radius_well_2(dw_spec, eps, R, **tolerances):
+    """Well 2 of the 1d double well, solved at the one radius R, h = 0.01."""
+    cfg = SolverConfig(h=0.01, R_schedule=(R,), **tolerances)
+    params = EnergyParams(eps=eps, potential=dw_spec)
+    g = build_grid(1, R, cfg.h)
+    seed, _ = seed_well(1, params, g)
+    return continue_in_R(seed, 1, params, cfg, g)
+
+
+@pytest.mark.parametrize("eps, R, R_ref", [(0.1, 25.0, 40.0), (0.4, 10.0, 20.0)])
+def test_level_R_error_matches_the_measured_level_change(dw_spec, eps, R, R_ref):
+    # the level change measured against a radius where the estimate is
+    # below rounding: 2.347e-10 and 3.04e-11
+    res, ref = (_one_radius_well_2(dw_spec, eps, r) for r in (R, R_ref))
+    assert res.status == ref.status == SolveStatus.CONVERGED
+    assert ref.stages[-1].level_R_error < 1e-60
+    change = res.level - ref.level
+    assert res.stages[-1].level_R_error == pytest.approx(change, rel=0.1)
+
+
+@pytest.mark.parametrize("nehari_tol, stabilized", [(1e-11, False), (1e-10, True)])
+def test_one_radius_is_r_stabilized_only_within_the_level_bound(dw_spec, nehari_tol,
+                                                                stabilized):
+    # well 2 sits 5 inside R = 25: its level's change to R = inf, 2.36e-10,
+    # exceeds the bound nehari_tol * |J| = 6.7e-11 of nehari_tol 1e-11
+    res = _one_radius_well_2(dw_spec, 0.1, 25.0, nehari_tol=nehari_tol)
+    assert res.status == SolveStatus.CONVERGED and res.continuation_gap == 0.0
+    assert (res.stages[-1].level_R_error <= nehari_tol * abs(res.level)) == stabilized
+    assert res.r_stabilized == stabilized
+
+
 def test_continuation_keeps_every_stage_history():
     cfg = SolverConfig(h=0.05, R_schedule=(10.0, 20.0))
     params = EnergyParams(eps=1.0, potential=1.0)
@@ -1024,8 +1055,14 @@ def test_solve_multiplicity_2d_smoke():
     for res, z in zip(out.results, spec.wells):
         assert np.linalg.norm(res.barycenter - z) <= out.params.potential.rho0 / 2
         assert res.level < out.c0 + out.gamma
-    from lognls.verify import audit
-    assert audit(out).status == 0
+        assert res.r_stabilized
+    rep = audit(out)
+    assert rep.status == 0
+    # one radius: R-stabilized by the level's estimated change to R = inf,
+    # which for well 2, 6.67 inside R = 12 on x, is 1.1e-11 against 4.0e-9
+    errors = [w["stages"][-1]["level_R_error"] for w in rep.wells]
+    assert errors[0] < 1e-60
+    assert errors[1] == pytest.approx(1.109e-11, rel=1e-3)
 
 
 def test_field_dump_rescales_to_original(double_well_run, tmp_path):

@@ -212,8 +212,8 @@ def test_audit_passes_on_double_well(double_well_run):
 
 def test_audit_fails_on_negated_solution(double_well_run):
     out = double_well_run["outcome"]
-    results = [copy.copy(r) for r in out.results]
-    results[0].u = -results[0].u
+    results = list(out.results)
+    results[0] = results[0]._replace(u=-results[0].u)
     rep = audit(out._replace(results=results))
     assert rep.status == 1
     assert not rep.wells[0]["positivity"]["ok"]
@@ -230,8 +230,7 @@ def test_audit_fails_on_duplicated_result(double_well_run):
 def test_audit_fails_on_unstabilized_well(double_well_run):
     out = double_well_run["outcome"]
     results = list(out.results)
-    results[1] = copy.copy(results[1])
-    results[1].r_stabilized = False
+    results[1] = results[1]._replace(r_stabilized=False)
     rep = audit(out._replace(results=results))
     assert rep.status == 1
     assert rep.wells[0]["ok"] and rep.wells[0]["r_stabilized"]
@@ -252,12 +251,12 @@ def test_audit_report_is_json_serializable(double_well_run):
     out = double_well_run["outcome"]
     rep = audit(out)
     parsed = json.loads(rep.to_json())
-    assert parsed["schema_version"] == 2
+    assert parsed["schema_version"] == 3
     assert parsed["status"] == 0
     assert len(parsed["wells"]) == 2
     # the audit checks results; the identity suite is `lognls verify`'s
     assert "identity_suite" not in parsed
     for entry, res in zip(parsed["wells"], out.results):
         assert entry["seed_width"] == res.seed_width and 0.5 <= res.seed_width <= 4.0
-        assert entry["stages"] == [st._asdict() for st in res.stages]
+        assert entry["stages"] == json.loads(json.dumps([st._asdict() for st in res.stages]))
         assert sum(st["iterations"] for st in entry["stages"]) == entry["iterations"]
