@@ -44,7 +44,6 @@ class RunConfig(NamedTuple):
     dump_fields: bool
     dump_history: bool
     verbosity: int
-    seed: int   # of the weak-residual probes
 
 
 def _is_number(value) -> bool:
@@ -107,8 +106,8 @@ def _checked(section, where: str) -> dict:
 
 
 def _seed(seed: int, where: str) -> int:
-    """A seed of the weak-residual probes (`random.Random`) and of the
-    identity suite (numpy's `default_rng`, which takes no negative one)."""
+    """The seed, if numpy's `default_rng` (the identity suite's generator)
+    takes it: not negative."""
     if seed < 0:
         raise ConfigError(f"{where}: must be >= 0, got {seed}")
     return seed
@@ -167,10 +166,11 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         solver_cfg = SolverConfig(**raw["numerics"], **raw.get("solver", {}))
     except LogNLSError as exc:
         raise ConfigError(f"numerics/solver: {exc}") from exc
+    # rng_seed and --seed move no output; both are still range-checked
     if seed_override is None:
-        seed = _seed(raw.get("rng_seed", 0), "config.rng_seed")
+        _seed(raw.get("rng_seed", 0), "config.rng_seed")
     else:
-        seed = _seed(int(seed_override), "--seed")
+        _seed(int(seed_override), "--seed")
 
     return RunConfig(
         eps=eps,
@@ -180,7 +180,6 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
         dump_fields=outputs.get("dump_fields", True),
         dump_history=outputs.get("dump_history", False),
         verbosity=outputs.get("verbosity", 1),
-        seed=seed,
     )
 
 
@@ -249,7 +248,7 @@ def cmd_solve(args) -> int:
         print(f"solve failed outright: {exc}", file=sys.stderr)
         return 1
 
-    report = verify_mod.audit(outcome, seed=cfg.seed)
+    report = verify_mod.audit(outcome)
 
     (out / "report.json").write_text(report.to_json())
     _write_levels(out / "levels.csv", outcome, cfg.potential, report)
@@ -316,7 +315,7 @@ def cmd_verify(args) -> int:
     _check("gausson: level within 0.5% of e^2 sqrt(pi)/2",
            abs(lvl - target) <= 5e-3 * target, f"level={lvl!r}", verbose, lines)
 
-    wr = verify_mod.weak_residual(ug, params, gf, seed=seed)
+    wr = verify_mod.weak_residual(ug, params, gf)
     _check("gausson: weak residual <= 1e-3", wr <= 1e-3, f"res={wr:.3e}", verbose, lines)
 
     cfg = SolverConfig(h=0.01, R_schedule=(10.0,))
@@ -412,7 +411,10 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="run the multiplicity pipeline")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    # solve and sweep keep --seed although no output of theirs depends on
+    # it: perfbench/run.py passes --seed to every workload's command
+    seed_help = "accepted and checked (>= 0); moves no output"
+    p_solve.add_argument("--seed", type=int, default=None, help=seed_help)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the identity/oracle suite")
@@ -424,11 +426,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--eps", type=float, nargs="*", default=[])
     p_sweep.add_argument("--out", default=None)
-    # kept although sweep reports no weak residual: perfbench/run.py passes
-    # --seed to every workload's command
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="accepted for parity with solve; it moves only the "
-                              "weak-residual probes, which sweep does not report")
+    p_sweep.add_argument("--seed", type=int, default=None, help=seed_help)
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

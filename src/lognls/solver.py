@@ -405,12 +405,12 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
 
 
 @lru_cache(maxsize=64)
-def _helmholtz_eigenvalues(shape: tuple[int, ...], h: float) -> np.ndarray:
-    """Eigenvalues of (-L + c), c = _H1_SHIFT, in the sine basis of a box of
-    interior nodes of this shape and spacing h, Dirichlet on its edges."""
+def _helmholtz_eigenvalues(shape: tuple[int, ...], h: float, c: float) -> np.ndarray:
+    """Eigenvalues of (-L + c) in the sine basis of a box of interior nodes
+    of this shape and spacing h, Dirichlet on its edges."""
     lam = [(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))) / (h * h)
            for n in shape]
-    denom = sum(np.ix_(*lam)) + _H1_SHIFT
+    denom = sum(np.ix_(*lam)) + c
     denom.setflags(write=False)
     return denom
 
@@ -420,19 +420,6 @@ def _five_smooth(n: int) -> bool:
         while n % p == 0:
             n //= p
     return n == 1
-
-
-def _live_box(u: np.ndarray, g: Grid) -> tuple[slice, ...]:
-    """The box of the nonnegative field u's live nodes, one slice of node
-    indices per axis: from the first to the last interior node whose slab
-    holds a node where u >= _BOX_FLOOR max u, the whole interior where
-    none does."""
-    live = u.reshape(g.shape)[(slice(1, -1),) * g.dim] >= _BOX_FLOOR * u.max()
-    box = []
-    for axis in range(g.dim):
-        on = np.flatnonzero(live.any(axis=tuple(a for a in range(g.dim) if a != axis)))
-        box.append(slice(on[0] + 1, on[-1] + 2) if on.size else slice(1, g.n_axis - 1))
-    return tuple(box)
 
 
 @lru_cache(maxsize=64)
@@ -456,12 +443,12 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return rfft(z, norm="ortho")[..., 1:n + 1].imag
 
 
-def _h1_direction(g: Grid | GridBox, r: np.ndarray) -> np.ndarray:
-    """Solve (-L + c) d = r, c = _H1_SHIFT, via DST-I on the interior
-    nodes of g, a grid or a box of one, with d = 0 on its boundary."""
+def _h1_direction(g: Grid | GridBox, r: np.ndarray, c: float) -> np.ndarray:
+    """Solve (-L + c) d = r via DST-I on the interior nodes of g, a grid or
+    a box of one, with d = 0 on its boundary."""
     box = (slice(1, -1),) * g.dim
     rr = r.reshape(g.shape)[box]
-    denom = _helmholtz_eigenvalues(rr.shape, g.h)
+    denom = _helmholtz_eigenvalues(rr.shape, g.h, c)
     out = np.zeros(g.shape)
     if g.dim == 1:
         out[box] = _dst1(_dst1(rr) / denom)
@@ -537,7 +524,7 @@ class _LBFGS:
             alphas.append(a)
         damping = _tail_damping(rec, tmp)
         q *= damping
-        z = _h1_direction(self.g, q)
+        z = _h1_direction(self.g, q, _H1_SHIFT)
         z *= damping
         z *= self.gamma
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
@@ -576,17 +563,21 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid | GridBox) -> flo
 
 
 def _descent_box(u: np.ndarray, g: Grid) -> GridBox:
-    """The box of the descent from the field u, with a one-node frame
-    around it inside the grid: its interior is u's live box (`_live_box`),
-    grown about its centre, inside the grid's interior, to the least length
-    L whose FFT length 2(L+1) has no prime factor above 5, or the whole
-    interior where no such L fits. A length with a large prime factor would
-    cost more than the box saves: one rfft of 3,746 = 2*1873 points takes 9
-    times one of 3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
+    """The box of the descent from the nonnegative field u, with a one-node
+    frame around it inside the grid. On each axis its interior spans the
+    interior nodes from the first to the last whose slab holds a node where
+    u >= _BOX_FLOOR max u (the whole interior where none does), grown about
+    its centre, inside the grid's interior, to the least length L whose FFT
+    length 2(L+1) has no prime factor above 5, or the whole interior where
+    no such L fits. A length with a large prime factor would cost more than
+    the box saves: one rfft of 3,746 = 2*1873 points takes 9 times one of
+    3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
     ni = g.n_axis - 2
+    live = u.reshape(g.shape)[(slice(1, -1),) * g.dim] >= _BOX_FLOOR * u.max()
     box = []
-    for live in _live_box(u, g):
-        lo, hi = live.start - 1, live.stop - 1
+    for axis in range(g.dim):
+        on = np.flatnonzero(live.any(axis=tuple(a for a in range(g.dim) if a != axis)))
+        lo, hi = (int(on[0]), int(on[-1]) + 1) if on.size else (0, ni)
         length = hi - lo
         while length < ni and not _five_smooth(2 * (length + 1)):
             length += 1

@@ -1,20 +1,18 @@
 """Post-hoc verification: weak-form residuals, the identity suite and the
 audit of a run.
 
-The weak residual probes the discrete Euler-Lagrange residual of a field
-against a finite family of smooth bump test functions of unit H^1 norm; the
-audit re-derives every pass/fail of a run's results from a stated numeric
-comparison with a stated tolerance, so the report is self-describing. A
-finite probe family only certifies an upper bound on the detectable
-residual. The identity suite checks the code rather than a result and is
-run by `lognls verify`, not by the audit.
+The weak residual is the exact H^{-1} norm of the discrete Euler-Lagrange
+residual of a field, its largest pairing with a test function of unit H^1
+norm; the audit re-derives every pass/fail of a run's results from a stated
+numeric comparison with a stated tolerance, so the report is
+self-describing. The identity suite checks the code rather than a result
+and is run by `lognls verify`, not by the audit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +26,8 @@ from .energy import (
     nehari_scale,
 )
 from .errors import ZeroField
-from .grid import Grid, build_grid, integrate, sq_distance, zero_extend
-from .solver import _live_box
+from .grid import Grid, integrate, sq_distance, zero_extend
+from .solver import _h1_direction
 
 __all__ = [
     "VerificationReport",
@@ -44,111 +42,30 @@ __all__ = [
 # Gaussian-decay solution can only be certified strictly positive within
 # this distance of its peak, beyond it zeros are float artifacts
 POSITIVE_RADIUS = 36.0
-# bumps per weak residual; each costs one pairing over its support
-_PROBES = 50
 # Fourier modes per axis of a `smooth_random_field`
 _TRIG_MODES = 4
 
 
-def _cubic_bspline(t: np.ndarray) -> np.ndarray:
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    near = a < 1.0
-    out[near] = 2.0 / 3.0 - a[near] ** 2 + 0.5 * a[near] ** 3
-    mid = (a >= 1.0) & (a < 2.0)
-    out[mid] = (2.0 - a[mid]) ** 3 / 6.0
-    return out
+def weak_residual(u: np.ndarray, params: EnergyParams, g: Grid) -> float:
+    """The H^{-1} norm of u's Euler-Lagrange residual r over ||u||_eps: the
+    sup over fields v vanishing on the boundary of
+    |int(grad u . grad v + V u v - u v log u^2)| / ||v||_H^1.
 
-
-def _bspline_factor(g1: Grid, c: float, sigma: float) -> tuple[slice, np.ndarray]:
-    """The 1d factor b((x - c)/sigma) on the axis nodes of g1 where it is
-    nonzero, with one node more at each end (zero there, or an end of the
-    axis, where b is zeroed), and the slice of the axis they occupy."""
-    n = g1.n_axis
-    lo = max(int(np.searchsorted(g1.axis, c - 2.0 * sigma, "right")) - 1, 0)
-    hi = min(int(np.searchsorted(g1.axis, c + 2.0 * sigma, "left")) + 1, n)
-    b = _cubic_bspline((g1.axis[lo:hi] - c) / sigma)
-    if lo == 0:
-        b[0] = 0.0
-    if hi == n:
-        b[-1] = 0.0
-    return slice(lo, hi), b
-
-
-def _factored_probe(
-    g1: Grid, wr: np.ndarray, center: np.ndarray, sigma: float
-) -> tuple[float, float]:
-    """Pairing int r v and discrete H^1 norm^2 of the tensor cubic B-spline
-    bump v(x) = prod_k b_k(x_k) at the given center, each 1d factor b_k
-    sampled on the axis grid g1 and zeroed at its ends (so v vanishes on the
-    boundary). wr holds the quadrature weights times r, shaped (n,)*dim.
-
-    Stencil, weights and v all split over the axes, so with W and L1 the 1d
-    weights and stencil the norm^2 is
-    sum_k (b_k.W.L1 b_k) prod_{j!=k} (b_j.W.b_j) + prod_k (b_k.W.b_k),
-    and no full-grid probe is formed. Each factor, and the pairing, covers
-    only the nodes where the factor is nonzero (`_bspline_factor`); as b_k
-    is zero at both ends of its range, b_k.W.L1 b_k sums by parts to
-    |diff b_k|^2 / h.
-    """
-    spans, factors = zip(*(_bspline_factor(g1, c, sigma) for c in center))
-    mass = [float(np.einsum("i,i,i->", g1.quad_weights[sp], b, b))
-            for sp, b in zip(spans, factors)]
-    stiff = [float(np.einsum("i,i->", d, d)) / g1.h for d in map(np.diff, factors)]
-    h1sq = math.prod(mass) + sum(
-        st * math.prod(mass[:k] + mass[k + 1:]) for k, st in enumerate(stiff)
-    )
-    if h1sq <= 0.0:
-        raise ZeroField("probe degenerate: support does not meet the grid")
-    if len(factors) == 1:
-        pairing = np.einsum("i,i->", wr[spans], factors[0])
-    else:
-        pairing = np.einsum("i,ij,j->", factors[0], wr[spans], factors[1])
-    return float(pairing), h1sq
-
-
-def weak_residual(
-    u: np.ndarray,
-    params: EnergyParams,
-    g: Grid,
-    seed: int = 0,
-) -> float:
-    """Max over _PROBES probes of |int(grad u . grad v + V u v - u v log u^2)|,
-    normalized by ||u||_eps.
-
-    The gradient pairing is realized through the discrete Laplacian
-    (summation by parts), so the continuum solution scores O(h^2) and the
-    converged discrete solution scores at rounding level. Each probe v is a
-    tensor product of 1d cubic B-splines of unit discrete H^1 norm, with
-    log-uniform width in [max(3h, R/100), R/8] and a center uniform over
-    the live box of |u| (`solver._live_box`, from which the descent draws
-    its box), where the field lives, so that every probe meets it, moved
-    inside the domain by as much as keeps its support there;
-    it is paired and normalized through its 1d factors
-    (`_factored_probe`). The residual and ||u||_eps^2 = K + M come from one
-    evaluation record of u (`energy`). The probes are drawn from the
-    standard library's generator `random.Random(seed)`, which numpy has
-    loaded already, so a solve never imports numpy.random.
+    The pairing is (W r).v and ||v||_H^1^2 = v.W(-L + 1)v, with W the
+    quadrature weights, h^dim at every interior node; so the sup is
+    sqrt(int r (-L + 1)^{-1} r), one DST solve on the whole grid
+    (`solver._h1_direction` at c = 1), the residual-based a posteriori
+    estimate of Dusson & Maday (IMA J. Numer. Anal. 37, 2017). Through the
+    discrete Laplacian the continuum solution scores O(h^2) and the
+    converged discrete solution scores at rounding level. r and
+    ||u||_eps^2 = K + M come from one evaluation record of u (`energy`).
     """
     rec = energy(u, params, g)
     if rec.M <= 0.0:
         raise ZeroField("weak residual undefined for the zero field")
-    wr = rec.gradient().reshape(g.shape)
-    g1 = g if g.dim == 1 else build_grid(1, g.R, g.h)
-    box = [(g.axis[sl.start], g.axis[sl.stop - 1]) for sl in _live_box(np.abs(rec.u), g)]
-
-    rng = random.Random(seed)
-    sigma_hi = g.R / 8.0
-    sigma_lo = min(max(3.0 * g.h, g.R / 100.0), sigma_hi)
-    worst = 0.0
-    for _ in range(_PROBES):
-        sigma = math.exp(rng.uniform(math.log(sigma_lo), math.log(sigma_hi)))
-        span = g.R - 2.0 * sigma - g.h
-        center = [rng.uniform(min(max(lo, -span), span), min(max(hi, -span), span))
-                  for lo, hi in box]
-        pairing, h1sq = _factored_probe(g1, wr, center, sigma)
-        worst = max(worst, abs(pairing) / math.sqrt(h1sq))
-    return worst / math.sqrt(max(0.0, rec.K + rec.M))
+    r = rec.residual()
+    dual_sq = integrate(g, r * _h1_direction(g, r, 1.0))
+    return math.sqrt(dual_sq / (rec.K + rec.M))
 
 
 def smooth_random_field(
@@ -267,21 +184,19 @@ class VerificationReport(NamedTuple):
     failures: list
     distinct_ok: bool
     distinct_pairs: list
-    notes: list
 
     def to_json(self, **kw) -> str:
         return json.dumps(self._asdict(), indent=2, **kw)
 
 
-def audit(outcome, seed: int = 0) -> VerificationReport:
+def audit(outcome) -> VerificationReport:
     """Full verification of a multiplicity run, from its
     `solver.MultiplicityOutcome`. Pure: identical inputs give an identical
     report.
 
     Every well's entry carries its stage records, each with its status and
-    whole-grid measurement, and its weak residual (`weak_residual`, probes
-    drawn from seed), measured once per well whether or not the well is
-    checked. A converged well is checked against the stated tolerances;
+    whole-grid measurement, and its weak residual (`weak_residual`),
+    measured once per well whether or not the well is checked. A converged well is checked against the stated tolerances;
     its barycenter is its last stage's.
     """
     params: EnergyParams = outcome.params
@@ -315,7 +230,7 @@ def audit(outcome, seed: int = 0) -> VerificationReport:
             "seed_width": res.seed_width,
             "r_stabilized": res.r_stabilized,
             "continuation_gap": res.continuation_gap,
-            "weak_res": weak_residual(res.u, params, res.grid, seed=seed),
+            "weak_res": weak_residual(res.u, params, res.grid),
             "stages": [st._asdict() for st in res.stages],
         }
         if res.status.value != "converged":
@@ -380,7 +295,7 @@ def audit(outcome, seed: int = 0) -> VerificationReport:
     all_ok = all_ok and gap_ok and not outcome.failures
 
     return VerificationReport(
-        schema_version=3,
+        schema_version=4,
         status=0 if all_ok else 1,
         eps=params.eps,
         c0=outcome.c0,
@@ -395,8 +310,4 @@ def audit(outcome, seed: int = 0) -> VerificationReport:
         ],
         distinct_ok=distinct_ok,
         distinct_pairs=distinct_pairs,
-        notes=[
-            "finite probe family: weak_res certifies an upper bound on the "
-            "detectable residual only",
-        ],
     )

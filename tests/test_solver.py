@@ -73,19 +73,21 @@ def test_dst1_matches_dense_sine_matrix(shape):
 @pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
 def test_h1_direction_solves_the_helmholtz_system(dim, R, h):
     """(-L + c)d = r on the interior, and on an off-centre box of the grid
-    with d = 0 on the box's frame."""
+    with d = 0 on the box's frame, at the weak residual's c = 1 and the
+    descent's c = _H1_SHIFT."""
     g = build_grid(dim, R, h)
     r = np.random.default_rng(dim).standard_normal(g.num_nodes)
     r[~g.interior_mask] = 0.0
     n = g.n_axis
     box = GridBox(g, (slice(n // 7, 3 * n // 4), slice(n // 3, n - 10))[:dim])
-    for grid in (g, box):
-        rr = grid.restrict(r)
-        d = _h1_direction(grid, rr)
-        nodes = grid.interior_mask
-        assert np.all(d[~nodes] == 0.0)
-        res = (laplacian_apply(grid, d) + solver_mod._H1_SHIFT * d - rr)[nodes]
-        assert np.abs(res).max() <= 1e-10 * np.abs(rr).max()
+    for c in (1.0, solver_mod._H1_SHIFT):
+        for grid in (g, box):
+            rr = grid.restrict(r)
+            d = _h1_direction(grid, rr, c)
+            nodes = grid.interior_mask
+            assert np.all(d[~nodes] == 0.0)
+            res = (laplacian_apply(grid, d) + c * d - rr)[nodes]
+            assert np.abs(res).max() <= 1e-10 * np.abs(rr).max()
 
 
 def _whole_interior_h1(g, r):
@@ -118,8 +120,8 @@ def test_whole_interior_box_reproduces_the_whole_grid_solve(dim, R, h):
     view = _descent_box(g.interior_mask.astype(float), g)
     assert view.index == (slice(0, g.n_axis),) * dim
     assert view.shape == g.shape
-    assert np.array_equal(_h1_direction(view, r), ref)
-    assert np.array_equal(_h1_direction(g, r), ref)
+    assert np.array_equal(_h1_direction(view, r, solver_mod._H1_SHIFT), ref)
+    assert np.array_equal(_h1_direction(g, r, solver_mod._H1_SHIFT), ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -708,7 +710,8 @@ def test_lbfgs_without_pairs_is_h1_gradient():
     resid = rec.residual()
     d = _LBFGS(box).direction(rec, resid)
     damping = _tail_damping(rec, np.empty(box.num_nodes))
-    assert np.array_equal(d, damping * _h1_direction(box, damping * resid))
+    assert np.array_equal(
+        d, damping * _h1_direction(box, damping * resid, solver_mod._H1_SHIFT))
     assert box.num_nodes < g.n_axis
     assert np.all(d[box.boundary_nodes] == 0.0)
 
