@@ -2,20 +2,23 @@
 
 One solution per potential well: seed a translated Gausson at z_i/eps,
 ramped to zero at the boundary of the truncated domain only, with the
-width of least Nehari level, project onto the Nehari set, then run
-monotone projected descent that rejects any step whose barycenter leaves
-the ball B_rho0(z_i). Its direction is L-BFGS with the initial inverse
-Hessian S(-L + c)^{-1}S: the shifted H^1 metric, c = _H1_SHIFT, damped by
-S where the Hessian's multiplication part exceeds c. Each trial is the
-fraction-to-boundary point max(u - tau d, theta u), so every iterate stays
-nonnegative. The descent runs on a box of the grid (`_descent_box`) that
-holds every node where the starting field exceeds _BOX_FLOOR times its
-peak, plus a one-node frame whose values are its Dirichlet data; off the
-box every iterate stays one multiple of the start. The result is measured
-once on the whole grid, and a stage converges only if that measurement
-does. A well's solution is continued through an increasing schedule of
-truncation radii, one stage per radius, until the level and barycenter
-stabilize (`continue_in_R`).
+closed-form width of the well's harmonic ground state, project onto the
+Nehari set, then run monotone projected descent that rejects any step
+whose barycenter leaves the ball B_rho0(z_i). Its direction is L-BFGS
+with the initial inverse Hessian S(-L + c)^{-1}S: the shifted H^1 metric,
+c = _H1_SHIFT, damped by S where the Hessian's multiplication part
+exceeds c. Each trial is the fraction-to-boundary point
+max(u - tau d, theta u), so every iterate stays nonnegative. The descent
+runs on a box of the grid (`_descent_box`) that holds every node where
+the starting field exceeds _BOX_FLOOR times its peak, plus a one-node
+frame whose values are its Dirichlet data; off the box every iterate
+stays one multiple of the start. The result is measured once on the
+whole grid, and a stage converges only if that measurement does: a
+descent that converged on its box only runs again on the box doubled
+(`_grown_box`), until the stage converges on the whole grid or its box is
+the whole grid. A well's solution is continued through an increasing
+schedule of truncation radii, one stage per radius, until the level and
+barycenter stabilize (`continue_in_R`).
 
 The Gausson A exp(-|x|^2/2) with 2 log A = N + omega solves the
 constant-coefficient problem -Lu + omega u = u log u^2 exactly and serves
@@ -92,12 +95,12 @@ _LBFGS_MEMORY = 8
 # by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
 # the box of the descent spans, on each axis, the nodes where
-# u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a Gausson's
-# centre. Well iterations on the 1d double well, the 1d sweep at eps = 0.4,
-# 0.2, 0.1 and the 2d double well stay those of the whole-grid descent,
-# 14+14 / 21+21 / 15+15 / 14+14 / 13+13, for every floor from 1e-24 to
-# 1e-14; at 1e-12 (|y| <= 7.4) both wells at eps = 0.4 end `box_too_small`,
-# at 1e-10 those at eps = 0.2 too, and at 1e-8 (|y| <= 6.1) every well does
+# u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a unit-width
+# Gausson's centre. On the 1d double well, the 1d sweep at eps = 0.4, 0.2,
+# 0.1 and the 2d double well no box grows (`_grown_box`) for any floor from
+# 1e-20 to 1e-15, and well iterations stay 14+14 / 23+23 / 18+18 / 14+14 /
+# 13+13; at 1e-14 and 1e-12 (|y| <= 7.4) the first boxes of both wells at
+# eps = 0.4 grow (27 and 28 iterations), and at 1e-10 every well's does
 _BOX_FLOOR = 1e-20
 # theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
 # Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
@@ -109,10 +112,8 @@ _BOX_FLOOR = 1e-20
 _BOUNDARY_FRACTION = 0.1
 # keeps the seed and the zero-extended continuation start strictly positive
 _SEED_FLOOR = 1e-200
-# the Gausson widths b searched by `_ritz_seed`, and its evaluations: the
-# golden section narrows [0.5, 4] to 0.007 in 14
+# the clip of the seed's Gausson width b (`seed_well`)
 _SEED_WIDTHS = (0.5, 4.0)
-_RITZ_EVALS = 14
 
 
 class SolveStatus(str, enum.Enum):
@@ -120,7 +121,8 @@ class SolveStatus(str, enum.Enum):
     BOUNDARY_HIT = "boundary_hit"
     ITERATION_CAP = "iteration_cap"
     LINE_SEARCH_FAILED = "line_search_failed"
-    # converged on its box, but not when measured on the whole grid
+    # converged on a box that is the whole grid, but not when measured on
+    # the whole grid
     BOX_TOO_SMALL = "box_too_small"
 
 
@@ -144,9 +146,9 @@ class StageRecord(NamedTuple):
     trial steps, backtracks the rejected ones (each shrinks the step by
     _BACKTRACK), region_blocked the rejected ones that kept J from rising
     but moved the barycenter out of its ball, precond_box the interior
-    node count per axis of the box its descent ran on (`_descent_box`;
-    the frame around it not counted), which is also the box of its H^1
-    solve.
+    node count per axis of the box its last descent ran on (`_descent_box`,
+    `_grown_box`; the frame around it not counted), which is also the box
+    of its H^1 solve. The counts sum over the stage's descents.
     """
 
     R: float
@@ -189,6 +191,11 @@ class SolverConfig:
             raise ConfigError(
                 f"R_schedule {sched}: h = {h} must divide every 2R and "
                 f"every step between radii"
+            )
+        if any(r / h < 8.0 for r in sched):   # as `build_grid` requires
+            raise ConfigError(
+                f"numerics.h = {h} is too coarse for R_schedule {sched}: every radius "
+                f"needs R/h >= 8"
             )
         if not (0.0 < grad_tol < math.inf and 0.0 < nehari_tol < math.inf):
             raise ConfigError(
@@ -304,92 +311,30 @@ def gausson(g: Grid, omega: float) -> np.ndarray:
     return u
 
 
-def _seed_profile(g: Grid | GridBox, ramp: np.ndarray, d2: np.ndarray,
-                  width: float) -> np.ndarray:
-    """ramp * (A exp(-b d2/2) + floor), A = e^((N+1)/2), zero on the
-    boundary through the ramp, with d2 the squared distance to the centre:
-    the seed of width b before its Nehari projection."""
-    u0 = np.exp(-0.5 * width * d2)
+def _seed_profile(g: Grid, center: np.ndarray, width: float) -> np.ndarray:
+    """ramp * (A exp(-b |x - center|^2/2) + floor), A = e^((N+1)/2), zero on
+    the boundary through the ramp: the seed of width b before its Nehari
+    projection."""
+    u0 = np.exp(-0.5 * width * sq_distance(g.axis, center))
     u0 *= math.exp(0.5 * (g.dim + 1.0))
     u0 += _SEED_FLOOR
-    u0 *= ramp
+    u0 *= _boundary_ramp(g)
     return u0
-
-
-def _ritz_box(g: Grid, center: np.ndarray, width: float) -> GridBox:
-    """The box of the grid on which `_ritz_seed` evaluates the profile of
-    width b: on each axis the nodes within sqrt(-log(_BOX_FLOOR)/b) of the
-    centre, where the squared profile exp(-b y^2) >= _BOX_FLOOR, and a
-    one-node frame, inside the grid; the whole grid when _BOX_FLOOR is 0.
-
-    Every integral of the level (K, E, M) is quadratic in the profile, up
-    to a log factor, so off the box each integrand is below about
-    _BOX_FLOOR = 1e-20 relative to its total: four orders under double
-    rounding, while the golden section compares levels about 1e-5 apart,
-    so the search picks the width of the whole-grid search. The reach of
-    the profile itself, sqrt(-2 log(_BOX_FLOOR)/b), would hold twice the
-    nodes in 2d for no change in any width."""
-    reach = math.inf
-    if _BOX_FLOOR > 0.0:
-        reach = math.sqrt(-math.log(_BOX_FLOOR) / width)
-    index = []
-    for c in center:
-        lo = int(np.searchsorted(g.axis, c - reach, "left"))
-        hi = int(np.searchsorted(g.axis, c + reach, "right"))
-        index.append(slice(max(lo - 1, 0), min(hi + 1, g.n_axis)))
-    return GridBox(g, tuple(index))
-
-
-def _ritz_seed(params: EnergyParams, g: Grid,
-               center: np.ndarray) -> tuple[np.ndarray, float]:
-    """The seed profile phi_b at center (`_seed_profile`) of the Gausson
-    width b in _SEED_WIDTHS of least Nehari level
-    1/2 s*(b)^2 M(phi_b) = 1/2 M exp((K - E)/M), and b (Rayleigh-Ritz over
-    the Gausson family), by a golden-section search of _RITZ_EVALS
-    evaluations.
-
-    A exp(-b|y|^2/2) solves -Lu + (1 + a|y|^2)u = u log u^2 exactly for
-    b^2 - b = a (Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976), so
-    b = 1 is exact only for a flat well. The search also sees the ramp, the
-    grid and the anharmonic part of V: in the damped metric, seeds of the
-    closed-form b with a = eps^2 V''(z_i)/2 take 34 / 34 / 136 well
-    iterations on the 1d double well, the 2d double well and the 1d eps
-    sweep, against 37 / 30 / 129 from the Ritz b and 38 / 44 / 144 from b = 1.
-
-    Each width is evaluated on its own box (`_ritz_box`); the returned
-    profile is on the whole grid.
-    """
-    ramp, d2 = _boundary_ramp(g), sq_distance(g.axis, center)
-
-    def log_level(b: float) -> float:
-        gb = _ritz_box(g, center, b)
-        rec = energy(_seed_profile(gb, gb.take(ramp), gb.take(d2), b), params, gb)
-        return math.log(rec.M) + (rec.K - rec.E) / rec.M
-
-    lo, hi = _SEED_WIDTHS
-    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
-    b1, b2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f1, f2 = log_level(b1), log_level(b2)
-    for _ in range(_RITZ_EVALS - 2):
-        if f1 <= f2:
-            hi, b2, f2 = b2, b1, f1
-            b1 = hi - shrink * (hi - lo)
-            f1 = log_level(b1)
-        else:
-            lo, b1, f1 = b1, b2, f2
-            b2 = lo + shrink * (hi - lo)
-            f2 = log_level(b2)
-    width = b1 if f1 <= f2 else b2
-    return _seed_profile(g, ramp, d2, width), width
 
 
 def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]:
     """Translated Gausson at z_i/eps, ramped to zero at the domain boundary,
-    floored to stay strictly positive, and Nehari-projected, with the width
-    b of least Nehari level (`_ritz_seed`); returns the seed and b. The
-    centre, ramp and floor do not depend on where the well sits, and
-    neither does b. Its barycenter is checked where it is minimized
-    (`minimize_localized`)."""
+    floored to stay strictly positive, and Nehari-projected, of width
+    b = (1 + sqrt(1 + 4a))/2 clipped to _SEED_WIDTHS,
+    a = eps^2 (v_inf - 1)/width; returns the seed and b.
+
+    About each well of `make_multiwell`'s potential V(eps y) = 1 +
+    a|y - z_i/eps|^2 + O(eps^4 |y - z_i/eps|^4), with one a for every well,
+    and A exp(-b|y|^2/2) solves -Lu + (1 + a|y|^2)u = u log u^2 exactly for
+    b^2 - b = a (Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976): the
+    harmonic ground state of the well. The centre, ramp and floor do not
+    depend on where the well sits, and neither does b. Its barycenter is
+    checked where it is minimized (`minimize_localized`)."""
     spec = params.potential
     if not isinstance(spec, PotentialSpec):
         raise ConfigError("seed_well needs a multi-well PotentialSpec")
@@ -400,7 +345,9 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
             f"well {i} at |z|/eps = {np.linalg.norm(center):.3f} needs margin >= 5 "
             f"inside R = {g.R}"
         )
-    u0, width = _ritz_seed(params, g, center)
+    a = params.eps ** 2 * (spec.v_inf - 1.0) / spec.width
+    width = min(max(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a)), _SEED_WIDTHS[0]), _SEED_WIDTHS[1])
+    u0 = _seed_profile(g, center, width)
     return nehari_scale(energy(u0, params, g)) * u0, width
 
 
@@ -562,28 +509,48 @@ def _projected_grad_norm(u: np.ndarray, r: np.ndarray, g: Grid | GridBox) -> flo
     return math.sqrt(max(0.0, integrate(g, np.multiply(r, r, out=tmp))))
 
 
+def _box_span(lo: int, hi: int, ni: int) -> slice:
+    """The slice of the grid's nodes, one-node frame included, of a box axis
+    whose interior holds the interior nodes lo..hi-1 of an axis of ni (lo
+    and hi may lie beyond it): that span grown about its centre, inside the
+    interior, to the least length L whose FFT length 2(L+1) has no prime
+    factor above 5, or the whole interior where no such L fits. A length
+    with a large prime factor would cost more than the box saves: one rfft
+    of 3,746 = 2*1873 points takes 9 times one of 3,840, and one of
+    11,998 = 2*7*857 15 times one of 12,000."""
+    length = min(hi - lo, ni)
+    while length < ni and not _five_smooth(2 * (length + 1)):
+        length += 1
+    start = min(max(lo - (length - (hi - lo)) // 2, 0), ni - length)
+    return slice(start, start + length + 2)
+
+
 def _descent_box(u: np.ndarray, g: Grid) -> GridBox:
-    """The box of the descent from the nonnegative field u, with a one-node
-    frame around it inside the grid. On each axis its interior spans the
-    interior nodes from the first to the last whose slab holds a node where
-    u >= _BOX_FLOOR max u (the whole interior where none does), grown about
-    its centre, inside the grid's interior, to the least length L whose FFT
-    length 2(L+1) has no prime factor above 5, or the whole interior where
-    no such L fits. A length with a large prime factor would cost more than
-    the box saves: one rfft of 3,746 = 2*1873 points takes 9 times one of
-    3,840, and one of 11,998 = 2*7*857 15 times one of 12,000."""
+    """The box of the descent from the nonnegative field u (`_box_span`): on
+    each axis its interior spans the interior nodes from the first to the
+    last whose slab holds a node where u >= _BOX_FLOOR max u, the whole
+    interior where none does."""
     ni = g.n_axis - 2
     live = u.reshape(g.shape)[(slice(1, -1),) * g.dim] >= _BOX_FLOOR * u.max()
     box = []
     for axis in range(g.dim):
         on = np.flatnonzero(live.any(axis=tuple(a for a in range(g.dim) if a != axis)))
         lo, hi = (int(on[0]), int(on[-1]) + 1) if on.size else (0, ni)
-        length = hi - lo
-        while length < ni and not _five_smooth(2 * (length + 1)):
-            length += 1
-        start = min(max(lo - (length - (hi - lo)) // 2, 0), ni - length)
-        box.append(slice(int(start), int(start + length) + 2))
+        box.append(_box_span(lo, hi, ni))
     return GridBox(g, tuple(box))
+
+
+def _grown_box(gb: GridBox) -> GridBox:
+    """The box gb doubled about its centre on each axis (`_box_span`); it
+    holds gb, and is the whole grid once gb's interior doubled spans the
+    grid's."""
+    ni = gb.whole.n_axis - 2
+    box = []
+    for sl in gb.index:
+        length = sl.stop - sl.start - 2
+        lo = sl.start - length // 2
+        box.append(_box_span(lo, lo + 2 * length, ni))
+    return GridBox(gb.whole, tuple(box))
 
 
 def _whole_field(gb: GridBox, start: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -633,17 +600,20 @@ def minimize_localized(
     of the trial w does not increase and the barycenter of w, which s* does
     not move, stays interior.
 
-    The descent runs on the box that `_descent_box` draws once around
-    |seed|. Off the box, the whole-grid descent would keep every iterate
-    one multiple of |seed|: its initial inverse Hessian is 0 there, its
-    L-BFGS steps are sums of earlier steps, and the trial and the rescale
-    keep that form. So the box's frame carries the multiple, and the field
+    The descent runs on the box that `_descent_box` draws around |seed|.
+    Off the box, the whole-grid descent would keep every iterate one
+    multiple of |seed|: its initial inverse Hessian is 0 there, its L-BFGS
+    steps are sums of earlier steps, and the trial and the rescale keep
+    that form. So the box's frame carries the multiple, and the field
     beyond it adds about _BOX_FLOOR^2 relative to every integral. The
     returned field is the box's on the box and that multiple of |seed| off
     it; its level, gradient norm and Nehari residual are read from one
     evaluation record on the whole grid, its barycenter from one q_eps
-    there, and a box-converged stage whose measurement misses a tolerance
-    ends BOX_TOO_SMALL.
+    there. A descent that converged on its box but whose measurement
+    misses a tolerance runs again from the returned field, with no L-BFGS
+    pair, on the box doubled (`_grown_box`); its history continues from
+    the iteration it stopped at, with a row measured on the grown box. A
+    stage whose box is the whole grid and still misses ends BOX_TOO_SMALL.
 
     The descent starts from |seed|, and both the trial and the rescale keep
     the sign of every node, so every iterate, the returned field included,
@@ -653,114 +623,118 @@ def minimize_localized(
     constrained = i is not None
     spec = params.potential
 
-    start = np.abs(g.check_field(seed))
-    gb = _descent_box(start, g)
-    # one evaluation record per field: the current iterate and the trial
-    rec = energy(gb.take(start), params, gb)
-    s0 = nehari_scale(rec)
-    if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
-        rec = rec.scaled(s0)
-
     def classify(v: np.ndarray, grid: Grid | GridBox) -> tuple[np.ndarray, Region]:
         q = q_eps(v, eps, spec.R0, grid)
         return q, region_of(q, spec.rho0, spec.wells)
 
-    if constrained:
-        q, reg = classify(rec.u, gb)
-        if not reg.is_interior(i):
-            raise SeedOutsideRegion(
-                f"minimizer seed has barycenter {q} ({reg.kind}), not within "
-                f"rho0 = {spec.rho0} of well {i + 1} at z = {spec.wells[i]}"
-            )
-    else:
-        q = None
-
-    resid = rec.residual()
-    lbfgs = _LBFGS(gb)
-    tau = _STEP_INIT
+    start = np.abs(g.check_field(seed))
+    gb = _descent_box(start, g)
     history: list[HistoryRow] = []
-    status = SolveStatus.ITERATION_CAP
     it = trials = backtracks = blocked = 0
+    while True:
+        # one evaluation record per field: the current iterate and the trial
+        rec = energy(gb.take(start), params, gb)
+        s0 = nehari_scale(rec)
+        if math.isfinite(s0) and abs(s0 - 1.0) > 1e-14:
+            rec = rec.scaled(s0)
+        q = None
+        if constrained:
+            q, reg = classify(rec.u, gb)
+            if not history and not reg.is_interior(i):   # the seed, on the first box
+                raise SeedOutsideRegion(
+                    f"minimizer seed has barycenter {q} ({reg.kind}), not within "
+                    f"rho0 = {spec.rho0} of well {i + 1} at z = {spec.wells[i]}"
+                )
 
-    for it in range(config.max_iters + 1):
-        gnorm = _projected_grad_norm(rec.u, resid, gb)
-        J = rec.level
-        nres = rec.nehari_residual().value
-        history.append(HistoryRow(
-            R=g.R,
-            iteration=it,
-            level=J,
-            nehari_res=nres,
-            grad_norm=gnorm,
-            barycenter=tuple(q) if q is not None else (),
-            step=tau,
-        ))
-        # half of grad_tol, the bar a nonnegative iterate always had; grad_tol would loosen it
-        if gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol:
-            status = SolveStatus.CONVERGED
-            break
-        if it == config.max_iters:
-            break
-
-        dirn = lbfgs.direction(rec, resid)
+        resid = rec.residual()
+        lbfgs = _LBFGS(gb)
         tau = _STEP_INIT
-        accepted = False
-        region_blocked = False
-        j_slack = _J_SLACK * max(1.0, abs(J))
-        for _ in range(_MAX_HALVINGS + 1):
-            trials += 1
-            step = np.multiply(dirn, tau)
-            np.subtract(rec.u, step, out=step)
-            trial = energy(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
-                           params, gb)
-            try:
-                s = nehari_scale(trial)
-            except ZeroField:
-                s = math.inf
-            if not math.isfinite(s):
+        status = SolveStatus.ITERATION_CAP
+        for it in range(it, config.max_iters + 1):
+            gnorm = _projected_grad_norm(rec.u, resid, gb)
+            J = rec.level
+            nres = rec.nehari_residual().value
+            history.append(HistoryRow(
+                R=g.R,
+                iteration=it,
+                level=J,
+                nehari_res=nres,
+                grad_norm=gnorm,
+                barycenter=tuple(q) if q is not None else (),
+                step=tau,
+            ))
+            # half of grad_tol, the bar a nonnegative iterate always had; grad_tol would loosen it
+            if gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol:
+                status = SolveStatus.CONVERGED
+                break
+            if it == config.max_iters:
+                break
+
+            dirn = lbfgs.direction(rec, resid)
+            tau = _STEP_INIT
+            accepted = False
+            region_blocked = False
+            j_slack = _J_SLACK * max(1.0, abs(J))
+            for _ in range(_MAX_HALVINGS + 1):
+                trials += 1
+                step = np.multiply(dirn, tau)
+                np.subtract(rec.u, step, out=step)
+                trial = energy(np.maximum(step, _BOUNDARY_FRACTION * rec.u, out=step),
+                               params, gb)
+                try:
+                    s = nehari_scale(trial)
+                except ZeroField:
+                    s = math.inf
+                if not math.isfinite(s):
+                    tau *= _BACKTRACK
+                    backtracks += 1
+                    continue
+                # the level of s w on the Nehari set, J = 1/2 int (s w)^2
+                Jt = 0.5 * s * s * trial.M
+                ok_j = math.isfinite(Jt) and Jt <= J + j_slack
+                if constrained:
+                    qt, regt = classify(trial.u, gb)
+                    ok_region = regt.is_interior(i)
+                else:
+                    qt, ok_region = None, True
+                if ok_j and ok_region:
+                    accepted = True
+                    break
+                if ok_j and not ok_region:
+                    region_blocked = True
+                    blocked += 1
                 tau *= _BACKTRACK
                 backtracks += 1
-                continue
-            # the level of s w on the Nehari set, J = 1/2 int (s w)^2
-            Jt = 0.5 * s * s * trial.M
-            ok_j = math.isfinite(Jt) and Jt <= J + j_slack
-            if constrained:
-                qt, regt = classify(trial.u, gb)
-                ok_region = regt.is_interior(i)
-            else:
-                qt, ok_region = None, True
-            if ok_j and ok_region:
-                accepted = True
+            if not accepted:
+                status = (SolveStatus.BOUNDARY_HIT if region_blocked
+                          else SolveStatus.LINE_SEARCH_FAILED)
                 break
-            if ok_j and not ok_region:
-                region_blocked = True
-                blocked += 1
-            tau *= _BACKTRACK
-            backtracks += 1
-        if not accepted:
-            status = (SolveStatus.BOUNDARY_HIT if region_blocked
-                      else SolveStatus.LINE_SEARCH_FAILED)
-            break
 
-        trial = trial.scaled(s)
-        du = trial.u - rec.u
-        if np.abs(du).max() <= _STALL * rec.u.max():
-            # the step moved no node beyond the rounding of the field: the
-            # descent has stalled at the floating-point floor
-            status = SolveStatus.LINE_SEARCH_FAILED
-            break
-        new_resid = trial.residual()
-        lbfgs.update(du, rec, trial, resid, new_resid)
-        rec, q, resid = trial, qt, new_resid
+            trial = trial.scaled(s)
+            du = trial.u - rec.u
+            if np.abs(du).max() <= _STALL * rec.u.max():
+                # the step moved no node beyond the rounding of the field: the
+                # descent has stalled at the floating-point floor
+                status = SolveStatus.LINE_SEARCH_FAILED
+                break
+            new_resid = trial.residual()
+            lbfgs.update(du, rec, trial, resid, new_resid)
+            rec, q, resid = trial, qt, new_resid
 
-    # the reported values are measured once, on the whole grid
-    u = _whole_field(gb, start, rec.u)
-    whole = energy(u, params, g)
-    gnorm = _projected_grad_norm(u, whole.residual(), g)
-    nres = whole.nehari_residual().value
-    if status == SolveStatus.CONVERGED and not (
-            gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
-        status = SolveStatus.BOX_TOO_SMALL
+        # the reported values are measured once, on the whole grid
+        u = _whole_field(gb, start, rec.u)
+        whole = energy(u, params, g)
+        gnorm = _projected_grad_norm(u, whole.residual(), g)
+        nres = whole.nehari_residual().value
+        if status != SolveStatus.CONVERGED or (
+                gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
+            break
+        if gb.shape == g.shape:
+            status = SolveStatus.BOX_TOO_SMALL
+            break
+        # converged on its box only: descend again from u on the box doubled
+        gb, start = _grown_box(gb), u
+
     stage = StageRecord(
         R=g.R, status=status, level=whole.level, grad_norm=gnorm, nehari_res=nres,
         barycenter=tuple(map(float, classify(u, g)[0])) if constrained else (),
@@ -809,6 +783,12 @@ def continue_in_R(
                         r_stabilized=settled and res.status == SolveStatus.CONVERGED)
 
 
+def _ground_radius(dim: int, h: float) -> float:
+    """The axis of `ground_level`: R = 10 in 1d and 8 in 2d, rounded up to
+    a multiple of h."""
+    return conforming_radius(10.0 if dim == 1 else 8.0, h)
+
+
 @lru_cache(maxsize=32)
 def _ground_level_cached(R: float, config: SolverConfig) -> float:
     """M1 = int phi^2 of the 1d ground state phi at omega = 0 on [-R, R]
@@ -838,7 +818,7 @@ def ground_level(omega: float, dim: int, config: SolverConfig) -> float:
     M1 = int phi^2 of the 1d ground state at omega = 0 on the same axis,
     solved once per (R, config).
     """
-    m1 = _ground_level_cached(conforming_radius(10.0 if dim == 1 else 8.0, config.h), config)
+    m1 = _ground_level_cached(_ground_radius(dim, config.h), config)
     return 0.5 * (math.exp(float(omega) / dim) * m1) ** dim
 
 
@@ -855,6 +835,12 @@ def solve_multiplicity(
     if config.R_schedule[0] <= potential.R0:
         raise ConfigError(
             f"first truncation radius {config.R_schedule[0]} must exceed R0 = {potential.R0}"
+        )
+    R = _ground_radius(potential.dim, config.h)
+    if R / config.h < 8.0:   # as `build_grid` requires
+        raise ConfigError(
+            f"numerics.h = {config.h} is too coarse for the ground-level axis R = {R}: "
+            f"need R/h >= 8"
         )
     params = EnergyParams(eps=eps, potential=potential)
     reach = float(np.linalg.norm(potential.wells, axis=1).max()) / eps + 5.0

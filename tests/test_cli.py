@@ -8,17 +8,20 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import lognls
 import lognls.cli as cli_mod
+import lognls.errors as errors_mod
 from lognls.cli import load_config, main
 from lognls.errors import ConfigError
 from lognls.grid import load_field
-from lognls.solver import SolverConfig
+from lognls.solver import SolveStatus, SolverConfig
 
 SINGLE_WELL = {
     "problem": {"dim": 1, "eps": 0.1, "wells": [[0.0]], "v_inf": 2.0, "width": 1.0},
@@ -316,6 +319,76 @@ def test_solve_out_of_regime_exits_1_with_partial_outputs(tmp_path):
     assert report["failures"] or any(
         w["status"] != "converged" for w in report["wells"])
     assert (out / "levels.csv").exists()
+
+
+@pytest.mark.parametrize("dim, wells, numerics", [
+    (1, [[0.0], [2.0]], {"h": 1.5, "R_schedule": [30.0]}),   # ground axis R = 10.5
+    (2, [[0.0, 0.0]], {"h": 1.2, "R_schedule": [12.0]}),     # ground axis R = 8.4
+    (1, [[0.0], [2.0]], {"h": 4.0, "R_schedule": [28.0]}),   # the radius itself
+], ids=["ground-axis-1d", "ground-axis-2d", "radius"])
+def test_spacing_too_coarse_for_the_run_is_a_config_error(tmp_path, capsys, dim, wells,
+                                                          numerics):
+    """An h with R/h < 8 on the ground-level axis, which the config never
+    names, or on a radius of the schedule is a config error naming
+    numerics.h (exit 2) before any solve, not a failed solve (exit 1)."""
+    cfg = {"problem": {"dim": dim, "eps": 0.1 if dim == 1 else 0.3, "wells": wells,
+                       "v_inf": 2.0, "width": 0.25},
+           "numerics": numerics, "outputs": {"verbosity": 0}}
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "numerics.h" in err and "R/h >= 8" in err
+    assert not (out / "report.json").exists()
+
+
+_WELL = st.floats(-2.0, 2.0).map(lambda x: round(x, 3))
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), spread=st.floats(0.0, 1.0),
+       extra=st.lists(st.tuples(_WELL, _WELL), max_size=2),
+       log_v=st.floats(math.log(1.0001), math.log(100.0)),
+       log_w=st.floats(math.log(0.01), math.log(5.0)),
+       coarse=st.booleans(), offset=st.sampled_from([0, 1, 3]),
+       step=st.one_of(st.none(), st.floats(2.0, 6.0)))
+def test_out_of_regime_runs_end_in_named_statuses(tmp_path_factory, dim, spread, extra,
+                                                  log_v, log_w, coarse, offset, step):
+    """Runs outside the regime of the theory: eps from 0.05 (0.4 in 2d,
+    which keeps the grid small) to 2, one to three wells, v_inf from 1.0001
+    to 100 and width from 0.01 to 5 (log-uniform), coarse grids, a first
+    radius 0, 1 or 3 beyond the least the solve admits and in half of the
+    runs a second radius. Every run exits 0 or 1 and writes its report, and
+    every well ends in a named status or a named failure, with no exception
+    and no numpy warning."""
+    wells = [[0.0] * dim] + [list(w[:dim]) for w in extra]
+    min_gap = min((math.dist(a, b) for k, a in enumerate(wells) for b in wells[k + 1:]),
+                  default=math.inf)
+    assume(min_gap >= 0.05)
+    lo, h = (0.05, 0.2 if coarse else 0.1) if dim == 1 else (0.4, 0.25 if coarse else 0.2)
+    eps = lo + spread * (2.0 - lo)
+    far = max(math.hypot(*w) for w in wells)
+    least = max(far / eps + 5.0, 2.0 * max(1.0, far) + h)
+    R1 = math.ceil(least / h - 1e-9) * h + offset
+    cfg = {
+        "problem": {"dim": dim, "eps": eps, "wells": wells, "v_inf": math.exp(log_v),
+                    "width": math.exp(log_w)},
+        "numerics": {"h": h, "R_schedule": [R1] if step is None
+                     else [R1, R1 + h * round(step / h)]},
+        "solver": {"max_iters": 500},
+        "outputs": {"dump_fields": False, "verbosity": 0},
+    }
+    tmp = tmp_path_factory.mktemp("out_of_regime")
+    out = tmp / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # numpy's floating-point warnings
+        code = main(["solve", "--config", str(_write(tmp, cfg)), "--out", str(out)])
+    assert code in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    statuses = {s.value for s in SolveStatus}
+    assert all(w["status"] in statuses for w in report["wells"])
+    assert all(issubclass(getattr(errors_mod, f["error"]), errors_mod.LogNLSError)
+               for f in report["failures"])
+    assert len(report["wells"]) + len(report["failures"]) == len(wells)
 
 
 def test_history_dump(tmp_path):

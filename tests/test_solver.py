@@ -1,13 +1,11 @@
 import math
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lognls.barycenter import q_eps, region_of
-from lognls.cli import load_config
 from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
 from lognls.errors import (ConfigError, DomainTooSmall, LogNLSError, NonPositiveEpsilon,
                            SeedOutsideRegion, SolverFailure)
@@ -15,6 +13,7 @@ from lognls.grid import (
     Grid,
     GridBox,
     build_grid,
+    conforming_radius,
     integrate,
     laplacian_apply,
     load_field,
@@ -33,10 +32,9 @@ from lognls.solver import (
     _boundary_ramp,
     _descent_box,
     _five_smooth,
+    _grown_box,
     _helmholtz_eigenvalues,
     _projected_grad_norm,
-    _ritz_box,
-    _ritz_seed,
     _seed_profile,
     _tail_damping,
     continue_in_R,
@@ -157,6 +155,25 @@ def test_precond_box_rule(dim, half, center, width, floor):
     assert np.all(inside.ravel()[g.interior_mask & (u >= floor * u.max())])
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(half=st.integers(8, 200), start=st.integers(0, 400), length=st.integers(0, 400))
+def test_grown_box_doubles_the_box_about_its_centre(half, start, length):
+    """The grown box holds the box and lies in the grid; its interior
+    length is at least twice the box's, with an FFT length 2(L+1) that has
+    no prime factor above 5, or the whole interior; and away from the
+    grid's edges its centre is the box's, to a node."""
+    g = build_grid(1, 0.1 * half, 0.1)
+    ni = g.n_axis - 2
+    length = 1 + length % ni
+    start %= ni - length + 1
+    grown = _grown_box(GridBox(g, (slice(start, start + length + 2),))).index[0]
+    new = grown.stop - grown.start - 2
+    assert 0 <= grown.start <= start and start + length + 2 <= grown.stop <= g.n_axis
+    assert new == ni or (new >= 2 * length and _five_smooth(2 * (new + 1)))
+    if 0 < grown.start and grown.stop < g.n_axis:
+        assert abs((grown.start + grown.stop) - (2 * start + length + 2)) <= 2
+
+
 def test_eigenvalue_cache_hits_across_new_grids():
     """The eigenvalues are cached per (box shape, h), so a sweep,
     which builds new grids at every eps and R stage, computes them once per
@@ -266,24 +283,19 @@ def test_seed_needs_margin(dw_spec):
 
 
 def test_seed_out_of_regime_barycenter(dw_spec):
+    # at eps = 8 the seed of well 2 (width b = 4, clipped) has its barycenter
+    # at q = 1.23, outside B_0.5(2)
     g = build_grid(1, 30.0, 0.05)
     cfg = SolverConfig(h=0.05, R_schedule=(30.0,))
-    params = EnergyParams(eps=5.0, potential=dw_spec)
+    params = EnergyParams(eps=8.0, potential=dw_spec)
     seed, _ = seed_well(1, params, g)
+    assert q_eps(seed, 8.0, dw_spec.R0, g)[0] == pytest.approx(1.23, abs=0.01)
     # the seed's barycenter is checked at the entry of the descent
     with pytest.raises(SeedOutsideRegion, match="of well 2 at z = "):
-        minimize_localized(seed, 1, 5.0, params, cfg, g)
+        minimize_localized(seed, 1, 8.0, params, cfg, g)
     # and a solve records it as that well's failure
-    outcome = solve_multiplicity(5.0, dw_spec, cfg)
+    outcome = solve_multiplicity(8.0, dw_spec, cfg)
     assert [(f.well_index, f.error) for f in outcome.failures] == [(1, "SeedOutsideRegion")]
-
-
-@pytest.mark.parametrize("dim, R, h", [(1, 10.0, 0.01), (2, 8.0, 0.1)])
-def test_ritz_seed_width_of_a_flat_well_is_one(dim, R, h):
-    # V = 1 has curvature a = 0, where the unit-width Gausson is exact
-    g = build_grid(dim, R, h)
-    _, b = _ritz_seed(EnergyParams(eps=1.0, potential=1.0), g, np.zeros(dim))
-    assert abs(b - 1.0) <= 0.05
 
 
 @pytest.mark.parametrize("dim, R, h", [(1, 30.0, 0.01), (1, 60.0, 0.01), (1, 13.3, 0.07),
@@ -294,72 +306,32 @@ def test_boundary_ramp_is_zero_exactly_on_the_boundary(dim, R, h):
     ramp = _boundary_ramp(g)
     assert np.all(ramp[~g.interior_mask] == 0.0)
     assert np.all(ramp[g.interior_mask] > 0.0)
-    phi = _seed_profile(g, ramp, sq_distance(g.axis, np.zeros(dim)), 1.0)
+    phi = _seed_profile(g, np.zeros(dim), 1.0)
     assert np.all(phi[~g.interior_mask] == 0.0)
 
 
-@pytest.mark.parametrize("wells, eps, R, h", [
-    ([[0.0], [2.0]], 0.1, 30.0, 0.05),
-    ([[0.0, 0.0], [2.0, 0.0]], 0.3, 12.0, 0.2),
-], ids=["1d", "2d"])
-def test_ritz_search_on_boxes_matches_the_whole_grid_search(monkeypatch, wells, eps,
-                                                            R, h):
-    """Each width is evaluated on the box where its profile reaches the
-    floor; the search picks the width and the seed of the whole-grid
-    search (the floor at 0), bit for bit. In 2d, well 2 at x = 6.67 has
-    its box cut by the domain edge at 12, as in the benchmark's 2d run."""
-    spec = make_multiwell(wells, 2.0, 0.25)
+@pytest.mark.parametrize("wells, v_inf, width, eps, b", [
+    ([[0.0], [2.0]], 2.0, 0.25, 0.1, 1.0385),
+    ([[0.0, 0.0], [2.0, 0.0]], 2.0, 0.25, 0.3, 1.2810),
+    ([[0.0], [1.0], [-1.5]], 1.0001, 5.0, 0.2, 1.0000),
+    ([[0.0, 0.0], [1.0, 1.0]], 1.0001, 5.0, 0.2, 1.0000),
+    ([[0.0], [3.0]], 100.0, 0.01, 0.6, 4.0),   # 6.52, clipped
+], ids=["dw1d", "dw2d", "flat1d", "flat2d", "steep"])
+def test_seed_well_returns_the_clipped_harmonic_width(wells, v_inf, width, eps, b):
+    """b solves b^2 - b = a with a = eps^2 (v_inf - 1)/width, clipped to
+    [0.5, 4]; every well of a run gets the same b, and its seed is the
+    Nehari-projected profile of that width."""
+    spec = make_multiwell(wells, v_inf, width)
     params = EnergyParams(eps=eps, potential=spec)
-    g = build_grid(len(wells[0]), R, h)
-    shipped = solver_mod._BOX_FLOOR
-    for z in spec.wells:
-        center = z / eps
-        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", 0.0)
-        assert _ritz_box(g, center, 4.0).shape == g.shape
-        whole, b_whole = _ritz_seed(params, g, center)
-        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", shipped)
-        boxed, b_boxed = _ritz_seed(params, g, center)
-        assert b_boxed == b_whole
-        assert np.array_equal(boxed, whole)
-        box = _ritz_box(g, center, b_boxed)
-        assert box.shape[-1] < g.n_axis
-        reach = math.sqrt(-math.log(shipped) / b_boxed)
-        for c, sl in zip(center, box.index):
-            held = np.flatnonzero(np.abs(g.axis - c) <= reach)
-            assert sl.start == max(held[0] - 1, 0) and sl.stop == min(held[-1] + 2, g.n_axis)
-    if g.dim == 2:
-        assert box.index[0].stop == g.n_axis
-
-
-@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
-def test_ritz_seed_on_boxes_matches_the_whole_grid_on_the_double_well(monkeypatch, eps):
-    """The shipped configuration's wells at each eps of the sweep: the seed
-    and its width on the boxes (`_ritz_box`) are those of the whole-grid
-    search, bit for bit."""
-    run = load_config(Path(__file__).resolve().parent.parent / "configs" / "double_well.json")
-    params = EnergyParams(eps=eps, potential=run.potential)
-    g = build_grid(run.potential.dim, run.solver.R_schedule[0], run.solver.h)
-    shipped = solver_mod._BOX_FLOOR
-    for z in run.potential.wells:
-        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", 0.0)
-        whole, b_whole = _ritz_seed(params, g, z / eps)
-        monkeypatch.setattr(solver_mod, "_BOX_FLOOR", shipped)
-        boxed, b_boxed = _ritz_seed(params, g, z / eps)
-        assert b_boxed == b_whole
-        assert np.array_equal(boxed, whole)
-
-
-def test_seed_well_returns_its_ritz_width(dw_spec):
-    g = build_grid(1, 30.0, 0.05)
-    params = EnergyParams(eps=0.1, potential=dw_spec)
-    seed, b = seed_well(0, params, g)
-    assert 1.0 < b < 4.0   # the well's curvature narrows the Gausson
-    # no nearby width seeds a lower Nehari level
-    ramp, d2 = _boundary_ramp(g), sq_distance(g.axis, dw_spec.wells[0] / 0.1)
-    for other in (0.9 * b, 1.1 * b):
-        phi = _seed_profile(g, ramp, d2, other)
-        phi *= nehari_scale(energy(phi, params, g))
-        assert energy(seed, params, g).level < energy(phi, params, g).level
+    g = build_grid(spec.dim, 30.0, 0.25)
+    a = eps * eps * (v_inf - 1.0) / width
+    closed = min(max(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a)), 0.5), 4.0)
+    assert closed == pytest.approx(b, abs=1e-4)
+    for i, z in enumerate(spec.wells):
+        seed, width_i = seed_well(i, params, g)
+        assert width_i == closed
+        phi = _seed_profile(g, z / eps, closed)
+        assert np.array_equal(seed, nehari_scale(energy(phi, params, g)) * phi)
 
 
 @pytest.mark.parametrize("z", [1.0, 1.5, 2.0])
@@ -632,27 +604,33 @@ def test_failed_line_search_has_own_status():
     assert res.iterations < cfg.max_iters
 
 
-@pytest.mark.parametrize("floor", [1e-8, 1.0])
-def test_box_cut_below_the_rule_ends_in_a_named_status(monkeypatch, dw_spec,
-                                                        floor):
+@pytest.mark.parametrize("floor, converges", [(1e-8, True), (1.0, False)],
+                         ids=["1e-08", "1.0"])
+def test_box_cut_below_the_rule_ends_in_a_named_status(monkeypatch, dw_spec, floor,
+                                                        converges):
     """A box cut inside the field's shoulder (1e-8: |y| <= 6.1) or down to
-    its peak spoils the result, not the program: the descent converges on
-    its box (at once on a one-node box), the whole-grid measurement misses
-    the tolerances, the ground-level solve raises SolverFailure and a well's
-    descent returns that named status, never an IndexError or another
-    crash."""
+    its peak (1.0: one node) spoils neither the result nor the program.
+    The descent converges on its box, misses the tolerances on the whole
+    grid and descends again on the box doubled. At 1e-8 the ground-level
+    solve and every well converge so; from the one-node box the well's
+    descent ends in a named status and the ground-level solve raises
+    SolverFailure, never an IndexError or another crash."""
     monkeypatch.setattr(solver_mod, "_BOX_FLOOR", floor)
     cfg = SolverConfig(h=0.05, R_schedule=(12.0, 16.0), max_iters=200)
-    with pytest.raises(SolverFailure) as failure:
-        solve_multiplicity(0.4, dw_spec, cfg)
-    ground = failure.value.result
-    assert ground.status == SolveStatus.BOX_TOO_SMALL
-    assert ground.stages[0].precond_box[0] < 0.7 * (2 * 10.0 / cfg.h)
     g = build_grid(1, 12.0, cfg.h)
     params = EnergyParams(eps=0.4, potential=dw_spec)
-    res = minimize_localized(seed_well(0, params, g)[0], 0, 0.4, params, cfg, g)
-    assert res.status == SolveStatus.BOX_TOO_SMALL
+    seed = seed_well(0, params, g)[0]
+    res = minimize_localized(seed, 0, 0.4, params, cfg, g)
+    assert res.stages[0].precond_box[0] > _descent_box(seed, g).shape[0] - 2
     assert np.all(res.u >= 0.0)
+    assert isinstance(res.status, SolveStatus)
+    assert (res.status == SolveStatus.CONVERGED) == converges
+    if converges:
+        assert solve_multiplicity(0.4, dw_spec, cfg).all_converged
+    else:
+        with pytest.raises(SolverFailure) as failure:
+            solve_multiplicity(0.4, dw_spec, cfg)
+        assert isinstance(failure.value.result.status, SolveStatus)
 
 
 def test_minimize_confined_iterates(dw_spec):
@@ -774,18 +752,18 @@ def test_lbfgs_memory_is_bounded():
 
 
 def test_double_well_iteration_bound(double_well_run):
-    # L-BFGS in the damped metric S(-L + 16)^{-1}S from the Ritz-width seed:
-    # 18 and 19 iterations per well (33 and 33 undamped from the unit-width
-    # seed, 80 and 85 with the metric -L + 1; 158 and 176 with the
-    # Barzilai-Borwein step)
+    # L-BFGS in the damped metric S(-L + 16)^{-1}S from the closed-form
+    # harmonic-width seed: 14 and 14 iterations per well (33 and 33
+    # undamped from the unit-width seed, 80 and 85 with the metric -L + 1;
+    # 158 and 176 with the Barzilai-Borwein step)
     for res in double_well_run["outcome"].results:
         assert res.iterations <= 30
 
 
 def test_double_well_2d_iteration_bound():
-    # 14,641 nodes: 14 and 15 iterations per well in the damped metric from
-    # the Ritz-width seed (21 and 26 undamped from the unit-width seed, 56
-    # and 75 with -L + 1)
+    # 14,641 nodes: 14 and 14 iterations per well in the damped metric from
+    # the closed-form harmonic-width seed (21 and 26 undamped from the
+    # unit-width seed, 56 and 75 with -L + 1)
     spec = make_multiwell([[0.0, 0.0], [2.0, 0.0]], 2.0, 0.25)
     cfg = SolverConfig(h=0.2, R_schedule=(12.0,), grad_tol=1e-6)
     out = solve_multiplicity(0.3, spec, cfg)
@@ -927,16 +905,66 @@ def test_continuation_monotone_double_well(double_well_run):
         assert res.r_stabilized
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1, a continuation stage must be able to grow its box: the "
-    "box is drawn from the zero-extended start field, so it never reaches past "
-    "the old boundary and well 2 ends box_too_small"))
-def test_well_near_the_first_radius_converges_after_continuation(dw_spec):
-    # well 2 sits at y = 20, a margin of 5 inside R = 25
-    cfg = SolverConfig(h=0.01, R_schedule=(25.0, 50.0))
-    outcome = solve_multiplicity(0.1, dw_spec, cfg)
-    assert [r.status for r in outcome.results] == [SolveStatus.CONVERGED] * 2
-    assert not outcome.failures
+@pytest.mark.parametrize("dim, eps, h, schedule, grad_tol, box", [
+    (1, 0.1, 0.01, (25.0, 50.0), 1e-8, [2915]),
+    (1, 0.1, 0.01, (26.0, 52.0), 1e-8, [3199]),
+    (2, 0.3, 0.1, (12.0, 16.0), 1e-6, [287, 319]),
+    (2, 0.3, 0.1, (12.0, 18.0), 1e-6, [287, 359]),
+], ids=["1d-25-50", "1d-26-52", "2d-12-16", "2d-12-18"])
+def test_well_near_the_first_radius_converges_after_continuation(dim, eps, h, schedule,
+                                                                 grad_tol, box):
+    """Well 2 sits 5 or 6 inside the first radius in 1d (y = 20 inside
+    R = 25 or 26) and 5.3 in 2d (x = 6.67 inside R = 12). The box of its
+    second stage, drawn from the zero-extended field, ends at the old
+    boundary; it grows (in 1d from 1457 and 1599 nodes, in 2d from
+    143 x 179) until the stage converges on the whole grid, R-stabilized.
+    Before boxes grew, each of these wells ended `box_too_small`."""
+    spec = make_multiwell([[0.0] * dim, [2.0] + [0.0] * (dim - 1)], 2.0, 0.25)
+    cfg = SolverConfig(h=h, R_schedule=schedule, grad_tol=grad_tol)
+    outcome = solve_multiplicity(eps, spec, cfg)
+    assert outcome.all_converged
+    assert all(r.r_stabilized for r in outcome.results)
+    assert outcome.results[1].stages[1].precond_box == box
+
+
+def test_first_stage_box_grows_to_the_solution():
+    """A solution wider than its seed's box: at v_inf 10 and width 0.01 the
+    seed of the clipped width 4 draws a box of 95 nodes, the first stage
+    converges on it and misses on the whole grid, and its box grows to the
+    whole interior of 119; before boxes grew the well ended
+    `box_too_small`."""
+    spec = make_multiwell([[0.0]], 10.0, 0.01)
+    outcome = solve_multiplicity(0.6, spec, SolverConfig(h=0.1, R_schedule=(6.0,)))
+    assert outcome.all_converged and outcome.results[0].r_stabilized
+    assert outcome.results[0].stages[0].precond_box == [119]
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), spread=st.floats(0.0, 1.0),
+       distance=st.floats(1.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi),
+       margin=st.floats(5.0, 8.0), step=st.floats(2.0, 6.0))
+def test_in_regime_wells_converge_and_are_r_stabilized(dim, spread, distance, angle,
+                                                       margin, step):
+    """Two wells, the second at the distance and angle given (in 1d on the
+    side of cos(angle)), eps from 0.1 (0.3 in 2d, which keeps the grid
+    small) to 0.5, a first radius the margin beyond the second well and a
+    second radius about step beyond that, on coarse grids: every well
+    converges and is R-stabilized. Without boxes that grow, about a quarter
+    of the wells of this space ended `box_too_small`, most of them at
+    margins below 7. The audit status is not asserted: at eps near 0.5 a 2d
+    level can lie above c0 + gamma."""
+    lo, h, grad_tol = (0.1, 0.05, 1e-8) if dim == 1 else (0.3, 0.2, 1e-6)
+    eps = lo + spread * (0.5 - lo)
+    if dim == 1:
+        z = [math.copysign(distance, math.cos(angle))]
+    else:
+        z = [distance * math.cos(angle), distance * math.sin(angle)]
+    spec = make_multiwell([[0.0] * dim, z], 2.0, 0.25)
+    R1 = conforming_radius(distance / eps + margin, h)
+    cfg = SolverConfig(h=h, R_schedule=(R1, R1 + h * round(step / h)), grad_tol=grad_tol)
+    outcome = solve_multiplicity(eps, spec, cfg)
+    assert outcome.all_converged
+    assert all(r.r_stabilized for r in outcome.results)
 
 
 # --- multiplicity pipeline ---------------------------------------------------
