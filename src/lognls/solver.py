@@ -1,9 +1,12 @@
 """Localized Nehari minimization: seeding, descent, continuation in R.
 
-One solution per potential well: seed a translated Gausson at z_i/eps,
-ramped to zero at the boundary of the truncated domain only, with the
-closed-form width of the well's harmonic ground state, project onto the
-Nehari set, then run monotone projected descent that rejects any step
+One solution per potential well: seed well 1 with a translated Gausson at
+z_1/eps, ramped to zero at the boundary of the truncated domain only, with
+the closed-form width of the well's harmonic ground state, and each later
+well with well 1's converged solution shifted by (z_i - z_1)/eps
+(`_shifted_seed`), or with its own Gausson where well 1 did not converge
+or the shifted seed's barycenter lies outside B_rho0(z_i); project onto
+the Nehari set, then run monotone projected descent that rejects any step
 whose barycenter leaves the ball B_rho0(z_i). Its direction is L-BFGS
 with the initial inverse Hessian S(-L + c)^{-1}S: the shifted H^1 metric,
 c = _H1_SHIFT, damped by S where the Hessian's multiplication part
@@ -14,9 +17,9 @@ the starting field exceeds _BOX_FLOOR times its peak, plus a one-node
 frame whose values are its Dirichlet data; off the box every iterate
 stays one multiple of the start. The result is measured once on the
 whole grid, and a stage converges only if that measurement does: a
-descent that converged on its box only runs again on the box doubled
-(`_grown_box`), until the stage converges on the whole grid or its box is
-the whole grid. A well's solution is continued through an increasing
+descent that converged or stalled on its box only runs again on the box
+doubled (`_grown_box`), until the stage converges on the whole grid or its
+box is the whole grid. A well's solution is continued through an increasing
 schedule of truncation radii, one stage per radius, until the level and
 barycenter stabilize (`continue_in_R`).
 
@@ -34,7 +37,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft import rfft
+from numpy.fft import fftfreq, irfftn, rfft, rfftfreq, rfftn
 
 from .barycenter import Region, q_eps, region_of
 from .energy import EnergyParams, Evaluation, energy, nehari_scale
@@ -95,13 +98,16 @@ _LBFGS_MEMORY = 8
 # by at most 4 on each run and 16 is best on the sweep, so c stays 16
 _H1_SHIFT = 16.0
 # the box of the descent spans, on each axis, the nodes where
-# u >= _BOX_FLOOR max u of the starting field: |y| <= 9.6 about a unit-width
-# Gausson's centre. On the 1d double well, the 1d sweep at eps = 0.4, 0.2,
-# 0.1 and the 2d double well no box grows (`_grown_box`) for any floor from
-# 1e-20 to 1e-15, and well iterations stay 14+14 / 23+23 / 18+18 / 14+14 /
-# 13+13; at 1e-14 and 1e-12 (|y| <= 7.4) the first boxes of both wells at
-# eps = 0.4 grow (27 and 28 iterations), and at 1e-10 every well's does
-_BOX_FLOOR = 1e-20
+# u >= _BOX_FLOOR max u of the starting field: |y| <= 8.3 about a unit-width
+# Gausson's centre. From the closed-form seed, on the 1d double well, the 1d
+# sweep at eps = 0.4, 0.2, 0.1 and the 2d double well no box grows
+# (`_grown_box`) for any floor from 1e-20 to 1e-15, and well iterations stay
+# 14+14 / 23+23 / 18+18 / 14+14 / 13+13; at 1e-14 and 1e-12 (|y| <= 7.4)
+# the first boxes of both wells at eps = 0.4 grow (27 and 28 iterations),
+# and at 1e-10 every well's does. 1e-15 is the least floor without growth,
+# and it lies above the rounding noise, about 1e-16 of the peak, that the
+# Fourier shift of `_shifted_seed` leaves beyond the shifted well's box
+_BOX_FLOOR = 1e-15
 # theta of the fraction-to-boundary trial max(u - tau d, theta u) (Waechter &
 # Biegler, Math. Program. 106, 2006), which keeps a positive iterate positive.
 # Well iterations on the 1d double well, the 1d sweep at eps = 0.4 and 0.2
@@ -215,9 +221,10 @@ class SolveResult(NamedTuple):
     `minimize_localized` gives one stage, `continue_in_R` the stages and
     history of every R stage, whether the level and barycenter stabilized
     in R and the last stage-to-stage level gap, and `solve_multiplicity`
-    the Gausson width b of its seed. The status, level and whole-grid
-    measurement are its last stage's, the final radius its grid's and the
-    iterations the sum over its stages."""
+    the closed-form Gausson width b of the wells' seeds and whether this
+    well's seed was well 1's solution shifted. The status, level and
+    whole-grid measurement are its last stage's, the final radius its
+    grid's and the iterations the sum over its stages."""
 
     u: np.ndarray
     grid: Grid
@@ -227,6 +234,7 @@ class SolveResult(NamedTuple):
     r_stabilized: bool = False
     continuation_gap: float = 0.0
     seed_width: float = math.nan
+    seed_shifted: bool = False
 
     status = property(lambda self: self.stages[-1].status)
     level = property(lambda self: self.stages[-1].level)
@@ -349,6 +357,49 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
     width = min(max(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a)), _SEED_WIDTHS[0]), _SEED_WIDTHS[1])
     u0 = _seed_profile(g, center, width)
     return nehari_scale(energy(u0, params, g)) * u0, width
+
+
+def _shifted_seed(first: SolveResult, i: int, params: EnergyParams, g: Grid) -> np.ndarray | None:
+    """The seed of well i from well 1's result `first`: its field on the
+    grid g of the first radius, translated by (z_i - z_1)/eps, kept on
+    that field's live box (`_descent_box`) moved by the nearest whole
+    number of nodes and zero off it, clamped at 0, floored, ramped to zero
+    at the boundary and Nehari-projected; None where that seed's
+    barycenter lies outside B_rho0(z_i).
+
+    Every well of `make_multiwell`'s potential has the same dip, so up to
+    an exponentially small interaction well i's solution is well 1's
+    translated. The translation is a Fourier phase along each axis, one
+    rule for whole and fractional node offsets; its rounding noise, about
+    1e-16 of the peak, lies below _BOX_FLOOR. The transform runs on the
+    axis zero-padded to the least length with no prime factor above 5: at
+    the 241 nodes of a 2d axis it took 7.5 ms unpadded and 1.3 ms padded
+    to 243. It is periodic, so it wraps well 1's tail onto the far face;
+    the moved box leaves that out, and with it the seed's own box is well
+    1's moved."""
+    spec = params.potential
+    k = round((first.grid.R - g.R) / g.h)
+    u1 = GridBox(first.grid, (slice(k, k + g.n_axis),) * g.dim).take(first.u)
+    shift = (spec.wells[i] - spec.wells[0]) / (params.eps * g.h)
+    n = g.n_axis
+    while not _five_smooth(n):
+        n += 1
+    size, axes = (n,) * g.dim, range(g.dim)
+    coeff = rfftn(u1.reshape(g.shape), s=size, axes=axes)
+    for a, s in enumerate(shift):
+        freq = rfftfreq(n) if a == g.dim - 1 else fftfreq(n)
+        coeff *= np.exp(-2j * math.pi * s * freq).reshape((-1,) + (1,) * (g.dim - 1 - a))
+    moved = irfftn(coeff, s=size, axes=axes)
+    keep = tuple(slice(*np.clip([sl.start + round(s), sl.stop + round(s)], 0, g.n_axis))
+                 for sl, s in zip(_descent_box(u1, g).index, shift))
+    u0 = np.zeros(g.shape)
+    u0[keep] = np.maximum(moved[keep], 0.0)
+    u0 = u0.ravel()
+    u0 += _SEED_FLOOR
+    u0 *= _boundary_ramp(g)
+    u0 *= nehari_scale(energy(u0, params, g))
+    q = q_eps(u0, params.eps, spec.R0, g)
+    return u0 if region_of(q, spec.rho0, spec.wells).is_interior(i) else None
 
 
 @lru_cache(maxsize=64)
@@ -609,11 +660,13 @@ def minimize_localized(
     returned field is the box's on the box and that multiple of |seed| off
     it; its level, gradient norm and Nehari residual are read from one
     evaluation record on the whole grid, its barycenter from one q_eps
-    there. A descent that converged on its box but whose measurement
-    misses a tolerance runs again from the returned field, with no L-BFGS
-    pair, on the box doubled (`_grown_box`); its history continues from
-    the iteration it stopped at, with a row measured on the grown box. A
-    stage whose box is the whole grid and still misses ends BOX_TOO_SMALL.
+    there. A descent that converged or ended LINE_SEARCH_FAILED on its box
+    but whose measurement misses a tolerance runs again from the returned
+    field, with no L-BFGS pair, on the box doubled (`_grown_box`); its
+    history continues from the iteration it stopped at, with a row
+    measured on the grown box. A stage that converged on a box that is
+    the whole grid and still misses ends BOX_TOO_SMALL; one that stalled
+    there stays LINE_SEARCH_FAILED.
 
     The descent starts from |seed|, and both the trial and the rescale keep
     the sign of every node, so every iterate, the returned field included,
@@ -726,13 +779,15 @@ def minimize_localized(
         whole = energy(u, params, g)
         gnorm = _projected_grad_norm(u, whole.residual(), g)
         nres = whole.nehari_residual().value
-        if status != SolveStatus.CONVERGED or (
+        if status not in (SolveStatus.CONVERGED, SolveStatus.LINE_SEARCH_FAILED) or (
                 gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
             break
         if gb.shape == g.shape:
-            status = SolveStatus.BOX_TOO_SMALL
+            if status == SolveStatus.CONVERGED:
+                status = SolveStatus.BOX_TOO_SMALL
             break
-        # converged on its box only: descend again from u on the box doubled
+        # converged or stalled on its box only: descend again from u on the
+        # box doubled
         gb, start = _grown_box(gb), u
 
     stage = StageRecord(
@@ -830,7 +885,13 @@ def solve_multiplicity(
     """One localized solve per well, continued through the R schedule.
 
     Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf. Each result carries its seed width.
+    the reference levels c0 < c_inf. Well 1 starts from its closed-form
+    seed (`seed_well`); once it has converged, every later well starts
+    from well 1's solution shifted to its own well (`_shifted_seed`),
+    falling back to its closed-form seed where that seed's barycenter lies
+    outside its ball. Each result carries the closed-form seed width b,
+    the same for every well, and whether its seed was shifted; a shifted
+    well waits for well 1.
     """
     if config.R_schedule[0] <= potential.R0:
         raise ConfigError(
@@ -856,10 +917,17 @@ def solve_multiplicity(
 
     results: list[SolveResult] = []
     failures: list[WellFailure] = []
+    first = None   # well 1's result, once it has converged
     for i in range(potential.l):
         try:
-            seed, width = seed_well(i, params, g0)
-            results.append(continue_in_R(seed, i, params, config, g0)._replace(seed_width=width))
+            seed = _shifted_seed(first, i, params, g0) if first is not None else None
+            shifted = seed is not None
+            if not shifted:   # else width stays well 1's, the b of every well
+                seed, width = seed_well(i, params, g0)
+            res = continue_in_R(seed, i, params, config, g0)
+            results.append(res._replace(seed_width=width, seed_shifted=shifted))
+            if i == 0 and res.status == SolveStatus.CONVERGED:
+                first = res
         except LogNLSError as exc:
             failures.append(WellFailure(i, type(exc).__name__, str(exc)))
 

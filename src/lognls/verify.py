@@ -228,6 +228,7 @@ def audit(outcome) -> VerificationReport:
             "R_final": res.R_final,
             "iterations": res.iterations,
             "seed_width": res.seed_width,
+            "seed_shifted": res.seed_shifted,
             "r_stabilized": res.r_stabilized,
             "continuation_gap": res.continuation_gap,
             "weak_res": weak_residual(res.u, params, res.grid),

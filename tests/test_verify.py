@@ -206,6 +206,14 @@ def test_audit_fails_on_unstabilized_well(double_well_run):
     assert rep.wells[1]["continuation_gap"] == results[1].continuation_gap
 
 
+def test_report_names_the_seed_of_each_well(double_well_run):
+    """Well 2 of the double well starts from well 1's solution shifted;
+    both record the one closed-form seed width."""
+    rep = audit(double_well_run["outcome"])
+    assert [w["seed_shifted"] for w in rep.wells] == [False, True]
+    assert rep.wells[0]["seed_width"] == rep.wells[1]["seed_width"]
+
+
 def test_audit_is_deterministic(double_well_run):
     out = double_well_run["outcome"]
     rep1 = audit(out)
