@@ -261,7 +261,6 @@ def cmd_solve(args) -> int:
             if cfg.dump_history:
                 _write_history(fields / f"history_well{r.well_index + 1}.csv", r)
 
-    ok = outcome.all_converged and report.status == 0
     if cfg.verbosity:
         print(f"c0 = {outcome.c0!r}  c_inf = {outcome.c_inf!r}  gamma = {outcome.gamma!r}")
         for r in outcome.results:
@@ -270,7 +269,7 @@ def cmd_solve(args) -> int:
         for f in outcome.failures:
             print(f"well {f.well_index + 1}: FAILED {f.error}: {f.message}")
         print(f"audit status: {report.status}  -> wrote {out}")
-    return 0 if ok else 1
+    return report.status   # 1 when any well failed or did not converge
 
 
 def _check(name, ok, margin, verbose, lines):

@@ -39,6 +39,7 @@ __all__ = [
     "Grid",
     "GridBox",
     "build_grid",
+    "check_radii",
     "conforming_radius",
     "sq_distance",
     "laplacian_apply",
@@ -190,26 +191,37 @@ class GridBox:
         return hit[1]
 
 
+def check_radii(h: float, radii) -> None:
+    """Check, building no grid, that a grid of spacing h can be built at
+    each radius, h > 0 dividing 2R to within 1e-9 relative with R/h >= 8,
+    and a field carried across each step between consecutive radii, a
+    whole number of nodes to within 1e-9."""
+    if h <= 0.0:
+        raise NonPositiveSpacing(f"spacing must be positive, got h={h}")
+    for R in radii:
+        m = 2.0 * R / h
+        if abs(m - round(m)) > 1e-9 * abs(m):
+            raise NonConformingSpacing(f"2R/h = {m} is not an integer")
+        if R / h < 8.0:
+            raise DomainTooCoarse(f"need R/h >= 8, got R={R}, h={h}")
+    for a, b in zip(radii, radii[1:]):
+        shift = (b - a) / h
+        if abs(shift - round(shift)) > 1e-9:
+            raise SpacingMismatch(f"node lattices do not align: (R_new - R_old)/h = {shift}")
+
+
 @lru_cache(maxsize=32)
 def build_grid(dim: int, R: float, h: float) -> Grid:
-    """The uniform grid covering [-R, R]^dim with spacing h.
-
-    Requires R/h >= 8 and that h divides 2R to within 1e-9 relative. Built
-    once per (dim, R, h) and process: every call with equal arguments
-    returns the same grid, whose arrays are read-only, so every well, R
-    stage and eps of a run shares one grid per radius and, with it, every
-    table cached on that grid.
+    """The uniform grid covering [-R, R]^dim with spacing h, at a radius
+    `check_radii` admits. Built once per (dim, R, h) and process: every
+    call with equal arguments returns the same grid, whose arrays are
+    read-only, so every well, R stage and eps of a run shares one grid per
+    radius and, with it, every table cached on that grid.
     """
     if dim not in (1, 2):
         raise GridMismatch(f"dim must be 1 or 2, got {dim}")
-    if h <= 0.0:
-        raise NonPositiveSpacing(f"spacing must be positive, got h={h}")
-    m = 2.0 * R / h
-    m_int = round(m)
-    if m_int >= 1 and abs(m - m_int) > 1e-9 * m:
-        raise NonConformingSpacing(f"2R/h = {m} is not an integer")
-    if R <= 0.0 or R / h < 8.0:
-        raise DomainTooCoarse(f"need R/h >= 8, got R={R}, h={h}")
+    check_radii(h, (R,))
+    m_int = round(2.0 * R / h)
 
     axis = np.linspace(-R, R, m_int + 1)
     w1 = np.full(m_int + 1, h)
@@ -274,23 +286,6 @@ def integrate(g: Grid | GridBox, values: np.ndarray) -> float:
     return float(np.einsum("i,i->", g.quad_weights, values))
 
 
-def _embed_offset(g_old: Grid, g_new: Grid) -> int:
-    """Index offset of g_old's first axis node inside g_new's axis."""
-    if g_old.dim != g_new.dim:
-        raise GridMismatch(
-            f"dimensions differ: {g_old.dim} vs {g_new.dim}"
-        )
-    if abs(g_old.h - g_new.h) > 1e-12 * g_old.h:
-        raise SpacingMismatch(f"spacings differ: {g_old.h} vs {g_new.h}")
-    shift = (g_new.R - g_old.R) / g_new.h
-    k = round(shift)
-    if abs(shift - k) > 1e-9:
-        raise SpacingMismatch(
-            f"node lattices do not align: (R_new - R_old)/h = {shift}"
-        )
-    return k
-
-
 def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
     """Embed a field into a larger same-spacing grid, padding with zeros."""
     u = g_old.check_field(u)
@@ -298,7 +293,12 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
         raise ShrinkingDomain(
             f"target radius {g_new.R} smaller than source {g_old.R}"
         )
-    k = _embed_offset(g_old, g_new)
+    if g_old.dim != g_new.dim:
+        raise GridMismatch(f"dimensions differ: {g_old.dim} vs {g_new.dim}")
+    if abs(g_old.h - g_new.h) > 1e-12 * g_old.h:
+        raise SpacingMismatch(f"spacings differ: {g_old.h} vs {g_new.h}")
+    check_radii(g_new.h, (g_old.R, g_new.R))
+    k = round((g_new.R - g_old.R) / g_new.h)
     out = np.zeros(g_new.shape)
     out[(slice(k, k + g_old.n_axis),) * g_old.dim] = u.reshape(g_old.shape)
     return out.ravel()

@@ -53,6 +53,7 @@ from .grid import (
     Grid,
     GridBox,
     build_grid,
+    check_radii,
     conforming_radius,
     integrate,
     sq_distance,
@@ -154,7 +155,8 @@ class StageRecord(NamedTuple):
     but moved the barycenter out of its ball, precond_box the interior
     node count per axis of the box its last descent ran on (`_descent_box`,
     `_grown_box`; the frame around it not counted), which is also the box
-    of its H^1 solve. The counts sum over the stage's descents.
+    of its H^1 solve, and box_growths the number of times its box was
+    doubled. The counts sum over the stage's descents.
     """
 
     R: float
@@ -169,6 +171,16 @@ class StageRecord(NamedTuple):
     backtracks: int
     region_blocked: int
     precond_box: list[int]
+    box_growths: int
+
+
+def _check_radii(h: float, radii: tuple[float, ...], what: str) -> None:
+    """`check_radii` as a ConfigError that names numerics.h and what the
+    radii are."""
+    try:
+        check_radii(h, radii)
+    except LogNLSError as exc:
+        raise ConfigError(f"numerics.h = {h} does not fit {what}: {exc}") from exc
 
 
 class SolverConfig:
@@ -188,21 +200,7 @@ class SolverConfig:
             raise ConfigError(f"R_schedule must be strictly increasing: {sched}")
         if not 0.0 < h < math.inf:
             raise ConfigError(f"h must be positive and finite, got {h}")
-        # with the tolerances of `build_grid`, which builds each stage's grid,
-        # and `zero_extend`, which carries a field from one stage to the next
-        widths = [2.0 * r / h for r in sched]
-        shifts = [(b - a) / h for a, b in zip(sched, sched[1:])]
-        if any(abs(m - round(m)) > 1e-9 * abs(m) for m in widths) or any(
-                abs(k - round(k)) > 1e-9 for k in shifts):
-            raise ConfigError(
-                f"R_schedule {sched}: h = {h} must divide every 2R and "
-                f"every step between radii"
-            )
-        if any(r / h < 8.0 for r in sched):   # as `build_grid` requires
-            raise ConfigError(
-                f"numerics.h = {h} is too coarse for R_schedule {sched}: every radius "
-                f"needs R/h >= 8"
-            )
+        _check_radii(h, sched, f"R_schedule {sched}")
         if not (0.0 < grad_tol < math.inf and 0.0 < nehari_tol < math.inf):
             raise ConfigError(
                 f"grad_tol/nehari_tol must be positive and finite, got {grad_tol}/{nehari_tol}"
@@ -214,6 +212,18 @@ class SolverConfig:
         self.grad_tol = grad_tol
         self.nehari_tol = nehari_tol
         self.max_iters = max_iters
+        # the gradient-norm bar a stage converges at: half of grad_tol, the
+        # bar a nonnegative iterate always had; grad_tol would loosen it
+        self.grad_bar = 0.5 * grad_tol
+
+    def converged(self, grad_norm: float, nehari_res: float) -> bool:
+        """Whether a stage's measurement meets grad_bar and nehari_tol."""
+        return grad_norm <= self.grad_bar and nehari_res <= self.nehari_tol
+
+    def level_bound(self, level: float) -> float:
+        """nehari_tol * max(1, |J|): the audit characterizes a level J, and
+        continue_in_R compares R stages, within it."""
+        return self.nehari_tol * max(1.0, abs(level))
 
 
 class SolveResult(NamedTuple):
@@ -276,10 +286,8 @@ class MultiplicityOutcome(NamedTuple):
 
     @property
     def all_converged(self) -> bool:
-        spec = self.params.potential
-        return not self.failures and len(self.results) == spec.l and all(
-            r.status == SolveStatus.CONVERGED for r in self.results
-        )
+        # each well yields one result or one failure
+        return not self.failures and all(r.status == SolveStatus.CONVERGED for r in self.results)
 
 
 def _smootherstep(t: np.ndarray) -> np.ndarray:
@@ -319,15 +327,25 @@ def gausson(g: Grid, omega: float) -> np.ndarray:
     return u
 
 
-def _seed_profile(g: Grid, center: np.ndarray, width: float) -> np.ndarray:
-    """ramp * (A exp(-b |x - center|^2/2) + floor), A = e^((N+1)/2), zero on
-    the boundary through the ramp: the seed of width b before its Nehari
-    projection."""
-    u0 = np.exp(-0.5 * width * sq_distance(g.axis, center))
-    u0 *= math.exp(0.5 * (g.dim + 1.0))
+def _finish_seed(u0: np.ndarray, g: Grid, params: EnergyParams | None) -> np.ndarray:
+    """The last steps of every seed, on the nonnegative profile u0 in place:
+    floored by _SEED_FLOOR to stay strictly positive, ramped to zero at the
+    boundary (`_boundary_ramp`) and, given params, Nehari-projected."""
     u0 += _SEED_FLOOR
     u0 *= _boundary_ramp(g)
+    if params is not None:
+        u0 *= nehari_scale(energy(u0, params, g))
     return u0
+
+
+def _seed_profile(g: Grid, center: np.ndarray, width: float,
+                  params: EnergyParams | None = None) -> np.ndarray:
+    """ramp * (A exp(-b |x - center|^2/2) + floor), A = e^((N+1)/2), zero on
+    the boundary through the ramp: the seed of width b, Nehari-projected
+    given params (`_finish_seed`)."""
+    u0 = np.exp(-0.5 * width * sq_distance(g.axis, center))
+    u0 *= math.exp(0.5 * (g.dim + 1.0))
+    return _finish_seed(u0, g, params)
 
 
 def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]:
@@ -346,17 +364,9 @@ def seed_well(i: int, params: EnergyParams, g: Grid) -> tuple[np.ndarray, float]
     spec = params.potential
     if not isinstance(spec, PotentialSpec):
         raise ConfigError("seed_well needs a multi-well PotentialSpec")
-    center = spec.wells[i] / params.eps
-    margin = g.R - float(np.linalg.norm(center))
-    if margin < 5.0:
-        raise DomainTooSmall(
-            f"well {i} at |z|/eps = {np.linalg.norm(center):.3f} needs margin >= 5 "
-            f"inside R = {g.R}"
-        )
     a = params.eps ** 2 * (spec.v_inf - 1.0) / spec.width
     width = min(max(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a)), _SEED_WIDTHS[0]), _SEED_WIDTHS[1])
-    u0 = _seed_profile(g, center, width)
-    return nehari_scale(energy(u0, params, g)) * u0, width
+    return _seed_profile(g, spec.wells[i] / params.eps, width, params), width
 
 
 def _shifted_seed(first: SolveResult, i: int, params: EnergyParams, g: Grid) -> np.ndarray | None:
@@ -394,10 +404,7 @@ def _shifted_seed(first: SolveResult, i: int, params: EnergyParams, g: Grid) -> 
                  for sl, s in zip(_descent_box(u1, g).index, shift))
     u0 = np.zeros(g.shape)
     u0[keep] = np.maximum(moved[keep], 0.0)
-    u0 = u0.ravel()
-    u0 += _SEED_FLOOR
-    u0 *= _boundary_ramp(g)
-    u0 *= nehari_scale(energy(u0, params, g))
+    u0 = _finish_seed(u0.ravel(), g, params)
     q = q_eps(u0, params.eps, spec.R0, g)
     return u0 if region_of(q, spec.rho0, spec.wells).is_interior(i) else None
 
@@ -683,7 +690,7 @@ def minimize_localized(
     start = np.abs(g.check_field(seed))
     gb = _descent_box(start, g)
     history: list[HistoryRow] = []
-    it = trials = backtracks = blocked = 0
+    it = trials = backtracks = blocked = growths = 0
     while True:
         # one evaluation record per field: the current iterate and the trial
         rec = energy(gb.take(start), params, gb)
@@ -716,8 +723,7 @@ def minimize_localized(
                 barycenter=tuple(q) if q is not None else (),
                 step=tau,
             ))
-            # half of grad_tol, the bar a nonnegative iterate always had; grad_tol would loosen it
-            if gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol:
+            if config.converged(gnorm, nres):
                 status = SolveStatus.CONVERGED
                 break
             if it == config.max_iters:
@@ -780,7 +786,7 @@ def minimize_localized(
         gnorm = _projected_grad_norm(u, whole.residual(), g)
         nres = whole.nehari_residual().value
         if status not in (SolveStatus.CONVERGED, SolveStatus.LINE_SEARCH_FAILED) or (
-                gnorm <= 0.5 * config.grad_tol and nres <= config.nehari_tol):
+                config.converged(gnorm, nres)):
             break
         if gb.shape == g.shape:
             if status == SolveStatus.CONVERGED:
@@ -789,6 +795,7 @@ def minimize_localized(
         # converged or stalled on its box only: descend again from u on the
         # box doubled
         gb, start = _grown_box(gb), u
+        growths += 1
 
     stage = StageRecord(
         R=g.R, status=status, level=whole.level, grad_norm=gnorm, nehari_res=nres,
@@ -796,7 +803,7 @@ def minimize_localized(
         level_R_error=_level_R_error(
             u, g, float(np.abs(spec.wells[i]).max()) / eps if constrained else 0.0),
         iterations=it, trials=trials, backtracks=backtracks, region_blocked=blocked,
-        precond_box=[n - 2 for n in gb.shape])
+        precond_box=[n - 2 for n in gb.shape], box_growths=growths)
     return SolveResult(u=u, grid=g, well_index=i, stages=[stage], history=history)
 
 
@@ -820,7 +827,7 @@ def continue_in_R(
     res = minimize_localized(seed, i, params.eps, params, config, g)
     history, stages = list(res.history), list(res.stages)
     gap, settled = 0.0, len(config.R_schedule) == 1 and (
-        res.stages[-1].level_R_error <= config.nehari_tol * max(1.0, abs(res.level)))
+        res.stages[-1].level_R_error <= config.level_bound(res.level))
     for R in config.R_schedule[1:]:
         if settled or res.status != SolveStatus.CONVERGED:
             break
@@ -830,7 +837,7 @@ def continue_in_R(
         new = minimize_localized(start, i, params.eps, params, config, g)
         gap = abs(new.level - res.level)
         q_gap = 0.0 if i is None else float(np.linalg.norm(new.barycenter - res.barycenter))
-        settled = gap <= config.nehari_tol * max(1.0, abs(new.level)) and q_gap <= 1e-4
+        settled = gap <= config.level_bound(new.level) and q_gap <= 1e-4
         history += new.history
         stages += new.stages
         res = new
@@ -898,11 +905,7 @@ def solve_multiplicity(
             f"first truncation radius {config.R_schedule[0]} must exceed R0 = {potential.R0}"
         )
     R = _ground_radius(potential.dim, config.h)
-    if R / config.h < 8.0:   # as `build_grid` requires
-        raise ConfigError(
-            f"numerics.h = {config.h} is too coarse for the ground-level axis R = {R}: "
-            f"need R/h >= 8"
-        )
+    _check_radii(config.h, (R,), f"the ground-level axis R = {R}")
     params = EnergyParams(eps=eps, potential=potential)
     reach = float(np.linalg.norm(potential.wells, axis=1).max()) / eps + 5.0
     if config.R_schedule[0] < reach:

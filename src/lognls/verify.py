@@ -152,13 +152,10 @@ def identity_suite(g: Grid, seed: int = 0, fields: int = 100) -> dict:
 
 def _common_grid_l2_distance(a, b) -> float:
     """Relative L2 distance between two results, extending to a common grid."""
-    ga, gb = a.grid, b.grid
-    if ga.R >= gb.R:
-        ua, ub = a.u, zero_extend(b.u, gb, ga)
-        g = ga
-    else:
-        ua, ub = zero_extend(a.u, ga, gb), b.u
-        g = gb
+    if a.grid.R < b.grid.R:
+        a, b = b, a
+    g = a.grid
+    ua, ub = a.u, zero_extend(b.u, b.grid, g)
     na = math.sqrt(integrate(g, ua * ua))
     nb = math.sqrt(integrate(g, ub * ub))
     d = math.sqrt(integrate(g, (ua - ub) ** 2))
@@ -206,8 +203,7 @@ def audit(outcome) -> VerificationReport:
     tolerances = {
         "nehari_res": config.nehari_tol,
         "level_characterization": config.nehari_tol,
-        # the bar a stage converges at, half of grad_tol (`minimize_localized`)
-        "grad_norm": 0.5 * config.grad_tol,
+        "grad_norm": config.grad_bar,
         "log_sobolev_min_gap": -1e-8,
         "r_stabilization": "continuation level gap <= nehari_tol * "
                            "max(1, |level|) and barycenter shift <= 1e-4; with "
@@ -244,7 +240,7 @@ def audit(outcome) -> VerificationReport:
         pos = positivity_check(res.u, res.grid)
         nres = nehari_residual(res.u, params, res.grid)
         nehari_ok = nres.value <= config.nehari_tol
-        level_ok = nres.level_gap <= config.nehari_tol * max(1.0, abs(res.level))
+        level_ok = nres.level_gap <= config.level_bound(res.level)
         sep_ok = res.level < outcome.c0 + outcome.gamma
         ls_gap = log_sobolev_gap(energy(res.u, params, res.grid))
         ls_ok = ls_gap >= tolerances["log_sobolev_min_gap"]

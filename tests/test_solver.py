@@ -1,5 +1,6 @@
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from lognls.grid import (
     load_field,
     save_field,
     sq_distance,
+    zero_extend,
 )
+from lognls.cli import load_config
 from lognls.potential import make_multiwell
 import lognls.energy as energy_mod
 import lognls.solver as solver_mod
@@ -181,14 +184,16 @@ def test_eigenvalue_cache_hits_across_new_grids():
     spec = make_multiwell([[0.0], [2.0]], 2.0, 0.25)
     cfg = SolverConfig(h=0.05, R_schedule=(12.0, 16.0))
     _helmholtz_eigenvalues.cache_clear()
-    misses = []
+    misses, grown = [], []
     for eps in (0.4, 0.5, 0.4):
         out = solve_multiplicity(eps, spec, cfg)
         assert out.all_converged
         misses.append(_helmholtz_eigenvalues.cache_info().misses)
+        grown.append(out.results[0].stages[0].box_growths)
     info = _helmholtz_eigenvalues.cache_info()
     # a stage records only its last box, and the first box at eps = 0.5
     # grows, so the misses are counted, not matched to recorded boxes
+    assert grown[0] == grown[2] == 0 and grown[1] >= 1
     assert info.misses == info.currsize
     assert misses[2] == misses[1]
     assert info.hits > 10 * info.misses
@@ -273,13 +278,6 @@ def test_seed_translated_well(dw_spec):
     assert abs(peak - 20.0) <= g.h
     q = q_eps(seed, 0.1, dw_spec.R0, g)
     assert abs(q[0] - 2.0) <= 0.05
-
-
-def test_seed_needs_margin(dw_spec):
-    g = build_grid(1, 10.0, 0.05)
-    params = EnergyParams(eps=0.1, potential=dw_spec)
-    with pytest.raises(DomainTooSmall):
-        seed_well(1, params, g)  # center 20 is off-grid
 
 
 def test_seed_out_of_regime_barycenter(dw_spec):
@@ -775,6 +773,22 @@ def test_double_well_2d_iteration_bound():
         assert res.iterations <= 25
 
 
+@pytest.mark.parametrize("path, eps_list", [
+    ("configs/double_well.json", (0.1, 0.4, 0.2)),
+    ("perfbench/configs/dw2d.json", (0.3,)),
+], ids=["dw1d-and-sweep", "dw2d"])
+def test_no_shipped_stage_grows_its_box(path, eps_list):
+    """Every R stage of the shipped runs, the 1d double well with the eps
+    of its sweep and the 2d one, converges on the box it first drew, and
+    report.json says so for each stage."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / path)
+    for eps in eps_list:
+        out = solve_multiplicity(eps, cfg.potential, cfg.solver)
+        assert out.all_converged
+        assert all(st.box_growths == 0 for r in out.results for st in r.stages)
+    assert all(st["box_growths"] == 0 for w in audit(out).wells for st in w["stages"])
+
+
 def test_stage_records_count_every_stage(double_well_run):
     for res in double_well_run["outcome"].results:
         assert [st.R for st in res.stages] == [30.0, 60.0]
@@ -930,6 +944,7 @@ def test_well_near_the_first_radius_converges_after_continuation(dim, eps, h, sc
     first, second = (st.precond_box for st in outcome.results[1].stages)
     assert second == box
     assert all(b > a for a, b in zip(first, second))
+    assert [st.box_growths for st in outcome.results[1].stages] == [0, 1]
 
 
 def test_first_stage_box_grows_to_the_solution():
@@ -1119,6 +1134,36 @@ def test_numeric_settings_validated_on_construction():
     SolverConfig(h=0.05, R_schedule=(10.0,), max_iters=0)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(h=st.sampled_from([0.02, 0.03, 0.05, 0.1, 0.3, 1.5, 4.0]),
+       nodes=st.lists(st.integers(1, 120), min_size=1, max_size=3, unique=True).map(sorted),
+       offset=st.sampled_from([0.0, 1e-13, 1e-7, 0.01]))
+@example(h=0.05, nodes=[20, 40], offset=0.0)    # accepted
+@example(h=0.03, nodes=[40], offset=0.01)       # h does not divide 2R
+@example(h=0.1, nodes=[20, 41], offset=0.0)     # a step of 10.5 nodes
+@example(h=0.1, nodes=[10], offset=0.0)         # R/h = 5
+def test_config_accepts_exactly_the_radii_grids_accept(h, nodes, offset):
+    """SolverConfig accepts a schedule exactly when `build_grid` accepts
+    every radius and `zero_extend` every step between radii: all three
+    read `grid.check_radii`. The radii are multiples of h/2, some moved
+    off the lattice by offset. Grids are built uncached (`__wrapped__`),
+    so the examples leave `build_grid`'s cache as they found it."""
+    radii = tuple(n * h / 2 + offset for n in nodes)
+    try:
+        grids = [build_grid.__wrapped__(1, R, h) for R in radii]
+        for a, b in zip(grids, grids[1:]):
+            zero_extend(np.zeros(a.num_nodes), a, b)
+        grids_accept = True
+    except LogNLSError:
+        grids_accept = False
+    try:
+        SolverConfig(h=h, R_schedule=radii)
+        config_accepts = True
+    except ConfigError:
+        config_accepts = False
+    assert config_accepts == grids_accept
+
+
 @pytest.mark.parametrize("settings", [
     {"h": math.nan}, {"h": math.inf}, {"R_schedule": (10.0, math.nan)},
     {"R_schedule": (10.0, math.inf)}, {"grad_tol": math.nan}, {"nehari_tol": math.nan},
@@ -1141,9 +1186,13 @@ def test_eps_not_positive_and_finite_is_named(dw_spec, eps):
 
 
 def test_schedule_must_cover_wells(dw_spec):
-    cfg = SolverConfig(h=0.05, R_schedule=(10.0,))
-    with pytest.raises(DomainTooSmall):
-        solve_multiplicity(0.1, dw_spec, cfg)  # needs R >= 2/0.1 + 5 = 25
+    """The margin of a run, checked once for every well: the first radius
+    must reach max|z|/eps + 5 = 2/0.1 + 5 = 25, which it may equal."""
+    for first in (10.0, 24.95):
+        with pytest.raises(DomainTooSmall):
+            solve_multiplicity(0.1, dw_spec, SolverConfig(h=0.05, R_schedule=(first,)))
+    out = solve_multiplicity(0.1, dw_spec, SolverConfig(h=0.05, R_schedule=(25.0,)))
+    assert not out.failures and len(out.results) == 2
 
 
 def test_out_of_regime_eps_reports_failure(dw_spec):
