@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveEpsilon, ZeroField
+from .errors import InvalidInput, ZeroField
 from .grid import Grid, GridBox, sq_distance
 
 __all__ = ["Region", "q_eps", "region_of", "chi_map", "g_weight"]
@@ -76,7 +76,7 @@ def q_eps(u: np.ndarray, eps: float, R0: float, g: Grid | GridBox) -> np.ndarray
     clamp, g's plateau); |result| <= R0. On a box it covers the box's
     nodes, its frame included."""
     if eps <= 0.0:
-        raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+        raise InvalidInput(f"eps must be positive, got {eps}")
     u = g.check_field(u)
     chi, wq = (g.restrict(t) for t in _tables(float(R0), float(eps), g.whole))
     density = wq * u * u

@@ -23,11 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import EnergyParams, energy, nehari_residual, nehari_scale
-from .errors import ConfigError, LogNLSError
+from .errors import ConfigError, InvalidInput, LogNLSError
 from .grid import build_grid, save_field
 from .potential import PotentialSpec, make_multiwell
 from .solver import (
     SolverConfig,
+    check_run,
     gausson,
     ground_level,
     solve_multiplicity,
@@ -154,7 +155,7 @@ def load_config(path, out_override=None, seed_override=None) -> RunConfig:
     wells = _wells(problem["wells"])
     try:
         spec = make_multiwell(wells, problem["v_inf"], problem["width"])
-    except LogNLSError as exc:
+    except InvalidInput as exc:
         raise ConfigError(f"problem.wells/v_inf/width: {exc}") from exc
     if spec.dim != dim:
         raise ConfigError(
@@ -239,11 +240,10 @@ def cmd_solve(args) -> int:
     from . import verify as verify_mod   # here, not with the CLI: sweep never audits
 
     cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
+    check_run(EnergyParams(cfg.eps, cfg.potential), cfg.solver)
     out = _make_out_dir(cfg)
     try:
         outcome = solve_multiplicity(cfg.eps, cfg.potential, cfg.solver)
-    except ConfigError:   # found at solve start; `main` exits 2 on it
-        raise
     except LogNLSError as exc:
         print(f"solve failed outright: {exc}", file=sys.stderr)
         return 1
@@ -346,17 +346,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.eps:
-        print("sweep: empty eps list", file=sys.stderr)
-        return 2
     eps_list = list(args.eps)
+    if not eps_list:
+        raise ConfigError("sweep: empty eps list")
     if not all(0.0 < eps < math.inf for eps in eps_list):
-        print(f"sweep: every eps must be positive and finite, got {eps_list}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"sweep: every eps must be positive and finite, got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        print("sweep: eps list must be strictly decreasing", file=sys.stderr)
-        return 2
+        raise ConfigError("sweep: eps list must be strictly decreasing")
     cfg = load_config(args.config, out_override=args.out, seed_override=args.seed)
+    for eps in eps_list:   # before any solve: a sweep that fails one eps solves none
+        check_run(EnergyParams(eps, cfg.potential), cfg.solver)
     out = _make_out_dir(cfg)
 
     rows = []
@@ -365,8 +364,6 @@ def cmd_sweep(args) -> int:
     for eps in eps_list:
         try:
             outcome = solve_multiplicity(eps, cfg.potential, cfg.solver)
-        except ConfigError:
-            raise
         except LogNLSError as exc:
             print(f"eps={eps}: solve failed: {exc}", file=sys.stderr)
             worst = max(worst, 1)

@@ -32,7 +32,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import NonPositiveEpsilon, ZeroField
+from .errors import InvalidInput, ZeroField
 from .grid import Grid, GridBox, integrate, laplacian_apply
 from .potential import PotentialSpec, eval_scaled
 
@@ -56,7 +56,7 @@ class EnergyParams:
 
     def __init__(self, eps: float, potential: Union[PotentialSpec, float]):
         if not 0.0 < eps < math.inf:
-            raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
+            raise InvalidInput(f"eps must be positive and finite, got {eps}")
         self.eps = eps
         self.potential = potential
 

@@ -5,59 +5,16 @@ class LogNLSError(Exception):
     """Base class for all errors raised by lognls."""
 
 
-# --- grid construction / compatibility ---
-
-class NonPositiveSpacing(LogNLSError):
-    pass
+class ConfigError(LogNLSError):
+    """A run's settings are unusable; the CLI exits 2 on it."""
 
 
-class DomainTooCoarse(LogNLSError):
-    pass
+class InvalidInput(LogNLSError):
+    """An argument breaks a rule of the function it is passed to: a grid,
+    field, potential, eps or field file that the package cannot use."""
 
-
-class NonConformingSpacing(LogNLSError):
-    pass
-
-
-class GridMismatch(LogNLSError):
-    pass
-
-
-class ShrinkingDomain(LogNLSError):
-    pass
-
-
-class SpacingMismatch(LogNLSError):
-    pass
-
-
-# --- potential construction ---
-
-class MissingOriginWell(LogNLSError):
-    pass
-
-
-class FlatPotential(LogNLSError):
-    pass
-
-
-class DuplicateWells(LogNLSError):
-    pass
-
-
-class NonPositiveEpsilon(LogNLSError):
-    pass
-
-
-# --- energy / functional evaluation ---
 
 class ZeroField(LogNLSError):
-    pass
-
-
-# --- solver ---
-
-class DomainTooSmall(LogNLSError):
     pass
 
 
@@ -71,9 +28,3 @@ class SolverFailure(LogNLSError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-# --- cli ---
-
-class ConfigError(LogNLSError):
-    pass

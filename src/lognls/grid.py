@@ -26,14 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DomainTooCoarse,
-    GridMismatch,
-    NonConformingSpacing,
-    NonPositiveSpacing,
-    ShrinkingDomain,
-    SpacingMismatch,
-)
+from .errors import InvalidInput
 
 __all__ = [
     "Grid",
@@ -106,9 +99,7 @@ class Grid:
         """Validate that u is a field on this grid; returns it as float array."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.num_nodes,):
-            raise GridMismatch(
-                f"field has shape {u.shape}, expected ({self.num_nodes},)"
-            )
+            raise InvalidInput(f"field has shape {u.shape}, expected ({self.num_nodes},)")
         return u
 
     @cached_property
@@ -197,17 +188,17 @@ def check_radii(h: float, radii) -> None:
     and a field carried across each step between consecutive radii, a
     whole number of nodes to within 1e-9."""
     if h <= 0.0:
-        raise NonPositiveSpacing(f"spacing must be positive, got h={h}")
+        raise InvalidInput(f"spacing must be positive, got h={h}")
     for R in radii:
         m = 2.0 * R / h
         if abs(m - round(m)) > 1e-9 * abs(m):
-            raise NonConformingSpacing(f"2R/h = {m} is not an integer")
+            raise InvalidInput(f"2R/h = {m} is not an integer")
         if R / h < 8.0:
-            raise DomainTooCoarse(f"need R/h >= 8, got R={R}, h={h}")
+            raise InvalidInput(f"need R/h >= 8, got R={R}, h={h}")
     for a, b in zip(radii, radii[1:]):
         shift = (b - a) / h
         if abs(shift - round(shift)) > 1e-9:
-            raise SpacingMismatch(f"node lattices do not align: (R_new - R_old)/h = {shift}")
+            raise InvalidInput(f"node lattices do not align: (R_new - R_old)/h = {shift}")
 
 
 @lru_cache(maxsize=32)
@@ -219,7 +210,7 @@ def build_grid(dim: int, R: float, h: float) -> Grid:
     radius and, with it, every table cached on that grid.
     """
     if dim not in (1, 2):
-        raise GridMismatch(f"dim must be 1 or 2, got {dim}")
+        raise InvalidInput(f"dim must be 1 or 2, got {dim}")
     check_radii(h, (R,))
     m_int = round(2.0 * R / h)
 
@@ -290,13 +281,11 @@ def zero_extend(u: np.ndarray, g_old: Grid, g_new: Grid) -> np.ndarray:
     """Embed a field into a larger same-spacing grid, padding with zeros."""
     u = g_old.check_field(u)
     if g_new.R < g_old.R - 1e-12 * g_old.R:
-        raise ShrinkingDomain(
-            f"target radius {g_new.R} smaller than source {g_old.R}"
-        )
+        raise InvalidInput(f"target radius {g_new.R} smaller than source {g_old.R}")
     if g_old.dim != g_new.dim:
-        raise GridMismatch(f"dimensions differ: {g_old.dim} vs {g_new.dim}")
+        raise InvalidInput(f"dimensions differ: {g_old.dim} vs {g_new.dim}")
     if abs(g_old.h - g_new.h) > 1e-12 * g_old.h:
-        raise SpacingMismatch(f"spacings differ: {g_old.h} vs {g_new.h}")
+        raise InvalidInput(f"spacings differ: {g_old.h} vs {g_new.h}")
     check_radii(g_new.h, (g_old.R, g_new.R))
     k = round((g_new.R - g_old.R) / g_new.h)
     out = np.zeros(g_new.shape)
@@ -321,22 +310,22 @@ def load_field(path) -> tuple[Grid, float, np.ndarray]:
     The grid is that of the rescaled problem. The original-variable solution
     v(x) = u(x/eps) has the same values on the lattice eps times the grid's,
     ``build_grid(g.dim, eps * g.R, eps * g.h)``. Any other file, an earlier
-    version's CSV dump included, raises GridMismatch."""
+    version's CSV dump included, raises InvalidInput."""
     with open(path, "rb") as fh:  # np.load leaks a file it opens on a corrupt zip
         try:
             data = np.load(fh, allow_pickle=False)
             if not isinstance(data, np.lib.npyio.NpzFile):
-                raise GridMismatch(f"{path} holds a bare array, not a field file")
+                raise InvalidInput(f"{path} holds a bare array, not a field file")
             with data:
                 values = {key: data[key] for key in data.files}
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise GridMismatch(f"{path} is not a field .npz file: {exc}") from exc
+            raise InvalidInput(f"{path} is not a field .npz file: {exc}") from exc
     if values.keys() != {"u", "R", "h", "eps"} or not all(
             isinstance(v, np.ndarray) and v.dtype == np.float64 and (k == "u" or v.ndim == 0)
             for k, v in values.items()):
-        raise GridMismatch(f"{path} must hold float64 u and 0-d R, h, eps: {sorted(values)}")
+        raise InvalidInput(f"{path} must hold float64 u and 0-d R, h, eps: {sorted(values)}")
     u = values["u"]
     g = build_grid(u.ndim, float(values["R"]), float(values["h"]))
     if u.shape != g.shape:
-        raise GridMismatch(f"field file u has shape {u.shape}, grid has {g.shape}")
+        raise InvalidInput(f"field file u has shape {u.shape}, grid has {g.shape}")
     return g, float(values["eps"]), u.ravel()

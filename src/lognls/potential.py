@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DuplicateWells,
-    FlatPotential,
-    MissingOriginWell,
-    NonPositiveEpsilon,
-)
+from .errors import InvalidInput
 from .grid import Grid, sq_distance
 
 __all__ = ["PotentialSpec", "make_multiwell", "eval_scaled"]
@@ -92,21 +87,21 @@ def make_multiwell(wells, v_inf: float, width: float) -> PotentialSpec:
         W = W[:, None]  # flat list of scalars means 1d well positions
     if (W.ndim != 2 or W.shape[0] < 1 or W.shape[1] not in (1, 2)
             or not np.isfinite(W).all()):
-        raise MissingOriginWell("wells must be a nonempty list of finite 1d or 2d centers")
+        raise InvalidInput("wells must be a nonempty list of finite 1d or 2d centers")
     if np.any(W[0] != 0.0):
-        raise MissingOriginWell(f"first well must be the origin, got {W[0]}")
+        raise InvalidInput(f"first well must be the origin, got {W[0]}")
     # written so that a NaN fails each test
     if not 1.0 < v_inf < math.inf:
-        raise FlatPotential(f"need a finite v_inf > 1 for a strict limit, got {v_inf}")
+        raise InvalidInput(f"need a finite v_inf > 1 for a strict limit, got {v_inf}")
     if not 0.0 < width < math.inf:
-        raise FlatPotential(f"need a finite width > 0, got {width}")
+        raise InvalidInput(f"need a finite width > 0, got {width}")
     with np.errstate(over="ignore"):
         R0 = 2.0 * max(1.0, float(np.linalg.norm(W, axis=1).max()))
         dmin, i, j = _closest_pair(W)
     if not R0 < math.inf:
-        raise MissingOriginWell(f"wells too far out for finite distances: R0 = {R0}")
+        raise InvalidInput(f"wells too far out for finite distances: R0 = {R0}")
     if dmin == 0.0:
-        raise DuplicateWells(f"wells {i} and {j} coincide at {W[i]}")
+        raise InvalidInput(f"wells {i} and {j} coincide at {W[i]}")
     W.setflags(write=False)
     return PotentialSpec(wells=W, v_inf=float(v_inf), width=float(width),
                          rho0=1.0 if W.shape[0] == 1 else 0.25 * dmin, R0=R0)
@@ -116,7 +111,7 @@ def eval_scaled(spec: PotentialSpec, eps: float, g: Grid) -> np.ndarray:
     """Tabulate V(eps * x) at every grid node, as `PotentialSpec.__call__`
     does at points, one well at a time on the open mesh of the axes."""
     if eps <= 0.0:
-        raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+        raise InvalidInput(f"eps must be positive, got {eps}")
     scaled = eps * g.axis
     bump = 0.0
     for z in spec.wells:

@@ -43,7 +43,7 @@ from .barycenter import Region, q_eps, region_of
 from .energy import EnergyParams, Evaluation, energy, nehari_scale
 from .errors import (
     ConfigError,
-    DomainTooSmall,
+    InvalidInput,
     LogNLSError,
     SeedOutsideRegion,
     SolverFailure,
@@ -71,6 +71,7 @@ __all__ = [
     "seed_well",
     "minimize_localized",
     "continue_in_R",
+    "check_run",
     "solve_multiplicity",
     "ground_level",
 ]
@@ -179,7 +180,7 @@ def _check_radii(h: float, radii: tuple[float, ...], what: str) -> None:
     radii are."""
     try:
         check_radii(h, radii)
-    except LogNLSError as exc:
+    except InvalidInput as exc:
         raise ConfigError(f"numerics.h = {h} does not fit {what}: {exc}") from exc
 
 
@@ -318,9 +319,7 @@ def gausson(g: Grid, omega: float) -> np.ndarray:
     constant-coefficient problem with V = omega, sampled with Dirichlet
     boundary values forced to zero."""
     if math.exp(-0.5 * g.R * g.R) >= 1e-12:
-        raise DomainTooSmall(
-            f"Gausson tail exp(-R^2/2) not below 1e-12 at R={g.R}"
-        )
+        raise InvalidInput(f"Gausson tail exp(-R^2/2) not below 1e-12 at R={g.R}")
     amplitude = math.exp(0.5 * (g.dim + omega))
     u = _gaussian_profile(g, amplitude, np.zeros(g.dim))
     u[~g.interior_mask] = 0.0
@@ -884,6 +883,21 @@ def ground_level(omega: float, dim: int, config: SolverConfig) -> float:
     return 0.5 * (math.exp(float(omega) / dim) * m1) ** dim
 
 
+def check_run(params: EnergyParams, config: SolverConfig) -> None:
+    """Check, building nothing, what a `solve_multiplicity` run at params
+    needs of config, each failure a ConfigError: a first radius above the
+    potential's R0, a ground-level axis that h fits, and a first radius
+    that covers every well with a margin of 5, max|z|/eps + 5."""
+    spec, first = params.potential, config.R_schedule[0]
+    if first <= spec.R0:
+        raise ConfigError(f"first truncation radius {first} must exceed R0 = {spec.R0}")
+    R = _ground_radius(spec.dim, config.h)
+    _check_radii(config.h, (R,), f"the ground-level axis R = {R}")
+    reach = float(np.linalg.norm(spec.wells, axis=1).max()) / params.eps + 5.0
+    if first < reach:
+        raise ConfigError(f"R_schedule[0] = {first} does not cover max|z|/eps + 5 = {reach:.2f}")
+
+
 def solve_multiplicity(
     eps: float,
     potential: PotentialSpec,
@@ -891,8 +905,9 @@ def solve_multiplicity(
 ) -> MultiplicityOutcome:
     """One localized solve per well, continued through the R schedule.
 
-    Per-well failures are collected rather than raised; the outcome carries
-    the reference levels c0 < c_inf. Well 1 starts from its closed-form
+    The run is checked first (`check_run`). Per-well failures are collected
+    rather than raised; the outcome carries the reference levels
+    c0 < c_inf. Well 1 starts from its closed-form
     seed (`seed_well`); once it has converged, every later well starts
     from well 1's solution shifted to its own well (`_shifted_seed`),
     falling back to its closed-form seed where that seed's barycenter lies
@@ -900,18 +915,8 @@ def solve_multiplicity(
     the same for every well, and whether its seed was shifted; a shifted
     well waits for well 1.
     """
-    if config.R_schedule[0] <= potential.R0:
-        raise ConfigError(
-            f"first truncation radius {config.R_schedule[0]} must exceed R0 = {potential.R0}"
-        )
-    R = _ground_radius(potential.dim, config.h)
-    _check_radii(config.h, (R,), f"the ground-level axis R = {R}")
     params = EnergyParams(eps=eps, potential=potential)
-    reach = float(np.linalg.norm(potential.wells, axis=1).max()) / eps + 5.0
-    if config.R_schedule[0] < reach:
-        raise DomainTooSmall(
-            f"R_schedule[0] = {config.R_schedule[0]} does not cover max|z|/eps + 5 = {reach:.2f}"
-        )
+    check_run(params, config)
 
     c0 = ground_level(1.0, potential.dim, config)
     c_inf = ground_level(potential.v_inf, potential.dim, config)

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ SQPI = math.sqrt(math.pi)
 C0_1D = 0.5 * E**2 * SQPI          # N=1, w=1: e^2 sqrt(pi) / 2
 CINF_1D = 0.5 * E**3 * SQPI        # N=1, w=2: e^3 sqrt(pi) / 2
 C0_2D = 0.5 * E**3 * math.pi       # N=2, w=1: e^3 pi / 2
+DOUBLE_WELL = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
 
 
 def _line(n, ok, detail):
@@ -74,7 +76,7 @@ def test_criterion_2_level_gap():
 def test_criterion_3_multiplicity(tmp_path):
     out = tmp_path / "dw"
     t0 = time.perf_counter()
-    code = main(["solve", "--config", "configs/double_well.json",
+    code = main(["solve", "--config", str(DOUBLE_WELL),
                  "--out", str(out)])
     elapsed = time.perf_counter() - t0
     report = json.loads((out / "report.json").read_text())
@@ -154,10 +156,10 @@ def test_criterion_6_continuation_stability(double_well_run):
 
 def test_criterion_7_localization_trend(tmp_path, double_well_run):
     out = tmp_path / "sweep"
-    code = main(["sweep", "--config", "configs/double_well.json",
+    code = main(["sweep", "--config", str(DOUBLE_WELL),
                  "--out", str(out), "--eps", "0.4", "0.2", "0.1"])
     assert code == 0
-    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
     # distances at or below the measurement floor (solver tolerance noise)
     # count as ties; the trend must never grow above it
     floor = 1e-6
@@ -182,7 +184,7 @@ def test_criterion_7_localization_trend(tmp_path, double_well_run):
 
 
 def test_criterion_8_honest_failure_out_of_regime(tmp_path):
-    cfg = json.loads(open("configs/double_well.json").read())
+    cfg = json.loads(DOUBLE_WELL.read_text())
     cfg["problem"]["eps"] = 5.0
     cfg["outputs"]["verbosity"] = 0
     path = tmp_path / "eps5.json"

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import node_list
 from lognls.barycenter import chi_map, g_weight, q_eps, region_of
-from lognls.errors import NonPositiveEpsilon, ZeroField
+from lognls.errors import InvalidInput, ZeroField
 from lognls.grid import build_grid, sq_distance
 from lognls.solver import gausson
 
@@ -99,7 +99,7 @@ def test_q_eps_errors():
     R0 = 4.0
     with pytest.raises(ZeroField):
         q_eps(np.zeros(g.num_nodes), 1.0, R0, g)
-    with pytest.raises(NonPositiveEpsilon):
+    with pytest.raises(InvalidInput, match="eps must be positive"):
         q_eps(np.ones(g.num_nodes), 0.0, R0, g)
 
 

@@ -19,7 +19,7 @@ import lognls
 import lognls.cli as cli_mod
 import lognls.errors as errors_mod
 from lognls.cli import load_config, main
-from lognls.errors import ConfigError
+from lognls.errors import ConfigError, SolverFailure
 from lognls.grid import load_field
 from lognls.solver import SolveStatus, SolverConfig
 
@@ -511,7 +511,7 @@ def test_solve_leaves_numpy_random_unloaded(tmp_path):
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
-    rows = list(csv.DictReader((tmp_path / "run" / "levels.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "run" / "levels.csv").read_text().splitlines()))
     assert rows and all(math.isfinite(float(r["weak_res"])) for r in rows)
 
 
@@ -655,7 +655,7 @@ def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeyp
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(out),
                  "--eps", "0.4", "0.2", "0.1"]) == 0
-    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
     assert len(rows) == 6 and all(r["status"] == "converged" for r in rows)
     assert sorted(calls) == sorted((eps, R) for eps in (0.4, 0.2, 0.1) for R in (30.0, 40.0))
 
@@ -668,18 +668,24 @@ def test_sweep_tabulates_the_potential_once_per_eps_and_radius(tmp_path, monkeyp
     ("solver", {"rho0": 1.5, "R0": 8.0}, "solver.rho0: unknown key"),
     ("solver", {"rho0": 0.0, "R0": 4.0}, "solver.rho0: unknown key"),
     ("solver", {"rho0": -0.5, "R0": 4.0}, "solver.rho0: unknown key"),
+    ("numerics", {"R_schedule": [12.0, 24.0]},
+     "R_schedule[0] = 12.0 does not cover max|z|/eps + 5"),
 ], ids=["first-radius-inside-R0", "gamma-too-large", "overlapping-balls", "zero-rho0",
-        "negative-rho0"])
-def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, section, change,
-                                             message):
+        "negative-rho0", "wells-beyond-the-first-radius"])
+def test_config_error_at_solve_start_exits_2(tmp_path, capsys, monkeypatch, command,
+                                             section, change, message):
     # an R_schedule[0] not above R0, which the wells fix (R0 = 4 for wells
-    # at 0 and 2), is found only when the solve starts; it is a config
-    # error all the same. A gamma outside (0, (c_inf - c0)/2) and balls
+    # at 0 and 2), or short of max|z|/eps + 5, which eps fixes too, is
+    # found only when the run starts; it is a config error all the same,
+    # and a sweep checks every eps before its first solve: [12, 24] covers
+    # the margin of 10 at eps 0.4 but not that of 15 at eps 0.2 (solve's,
+    # at eps 0.1, is 25). A gamma outside (0, (c_inf - c0)/2) and balls
     # B_rho0 that overlap or have rho0 <= 0 were found there too while
     # gamma, rho0 and R0 were settings; they are derived now, and a config
     # that still sets one is refused as it loads, with the same exit code
-    shipped = Path(__file__).resolve().parent.parent / "configs" / "double_well.json"
-    bad = json.loads(shipped.read_text())
+    solved = []
+    monkeypatch.setattr(cli_mod, "solve_multiplicity", lambda *args: solved.append(args))
+    bad = json.loads((REPO / "configs" / "double_well.json").read_text())
     bad[section].update(change)
     path = _write(tmp_path, bad)
     out = tmp_path / "run"
@@ -690,6 +696,7 @@ def test_config_error_at_solve_start_exits_2(tmp_path, capsys, command, section,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert "solve failed" not in err
+    assert solved == []
     assert not (out / "report.json").exists()
     assert not (out / "sweep.csv").exists()
 
@@ -721,7 +728,7 @@ def test_weak_residual_is_measured_by_solve_alone(tmp_path, monkeypatch):
     assert len(measured) == 2
     for i, u in enumerate(measured):
         assert np.array_equal(u, load_field(out / "fields" / f"u_well{i + 1}.npz")[2])
-    rows = list(csv.DictReader((out / "levels.csv").open()))
+    rows = list(csv.DictReader((out / "levels.csv").read_text().splitlines()))
     assert len(rows) == 2 and all(math.isfinite(float(row["weak_res"])) for row in rows)
     report = json.loads((out / "report.json").read_text())
     assert all(math.isfinite(w["weak_res"]) for w in report["wells"])
@@ -788,16 +795,23 @@ def test_verify_subcommand_passes():
     assert main(["verify"]) == 0
 
 
-def test_sweep_onset_resets_after_a_raised_solve(tmp_path, capsys):
-    # eps = 0.05 needs R >= 2/0.05 + 5 = 45 > 30: its solve raises, so no
-    # eps of the list has every later eps converged
-    config = Path(__file__).resolve().parents[1] / "configs" / "double_well.json"
-    code = main(["sweep", "--config", str(config), "--out", str(tmp_path),
-                 "--eps", "0.1", "0.05"])
+def test_sweep_onset_resets_after_a_raised_solve(tmp_path, capsys, monkeypatch):
+    # the solve at eps = 0.1 raises, so no eps of the list has every later
+    # eps converged
+    real = cli_mod.solve_multiplicity
+
+    def solve(eps, *args):
+        if eps == 0.1:
+            raise SolverFailure("constant-coefficient solve (omega=0) ended iteration_cap")
+        return real(eps, *args)
+
+    monkeypatch.setattr(cli_mod, "solve_multiplicity", solve)
+    code = main(["sweep", "--config", str(REPO / "configs" / "double_well.json"),
+                 "--out", str(tmp_path), "--eps", "0.2", "0.1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "eps=0.1: all converged" in captured.out
-    assert "eps=0.05: solve failed" in captured.err
+    assert "eps=0.2: all converged" in captured.out
+    assert "eps=0.1: solve failed: constant-coefficient solve" in captured.err
     assert "localization onset" not in captured.out
 
 

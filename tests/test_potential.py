@@ -1,16 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from lognls.errors import (
-    DuplicateWells,
-    FlatPotential,
-    MissingOriginWell,
-    NonPositiveEpsilon,
-)
+from lognls.errors import InvalidInput
 from lognls.grid import build_grid
 from lognls.potential import eval_scaled, make_multiwell
 
@@ -31,40 +27,44 @@ def test_double_well_max_of_gaussians():
 
 
 def test_flat_potential_rejected():
-    with pytest.raises(FlatPotential):
+    with pytest.raises(InvalidInput, match="need a finite v_inf > 1"):
         make_multiwell([[0.0]], 1.0, 1.0)
-    with pytest.raises(FlatPotential):
+    with pytest.raises(InvalidInput, match="need a finite width > 0"):
         make_multiwell([[0.0]], 2.0, 0.0)
 
 
 def test_origin_well_required():
-    with pytest.raises(MissingOriginWell):
+    with pytest.raises(InvalidInput, match="first well must be the origin"):
         make_multiwell([[1.0], [2.0]], 2.0, 1.0)
 
 
-@pytest.mark.parametrize("wells, v_inf, width, error", [
-    ([0.0, 2.0], math.nan, 0.25, FlatPotential),
-    ([0.0, 2.0], math.inf, 0.25, FlatPotential),
-    ([0.0, 2.0], 2.0, math.nan, FlatPotential),
-    ([0.0, 2.0], 2.0, math.inf, FlatPotential),
-    ([0.0, math.nan], 2.0, 0.25, MissingOriginWell),
-    ([[0.0, 0.0], [math.inf, 1.0]], 2.0, 0.25, MissingOriginWell),
-    ([[0.0, 0.0], [2.0, -math.inf]], 2.0, 0.25, MissingOriginWell),
-    ([[0.0, 0.0], [1e200, 0.0]], 2.0, 0.25, MissingOriginWell),
-    ([0.0, 1e200], 2.0, 0.25, MissingOriginWell),
-    ([[0.0, 0.0], [1.0]], 2.0, 0.25, MissingOriginWell),
-    ("ab", 2.0, 0.25, MissingOriginWell),
+_CENTERS = "wells must be a nonempty list of finite 1d or 2d centers"
+_FAR = "wells too far out for finite distances"
+
+
+@pytest.mark.parametrize("wells, v_inf, width, rule", [
+    ([0.0, 2.0], math.nan, 0.25, "need a finite v_inf > 1"),
+    ([0.0, 2.0], math.inf, 0.25, "need a finite v_inf > 1"),
+    ([0.0, 2.0], 2.0, math.nan, "need a finite width > 0"),
+    ([0.0, 2.0], 2.0, math.inf, "need a finite width > 0"),
+    ([0.0, math.nan], 2.0, 0.25, _CENTERS),
+    ([[0.0, 0.0], [math.inf, 1.0]], 2.0, 0.25, _CENTERS),
+    ([[0.0, 0.0], [2.0, -math.inf]], 2.0, 0.25, _CENTERS),
+    ([[0.0, 0.0], [1e200, 0.0]], 2.0, 0.25, _FAR),
+    ([0.0, 1e200], 2.0, 0.25, _FAR),
+    ([[0.0, 0.0], [1.0]], 2.0, 0.25, _CENTERS),
+    ("ab", 2.0, 0.25, _CENTERS),
 ], ids=["v_inf-NaN", "v_inf-Infinity", "width-NaN", "width-Infinity", "center-NaN",
         "center-Infinity", "center--Infinity", "2d-distance-overflows",
         "1d-distance-overflows", "ragged", "not-numbers"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # and no numpy warning on the way
-def test_non_finite_input_rejected(wells, v_inf, width, error):
-    with pytest.raises(error, match="finite"):
+def test_non_finite_input_rejected(wells, v_inf, width, rule):
+    with pytest.raises(InvalidInput, match=re.escape(rule)):
         make_multiwell(wells, v_inf, width)
 
 
 def test_duplicate_wells_rejected():
-    with pytest.raises(DuplicateWells):
+    with pytest.raises(InvalidInput, match="wells 0 and 1 coincide"):
         make_multiwell([[0.0], [0.0]], 2.0, 1.0)
 
 
@@ -138,10 +138,10 @@ def test_localization_radii_satisfy_invariants(inputs):
     far = max(math.hypot(*z) for z in wells)
     try:
         spec = make_multiwell(*inputs)
-    except DuplicateWells:   # a separation whose square underflows
-        reject()
-    except MissingOriginWell:
-        assert far > 1e153
+    except InvalidInput as exc:
+        if "coincide" in str(exc):   # a separation whose square underflows
+            reject()
+        assert str(exc).startswith(_FAR) and far > 1e153
         return
     dmin = min((math.dist(a, b) for a, b in itertools.combinations(wells, 2)),
                default=math.inf)
@@ -169,5 +169,5 @@ def test_eval_scaled_formula():
 def test_eval_scaled_rejects_nonpositive_eps():
     spec = make_multiwell([[0.0]], 2.0, 1.0)
     g = build_grid(1, 10.0, 0.1)
-    with pytest.raises(NonPositiveEpsilon):
+    with pytest.raises(InvalidInput, match="eps must be positive"):
         eval_scaled(spec, 0.0, g)

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lognls.barycenter import q_eps, region_of
 from lognls.energy import EnergyParams, energy, log_sobolev_gap, nehari_scale
-from lognls.errors import (ConfigError, DomainTooSmall, LogNLSError, NonPositiveEpsilon,
-                           SeedOutsideRegion, SolverFailure)
+from lognls.errors import (ConfigError, InvalidInput, LogNLSError, SeedOutsideRegion,
+                           SolverFailure)
 from lognls.grid import (
     Grid,
     GridBox,
@@ -239,7 +240,7 @@ def test_gausson_2d_amplitude_and_level():
 
 
 def test_gausson_domain_too_small():
-    with pytest.raises(DomainTooSmall):
+    with pytest.raises(InvalidInput, match=r"Gausson tail exp\(-R\^2/2\) not below 1e-12"):
         gausson(build_grid(1, 4.0, 0.25), 1.0)
 
 
@@ -974,6 +975,27 @@ def test_stalled_descent_grows_its_box():
     assert stage.grad_norm < 0.1
 
 
+@pytest.mark.parametrize("R, grows", [(16.0, True), (8.0, False)])
+def test_box_that_is_the_whole_grid_and_still_misses_ends_box_too_small(monkeypatch, R,
+                                                                         grows):
+    """A descent that converges on every box but never on the whole grid,
+    whose gradient norm is made infinite, ends `box_too_small` once its box
+    is the whole interior. From the Gausson at R = 16 the first box (about
+    |y| <= 8.3, the 1e-15 floor) grows to it; at R = 8 the first box is
+    already the whole interior and never grows."""
+    real = solver_mod._projected_grad_norm
+    monkeypatch.setattr(solver_mod, "_projected_grad_norm", lambda u, r, g: (
+        real(u, r, g) if isinstance(g, GridBox) else math.inf))
+    cfg = SolverConfig(h=0.05, R_schedule=(R,))
+    g = build_grid(1, R, cfg.h)
+    params = EnergyParams(eps=1.0, potential=1.0)
+    res = minimize_localized(gausson(g, 1.0), None, 1.0, params, cfg, g)
+    [stage] = res.stages
+    assert stage.status == SolveStatus.BOX_TOO_SMALL
+    assert stage.precond_box == [g.n_axis - 2]
+    assert stage.box_growths >= 1 if grows else stage.box_growths == 0
+
+
 @settings(max_examples=24, derandomize=True, deadline=None)
 @given(dim=st.sampled_from([1, 2]), spread=st.floats(0.0, 1.0),
        distance=st.floats(1.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi),
@@ -1181,7 +1203,7 @@ def test_non_finite_setting_is_a_config_error(settings):
 @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
 def test_eps_not_positive_and_finite_is_named(dw_spec, eps):
     # checked before the reach max|z|/eps + 5 divides by it
-    with pytest.raises(NonPositiveEpsilon):
+    with pytest.raises(InvalidInput, match="eps must be positive and finite"):
         solve_multiplicity(eps, dw_spec, SolverConfig(h=0.05, R_schedule=(30.0,)))
 
 
@@ -1189,7 +1211,8 @@ def test_schedule_must_cover_wells(dw_spec):
     """The margin of a run, checked once for every well: the first radius
     must reach max|z|/eps + 5 = 2/0.1 + 5 = 25, which it may equal."""
     for first in (10.0, 24.95):
-        with pytest.raises(DomainTooSmall):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"R_schedule[0] = {first} does not cover max|z|/eps + 5 = 25.00")):
             solve_multiplicity(0.1, dw_spec, SolverConfig(h=0.05, R_schedule=(first,)))
     out = solve_multiplicity(0.1, dw_spec, SolverConfig(h=0.05, R_schedule=(25.0,)))
     assert not out.failures and len(out.results) == 2
